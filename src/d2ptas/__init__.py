@@ -32,8 +32,6 @@ from .divergences import (
     centroid_report,
     check_centroid_property,
     check_mu_similarity,
-    check_symmetry,
-    check_triangle,
     cluster_cost,
     mu_similarity_report,
     symmetry_report,
@@ -41,10 +39,7 @@ from .divergences import (
 )
 from .sampler import (
     CenterSet,
-    D2Distribution,
     RngStream,
-    add_center,
-    d2_distribution,
     d2_sample,
     empirical_distribution_check,
     weighted_draw,

@@ -29,14 +29,7 @@ from .divergences import (
     triangle_report,
 )
 from .errors import ClusteringError, ConfigError, EmptyFile, ParseError, RaggedRows
-from .oracle import (
-    ORACLE_K_CAP,
-    ORACLE_N_CAP,
-    inaba_trial,
-    irreducibility,
-    lloyd,
-    optimal_bruteforce,
-)
+from .oracle import ORACLE_K_CAP, ORACLE_N_CAP, _gamma, lloyd, optimal_bruteforce
 from .ptas import PtasConfig, find_k_median, kmeanspp_seed, parse_strategy
 from .sampler import RngStream
 
@@ -202,10 +195,43 @@ def check_enumeration_budget(cfg):
     )
 
 
-def _ratio(cost, best):
-    if best > 0.0:
-        return cost / best
-    return 1.0 if cost == 0.0 else None
+def _resolved_config(measure, k, epsilon, restarts, strategy, preset):
+    """Resolved PtasConfig from CLI-style fields; refuses hopeless paper-scale runs."""
+    cfg = PtasConfig(
+        k=k,
+        epsilon=epsilon,
+        restarts=restarts,
+        subset_strategy=parse_strategy(strategy) if strategy else None,
+        scale_preset=preset,
+    ).resolved(measure)
+    if cfg.scale_preset == "paper":
+        check_enumeration_budget(cfg)
+    return cfg
+
+
+def _add_ratios(results):
+    """Set each entry's "ratio": its cost over the best cost in ``results``.
+
+    With a zero best cost, a zero-cost entry gets 1.0 and any other entry None.
+    """
+    best = min(entry["cost"] for entry in results.values())
+    for entry in results.values():
+        if best > 0.0:
+            entry["ratio"] = entry["cost"] / best
+        else:
+            entry["ratio"] = 1.0 if entry["cost"] == 0.0 else None
+    return results
+
+
+def _report(spec, results, seed, properties=()):
+    """The one report schema every subcommand emits."""
+    return {
+        "spec": {key: spec[key] for key in sorted(spec)},
+        "results": results,
+        "properties": [rep.to_dict() for rep in properties],
+        "seed": seed,
+        "version": __version__,
+    }
 
 
 def run_experiment(spec):
@@ -216,17 +242,8 @@ def run_experiment(spec):
     """
     measure = build_measure(spec["measure"], mu=spec.get("mu"), domain=spec.get("domain"))
     data = ingest_csv(spec["input"], domain=measure.domain)
-    strategy = parse_strategy(spec["strategy"]) if spec.get("strategy") else None
-    cfg = PtasConfig(
-        k=spec["k"],
-        epsilon=spec.get("epsilon", 0.5),
-        restarts=spec.get("restarts"),
-        subset_strategy=strategy,
-        scale_preset=spec.get("preset", "desk"),
-    )
-    resolved = cfg.resolved(measure)
-    if resolved.scale_preset == "paper":
-        check_enumeration_budget(resolved)
+    cfg = _resolved_config(measure, spec["k"], spec.get("epsilon", 0.5), spec.get("restarts"),
+                           spec.get("strategy"), spec.get("preset", "desk"))
 
     seed = int(spec.get("seed", 0))
     threads = spec.get("threads")
@@ -240,29 +257,19 @@ def run_experiment(spec):
     t0 = time.perf_counter()
     baseline_rng = rng.derive(2)
     best_baseline = None
-    for r in range(resolved.restarts):
-        seeded = kmeanspp_seed(data.points, measure, resolved.k, baseline_rng.derive(r))
+    for r in range(cfg.restarts):
+        seeded = kmeanspp_seed(data.points, measure, cfg.k, baseline_rng.derive(r))
         refined = lloyd(data.points, measure, seeded.centers)
         if best_baseline is None or refined.cost < best_baseline:
             best_baseline = refined.cost
     results["kmeanspp_lloyd"] = {"cost": best_baseline, "seconds": time.perf_counter() - t0}
 
-    if measure.exact_centroid and data.n <= ORACLE_N_CAP and resolved.k <= ORACLE_K_CAP:
+    if measure.exact_centroid and data.n <= ORACLE_N_CAP and cfg.k <= ORACLE_K_CAP:
         t0 = time.perf_counter()
-        oracle_result = optimal_bruteforce(data.points, resolved.k, measure)
+        oracle_result = optimal_bruteforce(data.points, cfg.k, measure)
         results["oracle"] = {"cost": oracle_result.optimal_cost, "seconds": time.perf_counter() - t0}
 
-    best = min(entry["cost"] for entry in results.values())
-    for entry in results.values():
-        entry["ratio"] = _ratio(entry["cost"], best)
-
-    return {
-        "spec": {key: spec[key] for key in sorted(spec)},
-        "results": results,
-        "properties": [],
-        "seed": seed,
-        "version": __version__,
-    }
+    return _report(spec, _add_ratios(results), seed)
 
 
 def strip_timing(obj):
@@ -312,32 +319,29 @@ def _cmd_cluster(args):
     return 0
 
 
+def _measure_from_args(args):
+    domain = parse_domain(args.domain) if args.domain else None
+    return build_measure(args.measure, mu=args.mu, domain=domain)
+
+
 def _cmd_oracle(args):
-    measure = build_measure(args.measure, mu=args.mu,
-                            domain=parse_domain(args.domain) if args.domain else None)
+    measure = _measure_from_args(args)
     data = ingest_csv(args.input, domain=measure.domain)
     t0 = time.perf_counter()
     result = optimal_bruteforce(data.points, args.k, measure)
     entry = {
         "cost": result.optimal_cost,
-        "ratio": 1.0,
         "seconds": time.perf_counter() - t0,
         "partition": result.optimal_partition.tolist(),
         "assignments_examined": result.assignments_examined,
     }
     if args.k >= 2:
-        gamma_report = irreducibility(data.points, args.k, measure)
-        entry["delta_km1"] = gamma_report.delta_km1
-        entry["gamma"] = gamma_report.gamma if np.isfinite(gamma_report.gamma) else "inf"
-    report = {
-        "spec": {"command": "oracle", "input": args.input, "k": args.k,
-                 "measure": args.measure, "mu": args.mu, "domain": args.domain},
-        "results": {"oracle": entry},
-        "properties": [],
-        "seed": args.seed,
-        "version": __version__,
-    }
-    _emit(report, args.output)
+        entry["delta_km1"] = optimal_bruteforce(data.points, args.k - 1, measure).optimal_cost
+        gamma = _gamma(entry["delta_km1"], result.optimal_cost)
+        entry["gamma"] = gamma if np.isfinite(gamma) else "inf"
+    spec = {"command": "oracle", "input": args.input, "k": args.k,
+            "measure": args.measure, "mu": args.mu, "domain": args.domain}
+    _emit(_report(spec, _add_ratios({"oracle": entry}), args.seed), args.output)
     print(f"optimal cost: {result.optimal_cost:.12g}")
     print(f"partition: {result.optimal_partition.tolist()}")
     if "gamma" in entry:
@@ -346,8 +350,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_properties(args):
-    domain = parse_domain(args.domain) if args.domain else None
-    measure = build_measure(args.measure, mu=args.mu, domain=domain)
+    measure = _measure_from_args(args)
     rng = RngStream(args.seed)
     dim = measure.fixed_dim if measure.fixed_dim is not None else args.dim
     centroid_tol = 1e-9 if measure.beta == 1.0 else 1e-8
@@ -357,15 +360,9 @@ def _cmd_properties(args):
         centroid_report(measure, rng.derive(3), instances=100, tolerance=centroid_tol),
         mu_similarity_report(measure, dim, min(args.trials, 10_000), rng.derive(4)),
     ]
-    report = {
-        "spec": {"command": "properties", "measure": args.measure, "mu": args.mu,
-                 "domain": args.domain, "trials": args.trials, "dim": dim},
-        "results": {},
-        "properties": [rep.to_dict() for rep in reports],
-        "seed": args.seed,
-        "version": __version__,
-    }
-    _emit(report, args.output)
+    spec = {"command": "properties", "measure": args.measure, "mu": args.mu,
+            "domain": args.domain, "trials": args.trials, "dim": dim}
+    _emit(_report(spec, {}, args.seed, properties=reports), args.output)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(f"{status} {rep.property}: violations {rep.violations}/{rep.trials}, "
@@ -374,15 +371,10 @@ def _cmd_properties(args):
 
 
 def _cmd_seedbench(args):
-    measure = build_measure(args.measure, mu=args.mu,
-                            domain=parse_domain(args.domain) if args.domain else None)
+    measure = _measure_from_args(args)
     data = ingest_csv(args.input, domain=measure.domain)
-    strategy = parse_strategy(args.strategy) if args.strategy else None
-    cfg = PtasConfig(k=args.k, epsilon=args.epsilon, restarts=args.restarts,
-                     subset_strategy=strategy, scale_preset=args.preset)
-    resolved = cfg.resolved(measure)
-    if resolved.scale_preset == "paper":
-        check_enumeration_budget(resolved)
+    cfg = _resolved_config(measure, args.k, args.epsilon, args.restarts, args.strategy,
+                           args.preset)
 
     ptas_costs, baseline_costs = [], []
     t0 = time.perf_counter()
@@ -390,7 +382,7 @@ def _cmd_seedbench(args):
         rng = RngStream(args.seed + s)
         ptas_costs.append(find_k_median(data.points, measure, cfg, rng.derive(1),
                                         threads=args.threads).cost)
-        seeded = kmeanspp_seed(data.points, measure, resolved.k, rng.derive(2))
+        seeded = kmeanspp_seed(data.points, measure, cfg.k, rng.derive(2))
         baseline_costs.append(lloyd(data.points, measure, seeded.centers).cost)
     elapsed = time.perf_counter() - t0
 
@@ -401,21 +393,12 @@ def _cmd_seedbench(args):
             "seconds": elapsed,
             "per_seed_costs": [float(c) for c in costs],
         }
-    best = min(entry["cost"] for entry in results.values())
-    for entry in results.values():
-        entry["ratio"] = _ratio(entry["cost"], best)
     wins = sum(p <= b for p, b in zip(ptas_costs, baseline_costs))
 
-    report = {
-        "spec": {"command": "seedbench", "input": args.input, "k": args.k,
-                 "epsilon": args.epsilon, "preset": args.preset, "strategy": args.strategy,
-                 "restarts": args.restarts, "measure": args.measure, "trials": args.trials},
-        "results": results,
-        "properties": [],
-        "seed": args.seed,
-        "version": __version__,
-    }
-    _emit(report, args.output)
+    spec = {"command": "seedbench", "input": args.input, "k": args.k,
+            "epsilon": args.epsilon, "preset": args.preset, "strategy": args.strategy,
+            "restarts": args.restarts, "measure": args.measure, "trials": args.trials}
+    _emit(_report(spec, _add_ratios(results), args.seed), args.output)
     print(f"seeds: {args.trials}")
     print(f"mean cost  ptas: {results['ptas']['cost']:.6g}   "
           f"kmeanspp+lloyd: {results['kmeanspp_lloyd']['cost']:.6g}")
@@ -454,7 +437,9 @@ def _add_measure_flags(sub):
 
 def _add_algo_flags(sub):
     sub.add_argument("--k", type=int, required=True, help="number of centers")
-    sub.add_argument("--epsilon", type=float, default=0.5, help="target accuracy in (0, 1/2]")
+    sub.add_argument("--epsilon", type=float, default=0.5,
+                     help="target accuracy in (0, 1/2]; it sets N and M only under --preset "
+                          "paper (the desk constants are fixed, so it has no effect there)")
     sub.add_argument("--preset", choices=("desk", "paper"), default="desk",
                      help="constant scaling: desk-sized or full analysis scale")
     sub.add_argument("--strategy", default=None,
@@ -529,9 +514,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except PaperScaleRefusal as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,8 +41,6 @@ __all__ = [
     "assign",
     "cluster_cost",
     "check_centroid_property",
-    "check_symmetry",
-    "check_triangle",
     "check_mu_similarity",
     "symmetry_report",
     "triangle_report",
@@ -136,11 +134,16 @@ class PropertyReport:
             "worst_ratio": self.worst_ratio,
             "tolerance": self.tolerance,
             "passed": self.passed,
-            "details": {k: _plain(v) for k, v in self.details.items()},
+            "details": _jsonable(self.details),
         }
 
 
-def _plain(value):
+def _jsonable(value):
+    """``value`` with numpy arrays and scalars turned into plain JSON-ready Python."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (np.floating, np.integer, np.bool_)):
@@ -485,22 +488,6 @@ def check_centroid_property(measure, points, c, tolerance=1e-9):
         tolerance=tolerance,
         details={"lhs": lhs, "rhs": rhs, "spread": spread},
     )
-
-
-def check_symmetry(measure, p, q, tolerance=1e-12):
-    """True iff beta * D(q,p) <= D(p,q) <= D(q,p) / beta within relative tolerance."""
-    forward = measure(p, q)
-    backward = measure(q, p)
-    slack = tolerance * max(1.0, forward, backward)
-    beta = measure.beta
-    return (beta * backward <= forward + slack) and (forward <= backward / beta + slack)
-
-
-def check_triangle(measure, p, q, r, tolerance=1e-12):
-    """True iff D(p,q) <= alpha * (D(p,r) + D(r,q)) within relative tolerance."""
-    direct = measure(p, q)
-    detour = measure(p, r) + measure(r, q)
-    return direct <= measure.alpha * detour + tolerance * max(1.0, direct)
 
 
 def check_mu_similarity(measure, U, samples, tolerance=1e-12):

@@ -161,8 +161,7 @@ def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None,
 
     ``mode="exact"`` uses the enumeration oracle (capped); ``"approximate"``
     substitutes best-of-``restarts`` seeded local search and flags the report.
-    Conventions for a zero denominator: both costs zero -> gamma 0; only the
-    k-cost zero -> gamma infinity.
+    See :func:`_gamma` for the zero-denominator conventions.
     """
     points = as_points(data)
     if k < 2:
@@ -188,12 +187,19 @@ def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None,
     else:
         raise ConfigError(f"unknown mode {mode!r}")
 
-    if delta_k == 0.0:
-        gamma = 0.0 if delta_km1 == 0.0 else np.inf
-    else:
-        gamma = max(0.0, delta_km1 / delta_k - 1.0)
     return IrreducibilityReport(k=k, delta_km1=delta_km1, delta_k=delta_k,
-                                gamma=gamma, exact=exact)
+                                gamma=_gamma(delta_km1, delta_k), exact=exact)
+
+
+def _gamma(delta_km1, delta_k):
+    """cost(k-1)/cost(k) - 1, floored at 0.
+
+    A zero denominator gives 0 when both costs are zero and infinity when
+    only the k-cost is.
+    """
+    if delta_k == 0.0:
+        return 0.0 if delta_km1 == 0.0 else np.inf
+    return max(0.0, delta_km1 / delta_k - 1.0)
 
 
 def subsample_extrapolation(data, k, measure, rng, subsample_size=12, repeats=5):

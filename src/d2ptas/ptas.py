@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergences import SquaredEuclidean, as_points, assign
+from .divergences import SquaredEuclidean, _jsonable, as_points, assign
 from .errors import ConfigError, InsufficientPoints
 from .sampler import CenterSet, d2_sample, weighted_draw
 
@@ -226,18 +226,6 @@ class ClusteringResult:
         }
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    return value
-
-
 # ----------------------------------------------------------------------
 # restart internals
 # ----------------------------------------------------------------------
@@ -254,19 +242,13 @@ class _Restart:
         self.subsets_examined = subsets_examined
 
 
-def _distinct_sample_points(points, sample_idx):
-    """Indices of the distinct point values in the draw, first occurrence first."""
-    uniq, first = np.unique(sample_idx, return_index=True)
-    idxs = uniq[np.argsort(first)]
-    if len(idxs) <= 1:
-        return idxs
-    keep, seen = [], set()
-    for i in idxs:
-        key = points[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return np.asarray(keep, dtype=np.intp)
+def _distinct_sample_points(ids, sample_idx):
+    """Indices of the distinct point values in the draw, first occurrence first.
+
+    ``ids`` maps each point to its distinct-value id (see :func:`_prepare`).
+    """
+    _, first = np.unique(ids[sample_idx], return_index=True)
+    return sample_idx[np.sort(first)]
 
 
 @lru_cache(maxsize=256)
@@ -289,12 +271,12 @@ def _combo_by_rank(groups, rank):
 
 def _fill_distinct_centers(points, centers, k):
     """Pad a center list to k entries, preferring unused distinct data points."""
-    have = {np.asarray(c).tobytes() for c in centers}
+    have = {tuple(np.asarray(c).tolist()) for c in centers}  # value equality, as np.unique
     out = list(centers)
     for row in points:
         if len(out) == k:
             break
-        key = row.tobytes()
+        key = tuple(row.tolist())
         if key not in have:
             have.add(key)
             out.append(row.copy())
@@ -313,8 +295,9 @@ class _TreeSearch:
     replayed exactly to reconstruct its trace.
     """
 
-    def __init__(self, points, measure, k, sample_size, subset_size):
+    def __init__(self, points, ids, measure, k, sample_size, subset_size):
         self.points = points
+        self.ids = ids
         self.measure = measure
         self.k = k
         self.sample_size = sample_size
@@ -331,7 +314,7 @@ class _TreeSearch:
         else:
             probs = potentials / potentials.sum()
         sample_idx = weighted_draw(probs, stream.derive(0), self.sample_size)
-        pool_idx = _distinct_sample_points(self.points, sample_idx)
+        pool_idx = _distinct_sample_points(self.ids, sample_idx)
         pool = self.points[pool_idx]
         groups = _combo_groups(len(pool_idx), self.subset_size)
         cands = np.concatenate([pool[g].mean(axis=1) for g in groups], axis=0)
@@ -389,8 +372,8 @@ class _TreeSearch:
         return centers, trace
 
 
-def _exhaustive_restart(points, measure, cfg, stream):
-    search = _TreeSearch(points, measure, cfg.k, cfg.sample_size_N, cfg.subset_size_M)
+def _exhaustive_restart(points, ids, measure, cfg, stream):
+    search = _TreeSearch(points, ids, measure, cfg.k, cfg.sample_size_N, cfg.subset_size_M)
     cost, path = search.run(stream)
     centers, trace = search.replay(stream, path)
     centers = _fill_distinct_centers(points, centers, cfg.k)
@@ -450,10 +433,43 @@ def _greedy_restart(points, measure, cfg, stream):
     return _Restart(cost, centers, trace, examined)
 
 
-def _single_restart(points, measure, cfg, stream):
+def _single_restart(points, ids, measure, cfg, stream):
     if isinstance(cfg.subset_strategy, Exhaustive):
-        return _exhaustive_restart(points, measure, cfg, stream)
+        return _exhaustive_restart(points, ids, measure, cfg, stream)
     return _greedy_restart(points, measure, cfg, stream)
+
+
+def _prepare(data, measure, config):
+    """Validated points, the resolved config, and each point's distinct-value id.
+
+    Two points share an id exactly when their coordinates compare equal, so
+    ``0.0`` and ``-0.0`` count as one value.
+    """
+    points = as_points(data)
+    measure.validate_points(points)
+    cfg = config.resolved(measure)
+    if points.shape[0] < cfg.k:
+        raise InsufficientPoints(f"need at least k={cfg.k} points, got {points.shape[0]}")
+    _, ids = np.unique(points, axis=0, return_inverse=True)
+    return points, cfg, ids.reshape(-1)
+
+
+def _result(points, measure, centers, meta):
+    """ClusteringResult for ``centers``: nearest-center assignment and total cost."""
+    centers = np.asarray(centers, dtype=float)
+    labels, costs = assign(measure, points, centers)
+    return ClusteringResult(centers=centers, assignment=labels, cost=float(costs.sum()), meta=meta)
+
+
+def _meta(rng, cfg, t0, **fields):
+    """Run provenance shared by the search entry points."""
+    return {
+        "seed": [rng.seed, rng.stream_id],
+        "strategy": cfg.subset_strategy.describe(),
+        **fields,
+        "seconds": time.perf_counter() - t0,
+        "config": cfg.summary(),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -467,37 +483,18 @@ def find_k_median(data, measure, config, rng, threads=None):
     lexicographic minimum, so results are reproducible and adding restarts
     can only improve the returned cost.
     """
-    points = as_points(data)
-    measure.validate_points(points)
-    cfg = config.resolved(measure)
-    if points.shape[0] < cfg.k:
-        raise InsufficientPoints(f"need at least k={cfg.k} points, got {points.shape[0]}")
-
+    points, cfg, ids = _prepare(data, measure, config)
     t0 = time.perf_counter()
 
-    if np.unique(points, axis=0).shape[0] <= cfg.k:
+    if ids.max() + 1 <= cfg.k:
         # every distinct value can host its own center; no search needed
-        centers = np.asarray(_fill_distinct_centers(points, [], cfg.k), dtype=float)
-        labels, costs = assign(measure, points, centers)
-        return ClusteringResult(
-            centers=centers,
-            assignment=labels,
-            cost=float(costs.sum()),
-            meta={
-                "seed": [rng.seed, rng.stream_id],
-                "strategy": cfg.subset_strategy.describe(),
-                "restarts": 0,
-                "winning_restart": 0,
-                "subsets_examined": 0,
-                "iterations": 0,
-                "seconds": time.perf_counter() - t0,
-                "trace": [],
-                "config": cfg.summary(),
-            },
-        )
+        centers = _fill_distinct_centers(points, [], cfg.k)
+        meta = _meta(rng, cfg, t0, restarts=0, winning_restart=0, subsets_examined=0,
+                     iterations=0, trace=[])
+        return _result(points, measure, centers, meta)
 
     def one(r):
-        return r, _single_restart(points, measure, cfg, rng.derive(r))
+        return r, _single_restart(points, ids, measure, cfg, rng.derive(r))
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
@@ -506,25 +503,10 @@ def find_k_median(data, measure, config, rng, threads=None):
         outcomes = [one(r) for r in range(cfg.restarts)]
 
     best_r, best = min(outcomes, key=lambda pair: (pair[1].cost, pair[0]))
-    centers = np.asarray(best.centers, dtype=float)
-    labels, costs = assign(measure, points, centers)
-    result = ClusteringResult(
-        centers=centers,
-        assignment=labels,
-        cost=float(costs.sum()),
-        meta={
-            "seed": [rng.seed, rng.stream_id],
-            "strategy": cfg.subset_strategy.describe(),
-            "restarts": cfg.restarts,
-            "winning_restart": best_r,
-            "subsets_examined": sum(o.subsets_examined for _, o in outcomes),
-            "iterations": cfg.k,
-            "seconds": time.perf_counter() - t0,
-            "trace": best.trace,
-            "config": cfg.summary(),
-        },
-    )
-    return result
+    meta = _meta(rng, cfg, t0, restarts=cfg.restarts, winning_restart=best_r,
+                 subsets_examined=sum(o.subsets_examined for _, o in outcomes),
+                 iterations=cfg.k, trace=best.trace)
+    return _result(points, measure, best.centers, meta)
 
 
 def find_k_means(data, config, rng, threads=None, measure=None):
@@ -535,30 +517,12 @@ def find_k_means(data, config, rng, threads=None, measure=None):
 
 def run_one_restart(data, measure, config, rng):
     """Execute the k-iteration inner loop once, with a full per-iteration trace."""
-    points = as_points(data)
-    measure.validate_points(points)
-    cfg = config.resolved(measure)
-    if points.shape[0] < cfg.k:
-        raise InsufficientPoints(f"need at least k={cfg.k} points, got {points.shape[0]}")
+    points, cfg, ids = _prepare(data, measure, config)
     t0 = time.perf_counter()
-    outcome = _single_restart(points, measure, cfg, rng)
-    centers = np.asarray(outcome.centers, dtype=float)
-    labels, costs = assign(measure, points, centers)
-    return ClusteringResult(
-        centers=centers,
-        assignment=labels,
-        cost=float(costs.sum()),
-        meta={
-            "seed": [rng.seed, rng.stream_id],
-            "strategy": cfg.subset_strategy.describe(),
-            "restarts": 1,
-            "subsets_examined": outcome.subsets_examined,
-            "iterations": cfg.k,
-            "seconds": time.perf_counter() - t0,
-            "trace": outcome.trace,
-            "config": cfg.summary(),
-        },
-    )
+    outcome = _single_restart(points, ids, measure, cfg, rng)
+    meta = _meta(rng, cfg, t0, restarts=1, subsets_examined=outcome.subsets_examined,
+                 iterations=cfg.k, trace=outcome.trace)
+    return _result(points, measure, outcome.centers, meta)
 
 
 def kmeanspp_seed(data, measure, k, rng):
@@ -575,23 +539,22 @@ def kmeanspp_seed(data, measure, k, rng):
         idx = int(d2_sample(center_set, rng.derive(i), 1)[0])
         picked.append(idx)
         center_set = center_set.add(points[idx])
-    centers = np.asarray([points[i] for i in picked], dtype=float)
-    labels, costs = assign(measure, points, centers)
-    return ClusteringResult(
-        centers=centers,
-        assignment=labels,
-        cost=float(costs.sum()),
-        meta={"seed": [rng.seed, rng.stream_id], "method": "kmeans++", "picked": picked},
-    )
+    meta = {"seed": [rng.seed, rng.stream_id], "method": "kmeans++", "picked": picked}
+    return _result(points, measure, points[picked], meta)
 
 
 def find_best_over_k(data, measure, config, rng, threads=None):
     """Run the algorithm for every center count i = 1..k and keep the best.
 
     Dropping the assumption that all k clusters matter costs accuracy, which
-    is repaid by tightening epsilon to eps/((1+eps/2)*k) in the sub-runs; the
-    i-center results are all scored on the same objective, so the returned
-    minimum is well-defined (ties go to the smaller i).
+    the analysis repays by tightening epsilon to eps/((1+eps/2)*k) in the
+    sub-runs; the i-center results are all scored on the same objective, so
+    the returned minimum is well-defined (ties go to the smaller i).
+
+    The tightened epsilon only changes the sub-runs under
+    ``scale_preset="paper"``.  The desk preset's N, M and restarts are fixed
+    constants, so there every sub-run uses the same constants whatever epsilon
+    is.
     """
     points = as_points(data)
     base = config.resolved(measure)

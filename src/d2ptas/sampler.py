@@ -7,8 +7,6 @@ distribution falls back to uniform again, flagged so callers can terminate
 early instead of treating it as an error.
 """
 
-from collections import namedtuple
-
 import numpy as np
 
 from .divergences import PropertyReport, as_points
@@ -17,11 +15,8 @@ from .errors import ConfigError, DimensionMismatch
 __all__ = [
     "RngStream",
     "CenterSet",
-    "D2Distribution",
-    "d2_distribution",
     "d2_sample",
     "weighted_draw",
-    "add_center",
     "empirical_distribution_check",
 ]
 
@@ -126,7 +121,12 @@ class CenterSet:
         return np.min(self.measure.pairwise(self.points, self.center_array()), axis=1)
 
     def distribution(self):
-        """(probabilities, zero_potential) for cost-weighted sampling."""
+        """(probabilities, zero_potential): the exact cost-weighted sampling law.
+
+        Probability is proportional to cost-to-nearest-center.  Empty center
+        set: uniform.  All points already covered exactly: uniform, with
+        ``zero_potential`` set (the clustering cost is 0, not an error).
+        """
         n = self.points.shape[0]
         if self.centers and self.total_potential <= 0.0:
             return np.full(n, 1.0 / n), True
@@ -134,19 +134,6 @@ class CenterSet:
 
     def __repr__(self):
         return f"CenterSet(size={self.size}, total_potential={self.total_potential:.6g})"
-
-
-D2Distribution = namedtuple("D2Distribution", ["probs", "zero_potential"])
-
-
-def d2_distribution(center_set):
-    """Exact sampling law: probability proportional to cost-to-nearest-center.
-
-    Empty center set: uniform.  All points already covered exactly: uniform,
-    with ``zero_potential`` set (the clustering cost is 0, not an error).
-    """
-    probs, flag = center_set.distribution()
-    return D2Distribution(probs, flag)
 
 
 def weighted_draw(probs, rng, count):
@@ -169,11 +156,6 @@ def d2_sample(center_set, rng, count):
         raise ConfigError(f"sample count must be >= 1, got {count}")
     probs, _ = center_set.distribution()
     return weighted_draw(probs, rng, count)
-
-
-def add_center(center_set, center):
-    """Functional spelling of ``center_set.add(center)``."""
-    return center_set.add(center)
 
 
 def empirical_distribution_check(center_set, rng, trials, tolerance=None):

@@ -32,7 +32,7 @@ from d2ptas.divergences import (
     triangle_report,
 )
 from d2ptas.oracle import inaba_trial
-from d2ptas.sampler import CenterSet, d2_distribution, empirical_distribution_check
+from d2ptas.sampler import CenterSet, empirical_distribution_check
 
 
 def _report(num, label, ok, elapsed):
@@ -46,13 +46,13 @@ def test_criterion_1_sampling_distribution():
     sq = SquaredEuclidean()
     points = np.array([[0.0], [1.0], [3.0]])
     center_set = CenterSet.empty(points, sq).add(np.array([0.0]))
-    dist = d2_distribution(center_set)
-    exact_ok = dist.probs.tolist() == [0.0, 0.1, 0.9]
+    probs, _ = center_set.distribution()
+    exact_ok = probs.tolist() == [0.0, 0.1, 0.9]
     empirical = empirical_distribution_check(center_set, RngStream(101), trials=100_000)
     elapsed = time.perf_counter() - t0
     ok = exact_ok and empirical.passed and empirical.tolerance == 0.01
     _report(1, "cost-weighted sampling distribution, exact and empirical", ok, elapsed)
-    assert exact_ok, f"exact probabilities were {dist.probs.tolist()}"
+    assert exact_ok, f"exact probabilities were {probs.tolist()}"
     assert empirical.passed, f"empirical deviation {empirical.worst_ratio}"
     assert elapsed < 1.0
 

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import d2ptas.cli
+import d2ptas.oracle
 from d2ptas import __version__
 from d2ptas.cli import (
     PaperScaleRefusal,
@@ -236,6 +238,19 @@ class TestMainExitCodes:
         assert "optimal cost: 1" in out
         assert "gamma: 16" in out
 
+    def test_oracle_solves_each_center_count_once(self, four_point_file, monkeypatch):
+        calls = []
+        solve = d2ptas.oracle.optimal_bruteforce
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(d2ptas.cli, "optimal_bruteforce", counted)
+        monkeypatch.setattr(d2ptas.oracle, "optimal_bruteforce", counted)
+        assert main(["oracle", "--input", four_point_file, "--k", "2"]) == 0
+        assert sorted(calls) == [1, 2]
+
     def test_properties_subcommand(self, capsys):
         assert main(["properties", "--measure", "sqeuclid", "--trials", "2000",
                      "--seed", "4"]) == 0
@@ -290,3 +305,27 @@ class TestMainExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+class TestReportSchema:
+    COMMANDS = {
+        "cluster": ["--k", "2", "--strategy", "random:5", "--restarts", "2"],
+        "oracle": ["--k", "2"],
+        "properties": ["--trials", "1000"],
+        "seedbench": ["--k", "2", "--trials", "2", "--strategy", "random:5", "--restarts", "2"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_schema_for_every_subcommand(self, command, four_point_file, tmp_path, capsys):
+        args = [command, *self.COMMANDS[command], "--seed", "5"]
+        if command != "properties":
+            args += ["--input", four_point_file]
+        reports = []
+        for run in range(2):
+            path = tmp_path / f"{command}-{run}.json"
+            assert main([*args, "--output", str(path)]) == 0
+            reports.append(json.loads(path.read_text()))
+        assert set(reports[0]) == {"spec", "results", "properties", "seed", "version"}
+        assert reports[0]["spec"]["command"] == command
+        assert reports[0]["seed"] == 5
+        assert strip_timing(reports[0]) == strip_timing(reports[1])

@@ -27,6 +27,7 @@ from d2ptas import (
 )
 from d2ptas.divergences import GenericBregman, Mahalanobis, assign
 from d2ptas.oracle import lloyd
+from d2ptas.ptas import _distinct_sample_points, _prepare
 from d2ptas.sampler import CenterSet, RngStream, d2_sample
 
 
@@ -145,6 +146,31 @@ class TestTinyExhaustive:
         res = find_k_median(four_point_line, sq, desk(2, **self.CFG), RngStream(5))
         assert res.meta["subsets_examined"] > 0
 
+    def test_value_equal_points_count_as_one_in_the_pool(self, sq):
+        """0.0 and -0.0 are one value: no candidate pool may hold both."""
+        pts = np.array([[0.0], [-0.0], [3.0], [5.0], [9.0]])
+        res = run_one_restart(pts, sq, desk(2, **self.CFG), RngStream(6))
+        trace = res.meta["trace"]
+        assert {0, 1} <= set(trace[0]["sample"].tolist())  # both zeros were drawn
+        for entry in trace:
+            pool = pts[entry["pool"]]
+            equal = (pool[:, None, :] == pool[None, :, :]).all(axis=-1)
+            np.testing.assert_array_equal(equal, np.eye(len(pool), dtype=bool))
+
+    def test_pool_dedupe_matches_a_reference_loop(self, sq, gen):
+        """The pool keeps the first draw of each distinct value, in draw order."""
+        for _ in range(200):
+            n = int(gen.integers(1, 20))
+            signs = gen.choice([1.0, -1.0], size=(n, 1))
+            pts = gen.integers(-1, 2, size=(n, 2)) * 0.5 * signs  # duplicates and -0.0
+            _, _, ids = _prepare(pts, sq, desk(1))
+            sample = gen.integers(0, n, size=int(gen.integers(1, 30)))
+            expected = []
+            for i in sample:
+                if not any(np.array_equal(pts[i], pts[j]) for j in expected):
+                    expected.append(i)
+            assert _distinct_sample_points(ids, sample).tolist() == expected
+
 
 class TestFindKMedianContracts:
     def test_insufficient_points(self, sq):
@@ -164,6 +190,13 @@ class TestFindKMedianContracts:
         pts = np.array([[0.0], [0.0], [0.0], [2.0], [2.0], [2.0]])
         res = find_k_median(pts, sq, desk(3), RngStream(7))
         assert res.cost == 0.0
+
+    def test_signed_zeros_are_one_distinct_value(self, sq):
+        """Two distinct values, k=2: each value gets its own center."""
+        pts = np.array([[0.0], [-0.0], [1.0]])
+        res = find_k_median(pts, sq, desk(2), RngStream(7))
+        assert res.cost == 0.0
+        assert sorted(np.asarray(res.centers).ravel().tolist()) == [0.0, 1.0]
 
     def test_cost_equals_recomputed_cost(self, sq, planted):
         points, _, _ = planted

@@ -8,8 +8,6 @@ from d2ptas import ConfigError, SquaredEuclidean
 from d2ptas.sampler import (
     CenterSet,
     RngStream,
-    add_center,
-    d2_distribution,
     d2_sample,
     empirical_distribution_check,
     weighted_draw,
@@ -76,7 +74,7 @@ class TestCenterSet:
 
     def test_add_is_functional_not_in_place(self, sq, four_point_line):
         base = CenterSet.empty(four_point_line, sq)
-        grown = add_center(base, [0.0])
+        grown = base.add([0.0])
         assert base.size == 0 and grown.size == 1
 
     def test_scoring_potentials_infinite_before_any_center(self, sq, four_point_line):
@@ -94,22 +92,22 @@ class TestD2Distribution:
     def test_reference_distribution(self, sq):
         """P = {0, 1, 3} with one center at 0: potentials (0, 1, 9)."""
         cs = CenterSet.empty(np.array([[0.0], [1.0], [3.0]]), sq).add([0.0])
-        dist = d2_distribution(cs)
-        np.testing.assert_allclose(dist.probs, [0.0, 0.1, 0.9], rtol=0, atol=0)
-        assert not dist.zero_potential
+        probs, zero_potential = cs.distribution()
+        np.testing.assert_allclose(probs, [0.0, 0.1, 0.9], rtol=0, atol=0)
+        assert not zero_potential
 
     def test_empty_center_set_is_uniform(self, sq, four_point_line):
-        dist = d2_distribution(CenterSet.empty(four_point_line, sq))
-        np.testing.assert_array_equal(dist.probs, np.full(4, 0.25))
-        assert not dist.zero_potential
+        probs, zero_potential = CenterSet.empty(four_point_line, sq).distribution()
+        np.testing.assert_array_equal(probs, np.full(4, 0.25))
+        assert not zero_potential
 
     def test_fully_covered_set_flags_zero_potential(self, sq, four_point_line):
         cs = CenterSet.empty(four_point_line, sq)
         for row in four_point_line:
             cs = cs.add(row)
-        dist = d2_distribution(cs)
-        assert dist.zero_potential
-        np.testing.assert_array_equal(dist.probs, np.full(4, 0.25))
+        probs, zero_potential = cs.distribution()
+        assert zero_potential
+        np.testing.assert_array_equal(probs, np.full(4, 0.25))
 
 
 class TestWeightedDraw:
