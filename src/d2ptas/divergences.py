@@ -1,18 +1,30 @@
 """Dissimilarity measures, centroids, clustering costs, and property checks.
 
 All measures share one small interface: validated scalar evaluation
-(``measure(p, q)``), raw broadcast evaluation over coordinate arrays
-(``rowwise``), and declared structural constants
+(``measure(p, q)``), the closed form evaluated elementwise over broadcast
+coordinate arrays (``rowwise``), the (n, m) table of every point against every
+center (``pairwise``), and declared structural constants
 
 * ``alpha`` -- triangle relaxation: D(p,q) <= alpha * (D(p,r) + D(r,q))
 * ``beta``  -- symmetry relaxation: beta * D(q,p) <= D(p,q) <= D(q,p) / beta
 * ``mu``    -- similarity floor against a reference quadratic form, when known
 * ``exact_centroid`` -- whether the arithmetic mean minimizes the 1-center cost
 
+Every shipped measure is the Bregman divergence of a convex generator phi.
 The convex-generator measures (KL, Itakura-Saito, user-supplied) can be
 cross-checked against the generator route
 ``phi(p) - phi(q) - <grad_phi(q), p - q>``, which is computed independently
 of each measure's closed form.
+
+``pairwise`` expands that route into one matrix product (Banerjee et al.,
+*Clustering with Bregman Divergences*, JMLR 2005):
+``D = phi(P)[:, None] - P @ grad_phi(C).T + (<grad_phi(C), C> - phi(C))[None, :]``.
+Where the three terms cancel, the product loses the small value, so every entry
+at or below a fixed small fraction of the terms' magnitude is recomputed with
+``rowwise``.  Identical rows therefore give exactly 0, every entry is finite
+and >= 0, and the other entries agree with the closed form to about
+``d * 1e-9`` relative at worst.  A measure without a generator gets the closed
+form broadcast over the whole table.
 """
 
 from dataclasses import dataclass, field
@@ -156,6 +168,13 @@ def _generator(rng):
     return getattr(rng, "generator", rng)
 
 
+# ``pairwise`` recomputes in closed form every generator-table entry at or
+# below this share of the terms' magnitude S.  The table's rounding error is
+# about d * u * S (u = 2**-53), so the entries it keeps are within about
+# d * u / _REPAIR_TAU of the closed form.
+_REPAIR_TAU = 1e-7
+
+
 class DivergenceMeasure:
     """Base dissimilarity D(p, q) with declared structural constants."""
 
@@ -172,18 +191,41 @@ class DivergenceMeasure:
     # evaluation
     # ------------------------------------------------------------------
     def rowwise(self, P, Q):
-        """D applied elementwise over the broadcast of two coordinate arrays.
+        """The closed form of D applied over the broadcast of two coordinate arrays.
 
         The last axis holds coordinates.  No validation is performed; callers
-        are expected to pass in-domain values.
+        are expected to pass in-domain values.  Reported costs and potentials
+        are evaluated here.
         """
         raise NotImplementedError
 
     def pairwise(self, P, C):
-        """(n, m) table of D(P_i, C_j)."""
+        """(n, m) table of D(P_i, C_j): the generator table plus its repair.
+
+        With a generator, one matrix product gives the table (see the module
+        docstring) and entries at or below ``_REPAIR_TAU`` times a bound on
+        the terms' magnitudes are recomputed by ``rowwise`` on just those
+        pairs.  Without one, ``rowwise`` is broadcast over all of it.
+        """
         P = np.asarray(P, dtype=float)
         C = np.asarray(C, dtype=float)
-        return self.rowwise(P[:, None, :], C[None, :, :])
+        try:
+            phi_p, grad_c, phi_c = self.phi(P), self.grad_phi(C), self.phi(C)
+        except UnsupportedMeasure:
+            return self.rowwise(P[:, None, :], C[None, :, :])
+        offset = np.einsum("ij,ij->i", grad_c, C) - phi_c
+        table = P @ grad_c.T
+        np.subtract(phi_p[:, None], table, out=table)
+        table += offset
+        # per-column bound on the terms, |P_i . grad_c_j| <= |P_i| |grad_c_j|:
+        # which entries of column j get repaired depends on P and C_j only
+        scale = (np.abs(phi_p).max(initial=0.0) + np.abs(offset)
+                 + np.sqrt(np.einsum("ij,ij->i", P, P).max(initial=0.0)
+                           * np.einsum("ij,ij->i", grad_c, grad_c)))
+        rows, cols = np.nonzero(~(table > _REPAIR_TAU * scale))  # NaN is repaired too
+        if rows.size:
+            table[rows, cols] = np.maximum(self.rowwise(P[rows], C[cols]), 0.0)
+        return table
 
     def __call__(self, p, q):
         p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -443,14 +485,19 @@ def centroid(points):
 
 
 def assign(measure, data, centers):
-    """Nearest-center index per point (lowest index on ties) plus per-point costs."""
+    """Nearest-center index per point plus that point's cost.
+
+    Labels are the argmin of the ``pairwise`` table, lowest index on ties as
+    the table computed them; centers nearer each other than its rounding may
+    tie there.  Costs are the closed form ``rowwise(P, C[labels])``, so every
+    reported cost is the exact cost of a real assignment.
+    """
     P = as_points(data)
     C = as_points(centers)
     if P.shape[1] != C.shape[1]:
         raise DimensionMismatch(f"points are {P.shape[1]}-dimensional, centers {C.shape[1]}")
-    table = measure.pairwise(P, C)
-    labels = np.argmin(table, axis=1)
-    return labels, table[np.arange(P.shape[0]), labels]
+    labels = np.argmin(measure.pairwise(P, C), axis=1)
+    return labels, measure.rowwise(P, C[labels])
 
 
 def cluster_cost(measure, data, centers):

@@ -120,8 +120,10 @@ def lloyd(data, measure, initial_centers, max_iters=100):
     """Alternating assign/re-mean local search from the given centers.
 
     Ties assign to the lowest center index; an emptied cluster keeps its
-    previous center, which preserves exact cost monotonicity.  Stops at an
-    assignment fixpoint or after ``max_iters`` passes.
+    previous center, so the cost never rises by more than the rounding of the
+    ``pairwise`` table that picks the labels (costs themselves are closed
+    form; see ``assign``).  Stops at an assignment fixpoint or after
+    ``max_iters`` passes.
     """
     points = as_points(data)
     if not measure.exact_centroid:

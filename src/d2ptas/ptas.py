@@ -318,7 +318,9 @@ class _TreeSearch:
         pool = self.points[pool_idx]
         groups = _combo_groups(len(pool_idx), self.subset_size)
         cands = np.concatenate([pool[g].mean(axis=1) for g in groups], axis=0)
-        fresh = self.measure.pairwise(self.points, cands)
+        # closed form, not pairwise: the tables are tiny and the search
+        # branches on exact zero costs
+        fresh = self.measure.rowwise(self.points[:, None, :], cands[None, :, :])
         pots = fresh if potentials is None else np.minimum(potentials[:, None], fresh)
         return sample_idx, pool_idx, groups, cands, pots
 

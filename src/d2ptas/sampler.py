@@ -77,10 +77,7 @@ class CenterSet:
         self.measure = measure
         self.centers = list(centers) if centers is not None else []
         if potentials is None:
-            if self.centers:
-                potentials = np.min(measure.pairwise(self.points, np.asarray(self.centers)), axis=1)
-            else:
-                potentials = np.ones(self.points.shape[0])
+            potentials = self.recomputed_potentials()
         self.potentials = np.asarray(potentials, dtype=float)
         self.total_potential = float(self.potentials.sum())
 
@@ -115,10 +112,16 @@ class CenterSet:
         return np.full(self.points.shape[0], np.inf)
 
     def recomputed_potentials(self):
-        """From-scratch potentials, for validating the incremental cache."""
+        """From-scratch potentials, for validating the incremental cache.
+
+        Each center is evaluated in closed form on its own, as ``add`` does, so
+        the two agree bit for bit and a center on a data point leaves that
+        point at exactly 0.
+        """
         if not self.centers:
             return np.ones(self.points.shape[0])
-        return np.min(self.measure.pairwise(self.points, self.center_array()), axis=1)
+        return np.minimum.reduce([self.measure.rowwise(self.points, c[None, :])
+                                  for c in self.center_array()])
 
     def distribution(self):
         """(probabilities, zero_potential): the exact cost-weighted sampling law.

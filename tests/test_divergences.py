@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from d2ptas import (
     Dataset,
     DimensionMismatch,
+    DivergenceMeasure,
     DomainError,
     EmptySet,
     ConfigError,
@@ -259,7 +260,79 @@ class TestGenericBregman:
         np.testing.assert_array_equal(g2.similarity_matrix(2), np.eye(2))
 
 
+MAHALANOBIS_3 = np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.3], [0.0, 0.3, 0.5]])
+KERNEL_MEASURES = [SquaredEuclidean(), Mahalanobis(MAHALANOBIS_3), KullbackLeibler(), ItakuraSaito(),
+                   GenericBregman(phi=lambda X: np.einsum("...i,...i->...", X, X),
+                                  grad_phi=lambda X: 2.0 * X, mu=1.0, box=None, domain="unrestricted")]
+KERNEL_IDS = ["sqeuclid", "mahalanobis", "kl", "itakura-saito", "sqnorm-bregman"]
+# (measure, offset): the quadratic measures also run far from the origin,
+# where the generator terms cancel to many digits
+OFFSET_CASES = [(m, 0.0) for m in KERNEL_MEASURES] + [
+    (KERNEL_MEASURES[0], 1e6), (KERNEL_MEASURES[1], 1e6), (KERNEL_MEASURES[4], 1e6)]
+OFFSET_IDS = KERNEL_IDS + ["sqeuclid-offset", "mahalanobis-offset", "sqnorm-bregman-offset"]
+
+
+def kernel_points(measure, gen, n, offset=0.0):
+    return measure.sample_domain(gen, (n, 3)) + offset
+
+
+def closed_form_table(measure, P, C):
+    return measure.rowwise(P[:, None, :], C[None, :, :])
+
+
+class TestPairwiseKernel:
+    """``pairwise`` is the generator table with a closed-form repair."""
+
+    @pytest.mark.parametrize("measure", KERNEL_MEASURES, ids=KERNEL_IDS)
+    def test_matches_the_closed_form(self, measure, gen):
+        P, C = kernel_points(measure, gen, 60), kernel_points(measure, gen, 13)
+        np.testing.assert_allclose(measure.pairwise(P, C), closed_form_table(measure, P, C),
+                                   rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("measure,offset", OFFSET_CASES, ids=OFFSET_IDS)
+    def test_copied_rows_are_exactly_zero(self, measure, offset, gen):
+        P = kernel_points(measure, gen, 40, offset)
+        idx = gen.permutation(40)[:9]
+        table = measure.pairwise(P, P[idx])
+        assert np.all(table[idx, np.arange(9)] == 0.0)
+
+    @pytest.mark.parametrize("measure,offset", OFFSET_CASES, ids=OFFSET_IDS)
+    def test_entries_finite_and_nonnegative(self, measure, offset, gen):
+        P = kernel_points(measure, gen, 50, offset)
+        near = P[:10] * (1.0 + 1e-12 * gen.standard_normal((10, 3)))  # near-copies cancel hardest
+        table = measure.pairwise(P, np.concatenate([P[10:20], near]))
+        assert np.all(np.isfinite(table)) and np.all(table >= 0.0)
+
+    @pytest.mark.parametrize("measure,offset", OFFSET_CASES, ids=OFFSET_IDS)
+    def test_duplicate_rows_and_n_equal_to_k(self, measure, offset, gen):
+        base = kernel_points(measure, gen, 5, offset)
+        P = base[[0, 1, 1, 2, 3, 3, 3, 4]]
+        table = measure.pairwise(P, P)
+        same = (P[:, None, :] == P[None, :, :]).all(axis=-1)
+        assert np.all(table[same] == 0.0) and np.all(table[~same] > 0.0)
+        assert cluster_cost(measure, P, P) == 0.0
+
+    def test_measure_with_only_rowwise_keeps_the_closed_form_table(self, gen):
+        class Manhattan(DivergenceMeasure):
+            def rowwise(self, P, Q):
+                return np.abs(np.asarray(P) - np.asarray(Q)).sum(axis=-1)
+
+        m = Manhattan()
+        P, C = gen.standard_normal((20, 3)), gen.standard_normal((6, 3))
+        np.testing.assert_array_equal(m.pairwise(P, C), closed_form_table(m, P, C))
+        labels, costs = assign(m, P, C)
+        np.testing.assert_array_equal(labels, np.argmin(closed_form_table(m, P, C), axis=1))
+        np.testing.assert_array_equal(costs, closed_form_table(m, P, C).min(axis=1))
+
+
 class TestCentroidAndAssignment:
+    @pytest.mark.parametrize("measure,offset", OFFSET_CASES, ids=OFFSET_IDS)
+    def test_costs_are_the_closed_form_of_the_labels(self, measure, offset, gen):
+        P = kernel_points(measure, gen, 70, offset)
+        C = np.concatenate([P[:3], kernel_points(measure, gen, 4, offset)])
+        labels, costs = assign(measure, P, C)
+        np.testing.assert_array_equal(costs, measure.rowwise(P, C[labels]))
+
     def test_centroid_of_four_point_line(self, four_point_line):
         assert centroid(four_point_line) == pytest.approx(2.5)
 

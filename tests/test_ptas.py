@@ -26,7 +26,7 @@ from d2ptas import (
     run_one_restart,
 )
 from d2ptas.divergences import GenericBregman, Mahalanobis, assign
-from d2ptas.oracle import lloyd
+from d2ptas.oracle import lloyd, optimal_bruteforce
 from d2ptas.ptas import _distinct_sample_points, _prepare
 from d2ptas.sampler import CenterSet, RngStream, d2_sample
 
@@ -185,6 +185,18 @@ class TestFindKMedianContracts:
                                 RngStream(6))
             assert res.cost == 0.0
             assert sorted(np.asarray(res.centers).ravel().tolist()) == [0.0, 1.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("overrides", [TestTinyExhaustive.CFG, {}], ids=["exhaustive", "random"])
+    def test_never_below_the_oracle_far_from_the_origin(self, sq, gen, overrides):
+        """At offset 1e6 the generator terms of the distance table cancel in
+        their first ~12 digits; reported costs are still the closed form of a
+        real assignment, so they never undercut the exact optimum."""
+        for seed in range(3):
+            pts = gen.standard_normal((10, 2)) + 1e6
+            res = find_k_median(pts, sq, desk(2, **overrides), RngStream(seed))
+            optimum = optimal_bruteforce(pts, 2, sq).optimal_cost
+            assert res.cost >= optimum * (1 - 1e-9)
+            assert res.cost == float(sq.rowwise(pts, np.asarray(res.centers)[res.assignment]).sum())
 
     def test_duplicates_collapse_to_distinct_values(self, sq):
         pts = np.array([[0.0], [0.0], [0.0], [2.0], [2.0], [2.0]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from d2ptas import ConfigError, SquaredEuclidean
+from d2ptas import ConfigError, Mahalanobis, SquaredEuclidean
 from d2ptas.sampler import (
     CenterSet,
     RngStream,
@@ -62,6 +62,23 @@ class TestCenterSet:
         for _ in range(5):
             cs = cs.add(gen.standard_normal(3))
             np.testing.assert_array_equal(cs.potentials, cs.recomputed_potentials())
+
+    @pytest.mark.parametrize("measure", [
+        SquaredEuclidean(), Mahalanobis([[2.0, 0.4, 0.0], [0.4, 1.0, 0.3], [0.0, 0.3, 0.5]]),
+    ], ids=["sqeuclid", "mahalanobis"])
+    def test_center_on_a_data_point_leaves_it_exactly_zero(self, measure, gen):
+        """Far from the origin too, built and grown caches agree, and a point
+        that is a center has potential 0 and is never drawn."""
+        pts = gen.standard_normal((30, 3)) + 1e6
+        grown = CenterSet.empty(pts, measure).add(pts[4]).add(pts[17])
+        built = CenterSet(pts, measure, [pts[4], pts[17]])
+        np.testing.assert_array_equal(grown.potentials, built.potentials)
+        for cs in (grown, built):
+            assert cs.potentials[4] == 0.0 and cs.potentials[17] == 0.0
+            assert np.count_nonzero(cs.potentials) == 28
+            probs, zero_potential = cs.distribution()
+            assert probs[4] == 0.0 and probs[17] == 0.0 and not zero_potential
+            assert not np.isin(d2_sample(cs, RngStream(3), 5000), [4, 17]).any()
 
     def test_total_potential_monotone_after_first_center(self, sq, gen):
         pts = gen.standard_normal((30, 2))
