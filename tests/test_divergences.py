@@ -312,6 +312,27 @@ class TestPairwiseKernel:
         assert np.all(table[same] == 0.0) and np.all(table[~same] > 0.0)
         assert cluster_cost(measure, P, P) == 0.0
 
+    @pytest.mark.parametrize("measure,offset", OFFSET_CASES, ids=OFFSET_IDS)
+    def test_columns_extend_as_prefixes(self, measure, offset, gen):
+        """Column j depends only on P and C_j, down to a one-column table."""
+        P = kernel_points(measure, gen, 300, offset)
+        C = np.concatenate([P[:4], kernel_points(measure, gen, 8, offset)])
+        full = measure.pairwise(P, C)
+        for m in (1, 2, 3, 7):
+            np.testing.assert_array_equal(measure.pairwise(P, C[:m]), full[:, :m])
+
+    def test_columns_swamped_by_the_terms_are_the_closed_form(self, sq, gen):
+        """A few far points make the terms dwarf the near cluster's distances:
+        its columns are recomputed whole, the far columns keep the product."""
+        P = np.concatenate([gen.standard_normal((200, 3)), 1e5 + gen.standard_normal((10, 3))])
+        C = P[[0, 205, 1, 2, 206]]
+        table, closed = sq.pairwise(P, C), closed_form_table(sq, P, C)
+        near = [0, 2, 3]
+        np.testing.assert_array_equal(table[:, near], closed[:, near])
+        np.testing.assert_allclose(table, closed, rtol=1e-9, atol=0)
+        for m in (1, 2, 3, 4):
+            np.testing.assert_array_equal(sq.pairwise(P, C[:m]), table[:, :m])
+
     def test_measure_with_only_rowwise_keeps_the_closed_form_table(self, gen):
         class Manhattan(DivergenceMeasure):
             def rowwise(self, P, Q):

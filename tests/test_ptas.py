@@ -304,6 +304,18 @@ class TestAnchoredTrialsDiscipline:
         _, menus_big = self.mirror_restart(points, sq, cfg_small, stream, 50)
         np.testing.assert_array_equal(menus_small[0], menus_big[0][:25])
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6], ids=["planted", "offset"])
+    def test_one_trial_is_the_first_of_two(self, sq, planted, offset):
+        """RandomTrials(1) draws the first entry of RandomTrials(2)'s menu:
+        a one-column distance table has the bits of a wider table's first column."""
+        points = planted[0] + offset
+        cfg = desk(3, subset_strategy=RandomTrials(1)).resolved(sq)
+        for seed in (35, 36, 37):
+            stream = RngStream(seed)
+            _, menus_one = self.mirror_restart(points, sq, cfg, stream, 1)
+            _, menus_two = self.mirror_restart(points, sq, cfg, stream, 2)
+            np.testing.assert_array_equal(menus_one[0], menus_two[0][:1])
+
 
 class TestCoverageTraceProperty:
     def test_covering_restarts_exist_and_imply_the_bound(self, sq, planted):
