@@ -512,17 +512,17 @@ def main(argv=None):
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ClusteringError as exc:
+        code = 2
+    except (ClusteringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
+    log.info("%s: exit code %d after %.3f s", args.command, code, time.perf_counter() - t0)
+    return code
 
 
 if __name__ == "__main__":

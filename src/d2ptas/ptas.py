@@ -21,6 +21,7 @@ that, so extending restarts or trials never reshuffles earlier draws.
 """
 
 import itertools
+import logging
 import math
 import time
 import warnings
@@ -48,6 +49,8 @@ __all__ = [
     "kmeanspp_seed",
     "find_best_over_k",
 ]
+
+log = logging.getLogger("d2ptas.ptas")
 
 EPSILON_CAP = 0.5
 
@@ -233,22 +236,45 @@ class ClusteringResult:
 class _Restart:
     """Outcome of one restart: chosen centers and how they were found."""
 
-    __slots__ = ("cost", "centers", "trace", "subsets_examined")
+    __slots__ = ("cost", "centers", "trace", "subsets_examined", "nodes_expanded")
 
-    def __init__(self, cost, centers, trace, subsets_examined):
+    def __init__(self, cost, centers, trace, subsets_examined, nodes_expanded):
         self.cost = cost
         self.centers = centers
         self.trace = trace
         self.subsets_examined = subsets_examined
+        self.nodes_expanded = nodes_expanded
 
 
-def _distinct_sample_points(ids, sample_idx):
-    """Indices of the distinct point values in the draw, first occurrence first.
+def _distinct_sample_points(ids, rows):
+    """Per row of a (B, N) stack of draws, the indices of its distinct point
+    values, first occurrence first.
 
     ``ids`` maps each point to its distinct-value id (see :func:`_prepare`).
     """
-    _, first = np.unique(ids[sample_idx], return_index=True)
-    return sample_idx[np.sort(first)]
+    (count, size), width = rows.shape, int(ids.max()) + 1
+    # flat position of the first occurrence of each (row, value), in draw order
+    first = np.full(count * width, rows.size)
+    np.minimum.at(first, (ids[rows] + width * np.arange(count)[:, None]).reshape(-1),
+                  np.arange(rows.size))
+    first = np.sort(first[first < rows.size])
+    flat = rows.reshape(-1)[first]
+    ends = np.searchsorted(first, size * np.arange(1, count + 1)).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _distinct_rows(rows, base):
+    """The distinct rows of a matrix of ints in [0, base), and each row's index among them.
+
+    Rows are compared through one int64 key each; where such keys would
+    overflow, every row counts as distinct.
+    """
+    if base ** rows.shape[1] >= 2 ** 63:
+        return rows, np.arange(rows.shape[0])
+    keys, which = np.unique(rows @ base ** np.arange(rows.shape[1]), return_inverse=True)
+    first = np.empty(len(keys), dtype=np.intp)
+    first[which] = np.arange(rows.shape[0])  # any row of a key will do: they are equal
+    return rows[first], which
 
 
 @lru_cache(maxsize=256)
@@ -287,12 +313,69 @@ def _fill_distinct_centers(points, centers, k):
     return out
 
 
+# Sibling nodes are expanded in chunks of at most about this many entries of
+# points by candidates by coordinates, which bounds every temporary of a
+# batch.  Each sibling's numbers are computed on their own, so results do not
+# depend on it.
+_BATCH_ENTRIES = 1 << 20
+
+
+class _Siblings:
+    """Sibling tree nodes expanded together by :meth:`_TreeSearch._expand`.
+
+    Row j of ``samples`` is node j's draw and ``pools[j]`` its distinct sample
+    points.  Node j's candidates are entries ``starts[j]:starts[j + 1]`` of
+    ``costs``.  Candidate c belongs to node ``owner[c]`` and is the subset
+    mean ``means[which[c]]``, whose divergences are column ``which[c]`` of
+    ``table``; ``parents`` holds the nodes' own potentials as columns.
+    """
+
+    __slots__ = ("samples", "pools", "starts", "owner", "which", "means", "table", "parents",
+                 "costs")
+
+    def __init__(self, samples, pools, starts, which, means, table, parents):
+        self.samples = samples
+        self.pools = pools
+        self.starts = starts
+        counts = np.diff(starts)
+        self.owner = np.repeat(np.arange(len(pools)), counts)
+        self.which = which
+        self.means = means
+        self.table = table
+        self.parents = parents
+        # a cost adds its potentials point by point, as the column sum of a
+        # C-ordered table does, without building that table
+        costs = np.minimum(np.repeat(parents[0], counts), table[0].take(which))
+        for i in range(1, table.shape[0]):
+            costs += np.minimum(np.repeat(parents[i], counts), table[i].take(which))
+        lone = starts[:-1][counts == 1]
+        if lone.size:
+            # a node's only candidate sums as a 1-D array, pairwise
+            costs[lone] = np.ascontiguousarray(self.potentials(lone).T).sum(axis=1)
+        self.costs = costs
+
+    def potentials(self, cols):
+        """Point potentials after adding candidates ``cols``, one column each."""
+        return np.minimum(self.parents[:, self.owner[cols]], self.table[:, self.which[cols]],
+                          order="C")
+
+
 class _TreeSearch:
     """Depth-first enumeration over per-iteration candidate subsets.
 
     Node streams follow the branch path (child s gets ``stream.derive(1+s)``,
     the node's own draw uses ``stream.derive(0)``), so the winning path can be
     replayed exactly to reconstruct its trace.
+
+    All children of a node are expanded as one batch (see :meth:`_expand`):
+    one stacked draw, one pool dedupe, one ``rowwise`` table over the distinct
+    subsets of every child's pool, and one pass over the points that sums all
+    children's candidate costs.  Leaves then reduce by segment min.  The
+    stream layout is unchanged from a node-by-node search, and so is every bit
+    of the result: each child's numbers are computed as a lone node would
+    compute them, children are visited in order, and a child cut off by the
+    zero-cost short-circuit counts for nothing, though its batch may have
+    expanded it.  The root and the replay are batches of one.
     """
 
     def __init__(self, points, ids, measure, k, sample_size, subset_size):
@@ -305,71 +388,125 @@ class _TreeSearch:
         self.best_cost = np.inf
         self.best_path = None
         self.subsets_examined = 0
+        self.nodes_expanded = 0
+        pool = min(sample_size, int(ids.max()) + 1)
+        most = sum(math.comb(pool, s) for s in range(1, min(pool, subset_size) + 1))
+        self._node_entries = points.shape[0] * points.shape[1] * most
 
-    def _expand(self, potentials, stream):
-        """Sample at this node and return (sample_idx, candidate centers, child potentials)."""
-        n = self.points.shape[0]
+    def _expand(self, potentials, streams):
+        """Draw, dedupe and score the sibling nodes on ``streams`` as one batch.
+
+        ``potentials`` holds the siblings' potentials as columns, or is None
+        at the root.  Each sibling gets the bits a lone node would get: its
+        probability denominator is a 1-D sum, its subset means sum their
+        points in pool order, and its costs sum as a lone node's do (see
+        :class:`_Siblings`).
+        """
+        n, d = self.points.shape
         if potentials is None:
-            probs = np.full(n, 1.0 / n)
+            probs = np.full((n, len(streams)), 1.0 / n)
         else:
-            probs = potentials / potentials.sum()
-        sample_idx = weighted_draw(probs, stream.derive(0), self.sample_size)
-        pool_idx = _distinct_sample_points(self.ids, sample_idx)
-        pool = self.points[pool_idx]
-        groups = _combo_groups(len(pool_idx), self.subset_size)
-        cands = np.concatenate([pool[g].mean(axis=1) for g in groups], axis=0)
-        # closed form, not pairwise: the tables are tiny and the search
-        # branches on exact zero costs
-        fresh = self.measure.rowwise(self.points[:, None, :], cands[None, :, :])
-        pots = fresh if potentials is None else np.minimum(potentials[:, None], fresh)
-        return sample_idx, pool_idx, groups, cands, pots
+            probs = potentials / np.ascontiguousarray(potentials.T).sum(axis=1)
+        samples = weighted_draw(probs, [s.derive(0) for s in streams], self.sample_size)
+        pools = _distinct_sample_points(self.ids, samples)
+        sizes = np.array([len(pool) for pool in pools])
+        distinct_sizes, size_index = np.unique(sizes, return_inverse=True)
+        counts = np.array([sum(map(len, _combo_groups(int(p), self.subset_size)))
+                           for p in distinct_sizes])[size_index]
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        # each candidate as its subset's point indices plus one, in pool order
+        members = np.zeros((starts[-1], min(self.subset_size, sizes.max())), dtype=np.intp)
+        for p in distinct_sizes:
+            sibs = np.flatnonzero(sizes == p)
+            pool = np.stack([pools[j] for j in sibs]) + 1
+            col = starts[sibs][:, None]
+            for combos in _combo_groups(int(p), self.subset_size):
+                rows = (col + np.arange(len(combos))).reshape(-1)
+                members[rows, :combos.shape[1]] = pool[:, combos].reshape(len(rows), -1)
+                col = col + len(combos)
+        # siblings share most subsets; equal members in equal order give equal
+        # bits, so each distinct one is averaged and scored once
+        subsets, which = _distinct_rows(members, n + 1)
+        means = np.empty((len(subsets), d))
+        lengths = np.count_nonzero(subsets, axis=1)
+        for s in np.unique(lengths):
+            rows = np.flatnonzero(lengths == s)
+            means[rows] = self.points[subsets[rows, :s] - 1].mean(axis=1)
+        # closed form, not pairwise: the search branches on exact zero costs
+        table = self.measure.rowwise(self.points[:, None, :], means[None, :, :])
+        if potentials is None:
+            potentials = np.full((n, 1), np.inf)
+        return _Siblings(samples, pools, starts, which, means, table, potentials)
 
     def run(self, stream):
-        self._visit(None, stream, ())
+        self._search(None, [stream], [()])
         return self.best_cost, self.best_path
 
-    def _visit(self, potentials, stream, path):
-        if self.best_cost == 0.0:
-            return
-        depth = len(path)
-        _, _, _, _, pots = self._expand(potentials, stream)
-        costs = pots.sum(axis=0)
-        self.subsets_examined += costs.shape[0]
-        if depth == self.k - 1:
-            b = int(np.argmin(costs))
-            if costs[b] < self.best_cost:
-                self.best_cost = float(costs[b])
-                self.best_path = path + (b,)
-            return
-        for b in range(costs.shape[0]):
+    def _search(self, potentials, streams, paths):
+        """Visit sibling nodes in order, expanding them in chunks of siblings."""
+        step = max(1, _BATCH_ENTRIES // self._node_entries)
+        for lo in range(0, len(streams), step):
             if self.best_cost == 0.0:
                 return
-            if costs[b] == 0.0:
-                # every point is covered already; deeper centers cannot matter
-                if 0.0 < self.best_cost:
-                    self.best_cost = 0.0
-                    self.best_path = path + (b,)
-                return
-            self._visit(pots[:, b], stream.derive(1 + b), path + (b,))
+            chunk = slice(lo, lo + step)
+            node = self._expand(None if potentials is None else potentials[:, chunk],
+                                streams[chunk])
+            if len(paths[0]) == self.k - 1:
+                self._score_leaves(node, paths[chunk])
+                continue
+            for j, (stream, path) in enumerate(zip(streams[chunk], paths[chunk])):
+                if self.best_cost == 0.0:
+                    return
+                a, b = node.starts[j], node.starts[j + 1]
+                self.nodes_expanded += 1
+                self.subsets_examined += int(b - a)
+                zeros = np.flatnonzero(node.costs[a:b] == 0.0)
+                stop = int(zeros[0]) if zeros.size else int(b - a)
+                if stop:
+                    self._search(node.potentials(np.arange(a, a + stop)),
+                                 [stream.derive(1 + c) for c in range(stop)],
+                                 [path + (c,) for c in range(stop)])
+                if stop < b - a and 0.0 < self.best_cost:
+                    # every point is covered already; deeper centers cannot matter
+                    self.best_cost, self.best_path = 0.0, path + (stop,)
+
+    def _score_leaves(self, node, paths):
+        """Visit leaf siblings in order: each offers its first cheapest
+        candidate, the search keeps the first strict improvement and stops once
+        the best cost is zero."""
+        mins = np.minimum.reduceat(node.costs, node.starts[:-1])
+        mins[np.isnan(mins)] = np.inf  # a leaf with a NaN cost offers NaN, which never wins
+        running = np.minimum.accumulate(np.concatenate(([self.best_cost], mins)))[1:]
+        zero = np.flatnonzero(running == 0.0)
+        stop = int(zero[0]) + 1 if zero.size else len(paths)
+        self.nodes_expanded += stop
+        self.subsets_examined += int(node.starts[stop] - node.starts[0])
+        j = int(np.argmin(mins[:stop]))
+        if mins[j] < self.best_cost:
+            a = node.starts[j]
+            b = int(np.argmin(node.costs[a:node.starts[j + 1]]))
+            self.best_cost, self.best_path = float(node.costs[a + b]), paths[j] + (b,)
 
     def replay(self, stream, path):
         """Recompute the winning branch and emit its per-iteration trace."""
         trace, centers = [], []
         potentials = None
         for depth, b in enumerate(path):
-            sample_idx, pool_idx, groups, cands, pots = self._expand(potentials, stream)
-            combo = _combo_by_rank(groups, b)
+            node = self._expand(potentials, [stream])
+            pool_idx = node.pools[0]
+            combo = _combo_by_rank(_combo_groups(len(pool_idx), self.subset_size), b)
+            potentials = node.potentials(np.array([b]))
+            center = node.means[node.which[b]]
             trace.append({
                 "iteration": depth,
-                "sample": sample_idx,
+                "sample": node.samples[0],
                 "pool": pool_idx,
                 "subset_rank": b,
                 "subset_points": pool_idx[combo],
-                "center": cands[b],
-                "partial_cost": float(pots[:, b].sum()),
+                "center": center,
+                "partial_cost": float(potentials[:, 0].sum()),
             })
-            centers.append(cands[b])
-            potentials = pots[:, b]
+            centers.append(center)
             stream = stream.derive(1 + b)
         return centers, trace
 
@@ -379,7 +516,7 @@ def _exhaustive_restart(points, ids, measure, cfg, stream):
     cost, path = search.run(stream)
     centers, trace = search.replay(stream, path)
     centers = _fill_distinct_centers(points, centers, cfg.k)
-    return _Restart(cost, centers, trace, search.subsets_examined)
+    return _Restart(cost, centers, trace, search.subsets_examined, search.nodes_expanded)
 
 
 def _greedy_restart(points, measure, cfg, stream):
@@ -432,7 +569,13 @@ def _greedy_restart(points, measure, cfg, stream):
     centers = _fill_distinct_centers(points, list(center_set.centers), cfg.k)
     cost = float(CenterSet(points, measure, centers).total_potential) if len(centers) > center_set.size \
         else center_set.total_potential
-    return _Restart(cost, centers, trace, examined)
+    return _Restart(cost, centers, trace, examined, len(trace))
+
+
+def _log_restart(r, cfg, outcome):
+    log.info("restart %d: strategy %s, cost %.10g, subsets %d, nodes %d", r,
+             cfg.subset_strategy.describe(), outcome.cost, outcome.subsets_examined,
+             outcome.nodes_expanded)
 
 
 def _single_restart(points, ids, measure, cfg, stream):
@@ -492,7 +635,7 @@ def find_k_median(data, measure, config, rng, threads=None):
         # every distinct value can host its own center; no search needed
         centers = _fill_distinct_centers(points, [], cfg.k)
         meta = _meta(rng, cfg, t0, restarts=0, winning_restart=0, subsets_examined=0,
-                     iterations=0, trace=[])
+                     nodes_expanded=0, iterations=0, trace=[])
         return _result(points, measure, centers, meta)
 
     def one(r):
@@ -504,9 +647,12 @@ def find_k_median(data, measure, config, rng, threads=None):
     else:
         outcomes = [one(r) for r in range(cfg.restarts)]
 
+    for r, outcome in outcomes:
+        _log_restart(r, cfg, outcome)
     best_r, best = min(outcomes, key=lambda pair: (pair[1].cost, pair[0]))
     meta = _meta(rng, cfg, t0, restarts=cfg.restarts, winning_restart=best_r,
                  subsets_examined=sum(o.subsets_examined for _, o in outcomes),
+                 nodes_expanded=sum(o.nodes_expanded for _, o in outcomes),
                  iterations=cfg.k, trace=best.trace)
     return _result(points, measure, best.centers, meta)
 
@@ -522,8 +668,9 @@ def run_one_restart(data, measure, config, rng):
     points, cfg, ids = _prepare(data, measure, config)
     t0 = time.perf_counter()
     outcome = _single_restart(points, ids, measure, cfg, rng)
+    _log_restart(0, cfg, outcome)
     meta = _meta(rng, cfg, t0, restarts=1, subsets_examined=outcome.subsets_examined,
-                 iterations=cfg.k, trace=outcome.trace)
+                 nodes_expanded=outcome.nodes_expanded, iterations=cfg.k, trace=outcome.trace)
     return _result(points, measure, outcome.centers, meta)
 
 

@@ -140,16 +140,35 @@ class CenterSet:
 
 
 def weighted_draw(probs, rng, count):
-    """``count`` categorical draws from an explicit probability vector.
+    """``count`` categorical draws from explicit probabilities.
 
-    Inverts the cumulative distribution over the support only, so
-    zero-probability indices can never be drawn, even at float boundaries.
+    ``probs`` is either one probability vector drawn with the stream ``rng``,
+    or an (n, B) table whose column b is drawn with the stream ``rng[b]``; the
+    batch returns a (B, count) array whose row b is bitwise the 1-D draw of
+    column b with that stream.  Each column's cumulative sum runs in order
+    over that column alone, whatever the table's memory layout, and each
+    stream gives the same ``count`` uniforms as in the 1-D call, so batching
+    changes neither bits nor stream use.
+
+    The cumulative distribution is inverted over the support only: entries
+    that are not positive add nothing to it, and from the last positive entry
+    on it is exactly 1, so zero-probability indices can never be drawn, even
+    at float boundaries.
     """
-    support = np.flatnonzero(probs > 0.0)
-    cum = np.cumsum(probs[support])
-    cum[-1] = 1.0  # kill accumulated rounding so u in [0, 1) always lands
-    u = rng.generator.random(count)
-    return support[np.searchsorted(cum, u, side="right")]
+    probs = np.asarray(probs, dtype=float)
+    rows, streams = (probs[None, :], [rng]) if probs.ndim == 1 else (probs.T, rng)
+    support = rows > 0.0  # NaN is not support either
+    # adding +0.0 leaves a running sum unchanged, so on the support this is
+    # the cumulative sum of the positive entries alone
+    cum = np.cumsum(np.where(support, rows, 0.0), axis=1)
+    if not (cum[:, -1] > 0.0).all():
+        raise ValueError("a distribution has no positive probability")
+    last = rows.shape[1] - np.argmax(support[:, ::-1], axis=1)  # one past it
+    out = np.empty((len(streams), int(count)), dtype=np.intp)
+    for b, stream in enumerate(streams):
+        cum[b, last[b] - 1:] = 1.0  # kill accumulated rounding so u in [0, 1) always lands
+        out[b] = np.searchsorted(cum[b], stream.generator.random(count), side="right")
+    return out[0] if probs.ndim == 1 else out
 
 
 def d2_sample(center_set, rng, count):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line harness (run in-process via main)."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -212,6 +213,30 @@ class TestRunExperiment:
     def test_paper_preset_refused(self, four_point_file):
         with pytest.raises(PaperScaleRefusal):
             run_experiment(self.spec(four_point_file, preset="paper"))
+
+
+class TestLogging:
+    def test_subcommands_and_restarts_log_at_info(self, four_point_file, caplog):
+        with caplog.at_level(logging.INFO, logger="d2ptas"):
+            assert main(["oracle", "--input", four_point_file, "--k", "2"]) == 0
+            assert main(["cluster", "--input", four_point_file, "--k", "2", "--restarts", "2",
+                         "--strategy", "random:4"]) == 0
+        events = [(r.name, r.levelno, r.getMessage()) for r in caplog.records
+                  if r.name.startswith("d2ptas")]
+        assert {level for _, level, _ in events} == {logging.INFO}
+        commands = [text for name, _, text in events if name == "d2ptas.cli"]
+        assert [text.split(":")[0] for text in commands] == ["oracle", "cluster"]
+        assert all("exit code 0" in text for text in commands)
+        restarts = [text for name, _, text in events if name == "d2ptas.ptas"]
+        assert [text.split(":")[0] for text in restarts] == ["restart 0", "restart 1"]
+        assert all("strategy random:4" in text and "subsets 8, nodes 2" in text
+                   for text in restarts)
+
+    def test_nothing_is_logged_at_the_default_level(self, four_point_file, caplog):
+        with caplog.at_level(logging.WARNING, logger="d2ptas"):
+            assert main(["cluster", "--input", four_point_file, "--k", "2", "--restarts", "2",
+                         "--strategy", "random:4"]) == 0
+        assert not [r for r in caplog.records if r.name.startswith("d2ptas")]
 
 
 class TestMainExitCodes:

@@ -169,7 +169,7 @@ class TestTinyExhaustive:
             for i in sample:
                 if not any(np.array_equal(pts[i], pts[j]) for j in expected):
                     expected.append(i)
-            assert _distinct_sample_points(ids, sample).tolist() == expected
+            assert _distinct_sample_points(ids, sample[None, :])[0].tolist() == expected
 
 
 class TestFindKMedianContracts:
@@ -244,6 +244,16 @@ class TestFindKMedianContracts:
         assert meta["subsets_examined"] == 8 * 3 * 50
         assert meta["config"]["k"] == 3
         assert len(meta["trace"]) == 3
+
+    def test_nodes_expanded_counts_the_iterations_run(self, sq, planted):
+        """RandomTrials expands one node per iteration: a draw and its scored menu."""
+        points, _, _ = planted
+        assert find_k_median(points, sq, desk(3), RngStream(10)).meta["nodes_expanded"] == 8 * 3
+        three_values = np.array([[0.0], [0.0], [5.0], [5.0], [9.0]])
+        cfg = desk(4, sample_size_N=10, subset_size_M=1, subset_strategy=RandomTrials(20))
+        res = run_one_restart(three_values, sq, cfg, RngStream(3))
+        assert res.cost == 0.0
+        assert res.meta["nodes_expanded"] == len(res.meta["trace"]) == 3  # stops once covered
 
     def test_desk_quality_on_planted_fixture(self, sq, planted):
         """Pinned regression: the desk preset lands well inside 1.5x of the

@@ -143,6 +143,33 @@ class TestWeightedDraw:
         draws = weighted_draw(np.array([1.0, 0.0, 0.0]), RngStream(7), 500)
         assert np.all(draws == 0)
 
+    def test_batch_rows_are_the_one_dimensional_draws(self):
+        """Row b of a batched draw is bitwise the 1-D draw of column b on stream b,
+        and both are the inversion over the support alone."""
+        gen = RngStream(11).generator
+        n, count = 12, 400
+        probs = gen.random((n, 5)) * 10.0 ** gen.integers(-12, 1, size=(n, 5))
+        probs[[0, 5, 6, n - 1]] = 0.0  # zero at the start, in the middle and at the end
+        probs[1:4, 3] = 0.0
+        probs[:-2, 4] = 0.0  # one positive entry
+        probs /= probs.sum(axis=0)
+        batch = weighted_draw(probs, [RngStream(12, b) for b in range(5)], count)
+        assert batch.shape == (5, count)
+        for b in range(5):
+            column = np.ascontiguousarray(probs[:, b])
+            one = weighted_draw(column, RngStream(12, b), count)
+            support = np.flatnonzero(column > 0.0)
+            cum = np.cumsum(column[support])
+            cum[-1] = 1.0
+            u = RngStream(12, b).generator.random(count)
+            np.testing.assert_array_equal(batch[b], one)
+            np.testing.assert_array_equal(one, support[np.searchsorted(cum, u, side="right")])
+            assert np.all(column[one] > 0.0)
+
+    def test_no_positive_probability_is_an_error(self):
+        with pytest.raises(ValueError):
+            weighted_draw(np.array([[0.5, 0.0], [0.5, 0.0]]), [RngStream(1), RngStream(2)], 3)
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_draws_always_in_support(self, seed):
