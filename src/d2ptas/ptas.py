@@ -266,14 +266,13 @@ def _distinct_sample_points(ids, rows):
 def _distinct_rows(rows, base):
     """The distinct rows of a matrix of ints in [0, base), and each row's index among them.
 
-    Rows are compared through one int64 key each; where such keys would
-    overflow, every row counts as distinct.
+    Rows are ranked one column at a time, so no key outgrows ``len(rows) * base``.
     """
-    if base ** rows.shape[1] >= 2 ** 63:
-        return rows, np.arange(rows.shape[0])
-    keys, which = np.unique(rows @ base ** np.arange(rows.shape[1]), return_inverse=True)
-    first = np.empty(len(keys), dtype=np.intp)
-    first[which] = np.arange(rows.shape[0])  # any row of a key will do: they are equal
+    which = np.zeros(len(rows), dtype=np.intp)
+    for col in rows.T:
+        which = np.unique(which * base + col, return_inverse=True)[1]
+    first = np.empty(which.max() + 1, dtype=np.intp)
+    first[which] = np.arange(len(rows))  # any row of a rank will do: they are equal
     return rows[first], which
 
 
@@ -318,6 +317,11 @@ def _fill_distinct_centers(points, centers, k):
 # batch.  Each sibling's numbers are computed on their own, so results do not
 # depend on it.
 _BATCH_ENTRIES = 1 << 20
+# Candidate costs are summed over blocks of at most about this many entries of
+# points by candidates.  Blocks of 64 KiB reuse freed memory (256 KiB blocks
+# faulted in fresh pages on every batch at n = 12); one point per block would
+# cost ~5 us per point at large n.
+_SUM_ENTRIES = 1 << 13
 
 
 class _Siblings:
@@ -344,20 +348,24 @@ class _Siblings:
         self.table = table
         self.parents = parents
         # a cost adds its potentials point by point, as the column sum of a
-        # C-ordered table does, without building that table
-        costs = np.minimum(np.repeat(parents[0], counts), table[0].take(which))
-        for i in range(1, table.shape[0]):
-            costs += np.minimum(np.repeat(parents[i], counts), table[i].take(which))
+        # C-ordered table does; the table is built a block of points at a time,
+        # each block's sum starting from the running one
+        cols = np.arange(starts[-1])
+        step = max(1, _SUM_ENTRIES // len(cols))
+        costs = None
+        for lo in range(0, table.shape[0], step):
+            block = self.potentials(cols, slice(lo, lo + step))
+            costs = (block if costs is None else np.vstack((costs, block))).sum(axis=0)
         lone = starts[:-1][counts == 1]
         if lone.size:
             # a node's only candidate sums as a 1-D array, pairwise
             costs[lone] = np.ascontiguousarray(self.potentials(lone).T).sum(axis=1)
         self.costs = costs
 
-    def potentials(self, cols):
-        """Point potentials after adding candidates ``cols``, one column each."""
-        return np.minimum(self.parents[:, self.owner[cols]], self.table[:, self.which[cols]],
-                          order="C")
+    def potentials(self, cols, points=slice(None)):
+        """Potentials of ``points`` after adding candidates ``cols``, one column each."""
+        return np.minimum(self.parents[points, self.owner[cols]],
+                          self.table[points, self.which[cols]], order="C")
 
 
 class _TreeSearch:

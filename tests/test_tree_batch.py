@@ -235,6 +235,28 @@ class TestSearchMatchesReference:
             batched, reference = run_both(points, sq, 3, 6, M, RngStream(902 + M))
             assert_same_search(batched, reference)
 
+    @pytest.mark.parametrize("entries", [1, 40, 1 << 40])
+    def test_cost_blocks_do_not_change_the_result(self, sq, monkeypatch, entries):
+        """Costs summed one point at a time, in uneven blocks, or in one block."""
+        monkeypatch.setattr(ptas, "_SUM_ENTRIES", entries)
+        points = RngStream(49).generator.standard_normal((13, 2))
+        for M in (1, 2, 3):
+            batched, reference = run_both(points, sq, 3, 7, M, RngStream(903 + M))
+            assert_same_search(batched, reference)
+
+
+@pytest.mark.parametrize("base,columns", [(13, 1), (13, 2), (4, 3), (1 << 40, 3)])
+def test_distinct_rows(base, columns):
+    """Distinct rows and each row's index among them, also where one key per
+    row of ``base ** columns`` values would overflow int64."""
+    gen = RngStream(50, columns).generator
+    rows = gen.integers(0, base, size=(60, columns))
+    rows[30:] = rows[:30][gen.permutation(30)]  # every row twice
+    rows[5] = rows[5, ::-1]  # the same members in another order are another row
+    distinct, which = ptas._distinct_rows(rows, base)
+    assert np.array_equal(distinct[which], rows)
+    assert len(distinct) == len(np.unique(rows, axis=0))
+
 
 class TestFindKMedianMatchesReference:
     CASES = [
