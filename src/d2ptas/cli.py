@@ -463,7 +463,7 @@ def build_parser():
     _add_algo_flags(cluster)
     _add_measure_flags(cluster)
 
-    oracle = commands.add_parser("oracle", help="exact optimum by enumeration (small n only)")
+    oracle = commands.add_parser("oracle", help="exact optimum by subset DP (small n only)")
     oracle.add_argument("--input", required=True)
     oracle.add_argument("--output", default=None)
     oracle.add_argument("--k", type=int, required=True)

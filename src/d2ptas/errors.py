@@ -26,7 +26,7 @@ class ConfigError(ClusteringError):
 
 
 class TooLarge(ClusteringError):
-    """Instance exceeds the exhaustive-enumeration size cap."""
+    """Instance exceeds the exact oracle's size cap."""
 
 
 class UnsupportedMeasure(ClusteringError):

@@ -1,10 +1,12 @@
 """Ground truth at small scale.
 
-Exact optima come from enumerating every assignment of points to k cluster
-labels: the measures here all have the property that a cluster's best center
-is its coordinate-wise mean, so optimizing over assignments is the whole
-search space.  That is k^n work, which is why everything is capped hard --
-these are oracles for validating the samplers, not production solvers.
+Exact optima come from a dynamic program over subsets of points: the
+measures here all have the property that a cluster's best center is its
+coordinate-wise mean (Banerjee et al., JMLR 2005), so a partition costs the
+sum of its blocks' costs and the best split of every subset builds on the
+best splits of smaller ones.  That is 2^n block costs and ~3^n/2 (subset,
+block) pairs per level, which is why everything is capped hard -- these are
+oracles for validating the samplers, not production solvers.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,6 @@ __all__ = [
 
 ORACLE_N_CAP = 14
 ORACLE_K_CAP = 4
-_CHUNK = 1 << 14
 
 
 @dataclass
@@ -40,13 +41,7 @@ class OracleResult:
 
     def centers(self, points):
         """Per-cluster means implied by the optimal partition."""
-        points = as_points(points)
-        k = int(self.optimal_partition.max()) + 1
-        return np.array([
-            points[self.optimal_partition == j].mean(axis=0)
-            if np.any(self.optimal_partition == j) else points[0]
-            for j in range(k)
-        ])
+        return _block_means(as_points(points), self.optimal_partition)
 
 
 @dataclass
@@ -60,13 +55,23 @@ class IrreducibilityReport:
     exact: bool = True
 
 
-def optimal_bruteforce(data, k, measure, n_cap=ORACLE_N_CAP, k_cap=ORACLE_K_CAP,
-                       pin_first=True):
-    """Globally optimal k-clustering by assignment enumeration.
+def optimal_bruteforce(data, k, measure, n_cap=ORACLE_N_CAP, k_cap=ORACLE_K_CAP):
+    """Globally optimal k-clustering by a min-plus DP over subsets of points.
 
-    Label permutations are pruned by pinning point 0 to cluster 0
-    (``pin_first=False`` disables the pruning, for validating that it is
-    lossless).  Empty clusters are allowed and contribute nothing.
+    Every measure accepted here puts a block's best center at its mean, so a
+    partition costs the sum of its blocks' costs.  The table of all 2^n
+    block costs is evaluated in closed form; level j of the DP then holds,
+    for every mask S, the best cost of S split into at most j blocks, taking
+    the block that holds S's lowest point first.  That visits the
+    (3^n - 1)/2 (mask, block) pairs of :func:`_subset_pairs` once per level,
+    two int32 indices each (19 MB at n=14), and the last level only the full
+    mask's 2^(n-1).  Empty clusters are allowed and contribute nothing.
+
+    Blocks are numbered by their lowest point index, so point 0 is in
+    cluster 0, and ``optimal_cost`` is the closed-form cost of that
+    partition with every block at its mean.  ``assignments_examined`` counts
+    the labelings (point 0 pinned) the search is exact over: k^(n-1), or 1
+    when k >= n.
     """
     points = as_points(data)
     measure.validate_points(points)
@@ -76,44 +81,79 @@ def optimal_bruteforce(data, k, measure, n_cap=ORACLE_N_CAP, k_cap=ORACLE_K_CAP,
         raise ConfigError(f"k must be >= 1, got {k}")
     n, _ = points.shape
     if n > n_cap:
-        raise TooLarge(f"n={n} exceeds the enumeration cap {n_cap}")
+        raise TooLarge(f"n={n} exceeds the oracle cap {n_cap}")
     if k > k_cap:
-        raise TooLarge(f"k={k} exceeds the enumeration cap {k_cap}")
+        raise TooLarge(f"k={k} exceeds the oracle cap {k_cap}")
     if k >= n:
         return OracleResult(0.0, np.arange(n, dtype=np.int64), 1)
 
-    free = n - 1 if pin_first else n
-    total = k ** free
-    best_cost, best_code = np.inf, 0
-    fallback = points[0]  # in-domain stand-in center for empty clusters
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = np.empty((codes.shape[0], n), dtype=np.int64)
-        offset = 0
-        if pin_first:
-            digits[:, 0] = 0
-            offset = 1
-        for j in range(free):
-            digits[:, offset + j] = (codes // (k ** j)) % k
-        onehot = (digits[:, :, None] == np.arange(k)[None, None, :]).astype(float)
-        counts = onehot.sum(axis=1)
-        means = np.einsum("bnk,nd->bkd", onehot, points) / np.maximum(counts, 1.0)[:, :, None]
-        means = np.where(counts[:, :, None] > 0, means, fallback)
-        divs = measure.rowwise(points[None, :, None, :], means[:, None, :, :])
-        costs = np.einsum("bnk,bnk->b", divs, onehot)
-        b = int(np.argmin(costs))
-        if costs[b] < best_cost:
-            best_cost = float(costs[b])
-            best_code = int(codes[b])
+    member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # (2^n, n)
+    means = (member @ points) / np.maximum(member.sum(axis=1), 1)[:, None]
+    means[0] = points[0]  # in-domain stand-in for the empty block
+    divs = measure.rowwise(points[None, :, :], means[:, None, :])
+    cost = np.where(member == 1, divs, 0.0).sum(axis=1)
+
+    block, rest, bounds = _subset_pairs(n)
+    levels = [cost]  # levels[j][S]: best cost of S in at most j + 1 blocks
+    for _ in range(2, k):
+        best = np.empty_like(cost)
+        best[0] = 0.0
+        best[1:] = np.minimum.reduceat(cost[block] + levels[-1][rest], bounds[:-1])
+        levels.append(best)
 
     labels = np.empty(n, dtype=np.int64)
-    offset = 0
-    if pin_first:
-        labels[0] = 0
-        offset = 1
-    for j in range(free):
-        labels[offset + j] = (best_code // (k ** j)) % k
-    return OracleResult(best_cost, labels, total)
+    left, label = (1 << n) - 1, 0
+    for prev in reversed(levels[:k - 1]):  # what is left fits in k - 1, ..., 1 blocks
+        group = slice(bounds[left - 1], bounds[left])
+        first = block[group][np.argmin(cost[block[group]] + prev[rest[group]])]
+        labels[_bits(first, n)] = label
+        left ^= int(first)
+        label += 1
+        if left == 0:
+            break
+    if left:
+        labels[_bits(left, n)] = label
+
+    centers = _block_means(points, labels)
+    optimal_cost = float(measure.rowwise(points, centers[labels]).sum())
+    return OracleResult(optimal_cost, labels, k ** (n - 1))
+
+
+def _subset_pairs(n):
+    """Every split of a nonempty mask S into a block holding S's lowest bit
+    and the rest of S, grouped by S in increasing order.
+
+    Returns int32 ``block`` and ``rest`` arrays of the (3^n - 1)/2 pairs and
+    the int64 group ``bounds``: S's pairs are ``bounds[S - 1]:bounds[S]``.
+    Built one bit b at a time, each step appends {b} alone, then every
+    earlier pair twice, first with b in the rest and then with b in the
+    block; that keeps each group contiguous and the groups sorted.
+    """
+    block = rest = np.zeros(0, dtype=np.int32)
+    sizes = np.zeros(0, dtype=np.int64)
+    for i in range(n):
+        b = 1 << i
+        block = np.concatenate((block, [b], np.stack((block, block + b), axis=1).ravel()),
+                               dtype=np.int32)
+        rest = np.concatenate((rest, [0], np.stack((rest + b, rest), axis=1).ravel()),
+                              dtype=np.int32)
+        sizes = np.concatenate((sizes, [1], 2 * sizes))
+    return block, rest, np.concatenate(([0], np.cumsum(sizes)))
+
+
+def _bits(mask, n):
+    """Indices of the points in ``mask``."""
+    return np.flatnonzero((int(mask) >> np.arange(n)) & 1)
+
+
+def _block_means(points, labels):
+    """(labels.max() + 1, d) means of the blocks of a partition, in label order.
+
+    A block of equal points is centered exactly on them, which a float mean
+    does not promise (three copies of 0.1 average to 0.10000000000000002).
+    """
+    blocks = [points[labels == j] for j in range(int(labels.max()) + 1)]
+    return np.array([b[0] if np.all(b == b[0]) else b.mean(axis=0) for b in blocks])
 
 
 def lloyd(data, measure, initial_centers, max_iters=100):
@@ -161,7 +201,7 @@ def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None,
                    n_cap=ORACLE_N_CAP):
     """gamma = (best cost with k-1 centers) / (best cost with k) - 1.
 
-    ``mode="exact"`` uses the enumeration oracle (capped); ``"approximate"``
+    ``mode="exact"`` uses the subset-DP oracle (capped); ``"approximate"``
     substitutes best-of-``restarts`` seeded local search and flags the report.
     See :func:`_gamma` for the zero-denominator conventions.
     """
@@ -213,7 +253,7 @@ def subsample_extrapolation(data, k, measure, rng, subsample_size=12, repeats=5)
     centers, so this scaling keeps the estimate centered where the naive
     ``n / m`` would bias it low.  Repeats are averaged because a single
     small subsample is very noisy.  When the instance already fits under the
-    enumeration cap, its exact optimum is returned directly.
+    oracle's size cap, its exact optimum is returned directly.
     """
     points = as_points(data)
     n = points.shape[0]

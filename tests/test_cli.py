@@ -2,6 +2,10 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +328,16 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["cluster", "--k", "2"])  # missing --input
         assert exc.value.code == 2
+
+    def test_module_entry_point_runs_without_warnings(self):
+        src = str(Path(d2ptas.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "d2ptas", "--help"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "oracle" in done.stdout
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

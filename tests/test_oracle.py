@@ -7,6 +7,8 @@ import pytest
 
 from d2ptas import (
     ConfigError,
+    ItakuraSaito,
+    KullbackLeibler,
     Mahalanobis,
     RngStream,
     SquaredEuclidean,
@@ -22,20 +24,28 @@ from d2ptas import (
 from d2ptas.divergences import GenericBregman
 from d2ptas.oracle import ORACLE_K_CAP, ORACLE_N_CAP
 
+MEASURES = {
+    "sq": SquaredEuclidean(),
+    "mahalanobis": Mahalanobis(np.array([[2.0, 0.3], [0.3, 1.0]])),
+    "kl": KullbackLeibler(),
+    "is": ItakuraSaito(),
+}
+
 
 def exhaustive_partition_cost(points, k, measure):
-    """Fully independent reference: try every label vector, no pruning."""
+    """Fully independent reference: try every label vector, no pruning.
+
+    A label vector costs the sum of its blocks' costs, each block at its
+    mean; the cost of every subset of points is taken once, in a plain loop.
+    """
     n = points.shape[0]
-    best = np.inf
-    for labels in itertools.product(range(k), repeat=n):
-        labels = np.asarray(labels)
-        cost = 0.0
-        for j in range(k):
-            members = points[labels == j]
-            if members.shape[0]:
-                cost += float(measure.rowwise(members, members.mean(axis=0)[None]).sum())
-        best = min(best, cost)
-    return best
+    block_cost = np.zeros(1 << n)
+    for mask in range(1, 1 << n):
+        members = points[[i for i in range(n) if mask >> i & 1]]
+        block_cost[mask] = measure.rowwise(members, members.mean(axis=0)[None]).sum()
+    labels = np.array(list(itertools.product(range(k), repeat=n)))
+    weights = 1 << np.arange(n)
+    return float(sum(block_cost[(labels == j) @ weights] for j in range(k)).min())
 
 
 class TestOptimalBruteforce:
@@ -51,13 +61,13 @@ class TestOptimalBruteforce:
         assert res.optimal_cost == 17.0
         assert res.assignments_examined == 1
 
-    def test_pinning_is_lossless(self, sq, gen):
+    def test_matches_unpruned_enumeration(self, sq, gen):
         for _ in range(3):
             pts = gen.standard_normal((7, 2))
-            pinned = optimal_bruteforce(pts, 3, sq)
-            free = optimal_bruteforce(pts, 3, sq, pin_first=False)
-            assert free.assignments_examined == 3 ** 7
-            assert pinned.optimal_cost == pytest.approx(free.optimal_cost, rel=1e-12)
+            res = optimal_bruteforce(pts, 3, sq)
+            assert res.assignments_examined == 3 ** 6
+            assert res.optimal_cost == pytest.approx(
+                exhaustive_partition_cost(pts, 3, sq), rel=1e-12)
 
     def test_matches_independent_enumeration(self, sq, gen):
         for _ in range(3):
@@ -96,6 +106,69 @@ class TestOptimalBruteforce:
                                  exact_centroid=False)
         with pytest.raises(UnsupportedMeasure):
             optimal_bruteforce(four_point_line, 2, crooked)
+
+
+def closed_form_cost(points, labels, measure):
+    """Cost of a partition with every block at its ``.mean(axis=0)``."""
+    centers = np.array([points[labels == j].mean(axis=0) for j in range(labels.max() + 1)])
+    return float(measure.rowwise(points, centers[labels]).sum())
+
+
+def instance(name, gen, n, d=2):
+    pts = gen.standard_normal((n, d))
+    return np.exp(pts) if name in ("kl", "is") else pts
+
+
+class TestSubsetDP:
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_matches_unpruned_enumeration(self, name, gen):
+        measure = MEASURES[name]
+        for n in range(5, 9):
+            pts = instance(name, gen, n)
+            for k in range(1, 5):
+                res = optimal_bruteforce(pts, k, measure)
+                assert res.optimal_cost == pytest.approx(
+                    exhaustive_partition_cost(pts, k, measure), rel=1e-12), (n, k)
+                assert res.assignments_examined == k ** (n - 1)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_far_from_the_origin(self, sq, gen, k):
+        pts = gen.standard_normal((10, 2)) + 1e6
+        res = optimal_bruteforce(pts, k, sq)
+        assert res.optimal_cost == pytest.approx(
+            exhaustive_partition_cost(pts, k, sq), rel=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_cost_is_the_closed_form_of_the_partition(self, name, gen):
+        measure = MEASURES[name]
+        for n, k in [(6, 2), (9, 3), (11, 4)]:
+            pts = instance(name, gen, n)
+            res = optimal_bruteforce(pts, k, measure)
+            assert res.optimal_cost == closed_form_cost(pts, res.optimal_partition, measure)
+
+    def test_equal_and_duplicate_points_cost_zero(self, sq):
+        assert optimal_bruteforce(np.full((9, 2), 3.25), 2, sq).optimal_cost == 0.0
+        pts = np.repeat(np.array([[0.1], [7.3], [-2.9]]), 3, axis=0)
+        res = optimal_bruteforce(pts, 3, sq)
+        assert res.optimal_cost == 0.0
+        assert res.optimal_partition.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+    def test_blocks_numbered_by_lowest_point(self, sq, gen):
+        for _ in range(5):
+            labels = optimal_bruteforce(gen.standard_normal((10, 2)), 4, sq).optimal_partition
+            _, first = np.unique(labels, return_index=True)
+            assert labels[0] == 0
+            assert np.all(np.diff(first) > 0)
+            assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
+
+    def test_at_the_caps_no_worse_than_local_search(self, sq, gen):
+        pts = gen.standard_normal((ORACLE_N_CAP, 2))
+        res = optimal_bruteforce(pts, ORACLE_K_CAP, sq)
+        stream = RngStream(89)
+        best = min(lloyd(pts, sq, kmeanspp_seed(pts, sq, ORACLE_K_CAP, stream.derive(r)).centers).cost
+                   for r in range(20))
+        assert res.optimal_cost <= best
+        assert res.assignments_examined == ORACLE_K_CAP ** (ORACLE_N_CAP - 1)
 
 
 class TestLloyd:
