@@ -1,23 +1,23 @@
-"""Dissimilarity measures, centroids, clustering costs, and property checks.
+"""Bregman divergences, centroids, clustering costs, and property checks.
 
-All measures share one small interface: validated scalar evaluation
-(``measure(p, q)``), the closed form evaluated elementwise over broadcast
-coordinate arrays (``rowwise``), the (n, m) table of every point against every
-center (``pairwise``), and declared structural constants
+Every measure is the Bregman divergence
+``D(p, q) = phi(p) - phi(q) - <grad_phi(q), p - q>`` of a convex generator
+``phi`` with a declared similarity floor ``mu`` in (0, 1].  A measure is one
+small interface: validated scalar evaluation (``measure(p, q)``), the
+divergence evaluated elementwise over broadcast coordinate arrays
+(``rowwise``), the (n, m) table of every point against every center
+(``pairwise``), and the structural constants
 
-* ``alpha`` -- triangle relaxation: D(p,q) <= alpha * (D(p,r) + D(r,q))
-* ``beta``  -- symmetry relaxation: beta * D(q,p) <= D(p,q) <= D(q,p) / beta
-* ``mu``    -- similarity floor against a reference quadratic form, when known
-* ``exact_centroid`` -- whether the arithmetic mean minimizes the 1-center cost
+* ``mu``    -- similarity floor against a reference quadratic form
+* ``alpha`` -- triangle relaxation D(p,q) <= alpha * (D(p,r) + D(r,q)); 2/mu
+* ``beta``  -- symmetry relaxation beta * D(q,p) <= D(p,q) <= D(q,p) / beta; mu
 
-Every shipped measure is the Bregman divergence of a convex generator phi.
-The convex-generator measures (KL, Itakura-Saito, user-supplied) can be
-cross-checked against the generator route
-``phi(p) - phi(q) - <grad_phi(q), p - q>``, which is computed independently
-of each measure's closed form.
+For every Bregman divergence the arithmetic mean is the optimal single
+center (Banerjee et al., *Clustering with Bregman Divergences*, JMLR 2005).
+``rowwise`` defaults to the generator route; the named measures override it
+with their closed forms, which ``bregman_form`` cross-checks independently.
 
-``pairwise`` expands that route into one matrix product (Banerjee et al.,
-*Clustering with Bregman Divergences*, JMLR 2005):
+``pairwise`` expands the generator route into one matrix product:
 ``D = phi(P)[:, None] - P @ grad_phi(C).T + (<grad_phi(C), C> - phi(C))[None, :]``.
 Where the three terms cancel, the product loses the small value, so every entry
 at or below a fixed small fraction of the terms' magnitude is recomputed with
@@ -25,8 +25,7 @@ at or below a fixed small fraction of the terms' magnitude is recomputed with
 and >= 0, and the other entries agree with the closed form to about
 ``d * 1e-9`` relative at worst.  On data far from the origin relative to its
 spread the terms dwarf the distances, most entries need repair, and such
-columns are recomputed whole, at about a tenth more than the closed form.  A measure
-without a generator gets the closed form broadcast over the whole table.
+columns are recomputed whole, at about a tenth more than the closed form.
 """
 
 from dataclasses import dataclass, field
@@ -183,38 +182,50 @@ _REPAIR_TAU = 1e-7
 _WHOLE_COLUMN_SHARE = 0.25
 
 
+def _checked_mu(mu):
+    """``mu`` as a float, which must lie in (0, 1]."""
+    mu = float(mu)
+    if not (0.0 < mu <= 1.0):
+        raise ConfigError(f"mu must lie in (0, 1], got {mu}")
+    return mu
+
+
 class DivergenceMeasure:
-    """Base dissimilarity D(p, q) with declared structural constants."""
+    """The Bregman divergence of ``phi``/``grad_phi``; subclasses declare ``mu``."""
 
     name = "divergence"
-    alpha = 2.0
-    beta = 1.0
-    mu = None
-    exact_centroid = True
     domain = "unrestricted"
     box = None
     fixed_dim = None  # set when the measure only accepts one dimensionality
+
+    @property
+    def alpha(self):
+        return 2.0 / self.mu
+
+    @property
+    def beta(self):
+        return self.mu
 
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
     def rowwise(self, P, Q):
-        """The closed form of D applied over the broadcast of two coordinate arrays.
+        """D applied over the broadcast of two coordinate arrays.
 
         The last axis holds coordinates.  No validation is performed; callers
         are expected to pass in-domain values.  Reported costs and potentials
-        are evaluated here.
+        are evaluated here.  This is the generator route; a measure with a
+        closed form overrides it.
         """
-        raise NotImplementedError
+        return self.bregman_form(P, Q)
 
     def pairwise(self, P, C):
         """(n, m) table of D(P_i, C_j): the generator table plus its repair.
 
-        With a generator, one matrix product gives the table (see the module
-        docstring) and entries at or below ``_REPAIR_TAU`` times a bound on
-        the terms' magnitudes are recomputed by ``rowwise`` on just those
-        pairs, or on the whole column where most of it needs that.  Without
-        one, ``rowwise`` is broadcast over all of it.
+        One matrix product gives the table (see the module docstring) and
+        entries at or below ``_REPAIR_TAU`` times a bound on the terms'
+        magnitudes are recomputed by ``rowwise`` on just those pairs, or on
+        the whole column where most of it needs that.
 
         Column j depends only on P and C_j: ``pairwise(P, C[:m])`` is bitwise
         the first m columns of ``pairwise(P, C)``.
@@ -225,10 +236,7 @@ class DivergenceMeasure:
             # a 1-column product runs through gemv, whose bits differ from the
             # same column of a wider product; take it from a 2-column one
             return self.pairwise(P, np.repeat(C, 2, axis=0))[:, :1]
-        try:
-            phi_p, grad_c, phi_c = self.phi(P), self.grad_phi(C), self.phi(C)
-        except UnsupportedMeasure:
-            return self.rowwise(P[:, None, :], C[None, :, :])
+        phi_p, grad_c, phi_c = self.phi(P), self.grad_phi(C), self.phi(C)
         offset = np.einsum("ij,ij->i", grad_c, C) - phi_c
         table = P @ grad_c.T
         np.subtract(phi_p[:, None], table, out=table)
@@ -274,15 +282,17 @@ class DivergenceMeasure:
     # convex-generator route
     # ------------------------------------------------------------------
     def phi(self, X):
-        raise UnsupportedMeasure(f"{self.name} does not expose a convex generator")
+        """The convex generator, mapping (..., d) arrays to (...) values."""
+        raise NotImplementedError
 
     def grad_phi(self, X):
-        raise UnsupportedMeasure(f"{self.name} does not expose a convex generator")
+        """The generator's exact gradient, mapping (..., d) to (..., d)."""
+        raise NotImplementedError
 
     def bregman_form(self, P, Q):
         """Evaluate D through phi(p) - phi(q) - <grad_phi(q), p - q>.
 
-        Independent of ``rowwise``; used to cross-check closed forms.
+        Independent of a closed-form ``rowwise``, which it cross-checks.
         """
         P = np.asarray(P, dtype=float)
         Q = np.asarray(Q, dtype=float)
@@ -312,8 +322,6 @@ class SquaredEuclidean(DivergenceMeasure):
     """Squared Euclidean distance, the plain k-means objective."""
 
     name = "sqeuclid"
-    alpha = 2.0
-    beta = 1.0
     mu = 1.0
 
     def rowwise(self, P, Q):
@@ -335,8 +343,6 @@ class Mahalanobis(DivergenceMeasure):
     """Quadratic-form distance (p-q)^T A (p-q) for symmetric positive definite A."""
 
     name = "mahalanobis"
-    alpha = 2.0
-    beta = 1.0
     mu = 1.0
 
     def __init__(self, matrix):
@@ -384,11 +390,7 @@ class _BoxedBregman(DivergenceMeasure):
         if not (0.0 < lo < hi):
             raise ConfigError(f"box must satisfy 0 < lo < hi, got ({lo}, {hi})")
         self.box = (lo, hi)
-        self.mu = self._default_mu() if mu is None else float(mu)
-        if not (0.0 < self.mu <= 1.0):
-            raise ConfigError(f"mu must lie in (0, 1], got {self.mu}")
-        self.alpha = 2.0 / self.mu
-        self.beta = self.mu
+        self.mu = _checked_mu(self._default_mu() if mu is None else mu)
 
     def _default_mu(self):
         raise NotImplementedError
@@ -467,24 +469,15 @@ class GenericBregman(DivergenceMeasure):
     name = "bregman"
 
     def __init__(self, phi, grad_phi, mu, box=(0.1, 0.9), domain="positive",
-                 similarity=None, name=None, exact_centroid=True):
-        mu = float(mu)
-        if not (0.0 < mu <= 1.0):
-            raise ConfigError(f"mu must lie in (0, 1], got {mu}")
+                 similarity=None, name=None):
         self._phi = phi
         self._grad_phi = grad_phi
-        self.mu = mu
-        self.alpha = 2.0 / mu
-        self.beta = mu
+        self.mu = _checked_mu(mu)
         self.box = tuple(float(b) for b in box) if box is not None else None
         self.domain = domain
-        self.exact_centroid = exact_centroid
         self._similarity = None if similarity is None else np.asarray(similarity, dtype=float)
         if name is not None:
             self.name = name
-
-    def rowwise(self, P, Q):
-        return self.bregman_form(P, Q)
 
     def phi(self, X):
         return self._phi(np.asarray(X, dtype=float))
@@ -505,8 +498,13 @@ class GenericBregman(DivergenceMeasure):
 # ----------------------------------------------------------------------
 
 def centroid(points):
-    """Coordinate-wise mean; the optimal single center for exact_centroid measures."""
-    return as_points(points).mean(axis=0)
+    """Coordinate-wise mean, the optimal single center of every measure here.
+
+    Equal rows give that row bitwise, which a float mean does not promise
+    (three copies of 0.1 average to 0.10000000000000002).
+    """
+    P = as_points(points)
+    return P[0].copy() if np.all(P == P[0]) else P.mean(axis=0)
 
 
 def assign(measure, data, centers):
@@ -568,9 +566,9 @@ def check_mu_similarity(measure, U, samples, tolerance=1e-12):
     ``samples`` is either a pair of (m, d) arrays or an iterable of (p, q)
     tuples.  Reports the empirical floor mu_hat = min D/D_U (pairs with
     D_U = 0 are skipped), counts upper-bound violations, and counts one
-    violation when the measure's declared mu exceeds mu_hat.  When the
-    measure exposes a generator, the closed form is cross-checked against
-    the generator route and the worst residual recorded.
+    violation when the measure's declared mu exceeds mu_hat.  The closed
+    form is cross-checked against the generator route and the worst
+    residual recorded.
     """
     if isinstance(samples, tuple) and len(samples) == 2 and np.asarray(samples[0]).ndim == 2:
         P = np.asarray(samples[0], dtype=float)
@@ -597,22 +595,16 @@ def check_mu_similarity(measure, U, samples, tolerance=1e-12):
     else:
         mu_hat = 1.0  # every sampled pair was degenerate; sandwich is vacuous
 
-    declared_bad = 0
-    if measure.mu is not None and measure.mu > mu_hat + tolerance:
-        declared_bad = 1
-
+    declared_bad = int(measure.mu > mu_hat + tolerance)
+    other = np.asarray(measure.bregman_form(P, Q), dtype=float)
+    scale = np.maximum(1.0, np.abs(d_phi))
     details = {
         "mu_hat": mu_hat,
         "declared_mu": measure.mu,
         "upper_bound_violations": upper_bad,
         "upper_bound_ok": upper_bad == 0,
+        "generator_residual": float(np.max(np.abs(other - d_phi) / scale)),
     }
-    try:
-        other = np.asarray(measure.bregman_form(P, Q), dtype=float)
-        scale = np.maximum(1.0, np.abs(d_phi))
-        details["generator_residual"] = float(np.max(np.abs(other - d_phi) / scale))
-    except UnsupportedMeasure:
-        pass
 
     return PropertyReport(
         property="mu-similarity",

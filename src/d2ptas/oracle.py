@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import PropertyReport, SquaredEuclidean, as_points, assign
-from .errors import ConfigError, TooLarge, UnsupportedMeasure
+from .divergences import PropertyReport, SquaredEuclidean, as_points, assign, centroid
+from .errors import ConfigError, TooLarge
 from .ptas import ClusteringResult, kmeanspp_seed
 
 __all__ = [
@@ -55,12 +55,12 @@ class IrreducibilityReport:
     exact: bool = True
 
 
-def optimal_bruteforce(data, k, measure, n_cap=ORACLE_N_CAP, k_cap=ORACLE_K_CAP):
+def optimal_bruteforce(data, k, measure):
     """Globally optimal k-clustering by a min-plus DP over subsets of points.
 
-    Every measure accepted here puts a block's best center at its mean, so a
-    partition costs the sum of its blocks' costs.  The table of all 2^n
-    block costs is evaluated in closed form; level j of the DP then holds,
+    Every measure puts a block's best center at its mean, so a partition
+    costs the sum of its blocks' costs.  The table of all 2^n block costs
+    is evaluated in closed form; level j of the DP then holds,
     for every mask S, the best cost of S split into at most j blocks, taking
     the block that holds S's lowest point first.  That visits the
     (3^n - 1)/2 (mask, block) pairs of :func:`_subset_pairs` once per level,
@@ -75,15 +75,13 @@ def optimal_bruteforce(data, k, measure, n_cap=ORACLE_N_CAP, k_cap=ORACLE_K_CAP)
     """
     points = as_points(data)
     measure.validate_points(points)
-    if not measure.exact_centroid:
-        raise UnsupportedMeasure(f"{measure.name} does not optimize centers at the mean")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     n, _ = points.shape
-    if n > n_cap:
-        raise TooLarge(f"n={n} exceeds the oracle cap {n_cap}")
-    if k > k_cap:
-        raise TooLarge(f"k={k} exceeds the oracle cap {k_cap}")
+    if n > ORACLE_N_CAP:
+        raise TooLarge(f"n={n} exceeds the oracle cap {ORACLE_N_CAP}")
+    if k > ORACLE_K_CAP:
+        raise TooLarge(f"k={k} exceeds the oracle cap {ORACLE_K_CAP}")
     if k >= n:
         return OracleResult(0.0, np.arange(n, dtype=np.int64), 1)
 
@@ -147,13 +145,8 @@ def _bits(mask, n):
 
 
 def _block_means(points, labels):
-    """(labels.max() + 1, d) means of the blocks of a partition, in label order.
-
-    A block of equal points is centered exactly on them, which a float mean
-    does not promise (three copies of 0.1 average to 0.10000000000000002).
-    """
-    blocks = [points[labels == j] for j in range(int(labels.max()) + 1)]
-    return np.array([b[0] if np.all(b == b[0]) else b.mean(axis=0) for b in blocks])
+    """(labels.max() + 1, d) centroids of the blocks of a partition, in label order."""
+    return np.array([centroid(points[labels == j]) for j in range(int(labels.max()) + 1)])
 
 
 def lloyd(data, measure, initial_centers, max_iters=100):
@@ -166,8 +159,6 @@ def lloyd(data, measure, initial_centers, max_iters=100):
     ``max_iters`` passes.
     """
     points = as_points(data)
-    if not measure.exact_centroid:
-        raise UnsupportedMeasure(f"{measure.name} does not optimize centers at the mean")
     measure.validate_points(points)
     centers = as_points(initial_centers).copy()
     if points.shape[1] != centers.shape[1]:
@@ -184,7 +175,7 @@ def lloyd(data, measure, initial_centers, max_iters=100):
         for j in range(centers.shape[0]):
             members = labels == j
             if np.any(members):
-                centers[j] = points[members].mean(axis=0)
+                centers[j] = centroid(points[members])
         labels, costs = assign(measure, points, centers)
     else:
         cost_trace.append(float(costs.sum()))
@@ -197,8 +188,7 @@ def lloyd(data, measure, initial_centers, max_iters=100):
     )
 
 
-def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None,
-                   n_cap=ORACLE_N_CAP):
+def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None):
     """gamma = (best cost with k-1 centers) / (best cost with k) - 1.
 
     ``mode="exact"`` uses the subset-DP oracle (capped); ``"approximate"``
@@ -209,8 +199,8 @@ def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None,
     if k < 2:
         raise ConfigError("irreducibility needs k >= 2")
     if mode == "exact":
-        delta_k = optimal_bruteforce(points, k, measure, n_cap=n_cap).optimal_cost
-        delta_km1 = optimal_bruteforce(points, k - 1, measure, n_cap=n_cap).optimal_cost
+        delta_k = optimal_bruteforce(points, k, measure).optimal_cost
+        delta_km1 = optimal_bruteforce(points, k - 1, measure).optimal_cost
         exact = True
     elif mode == "approximate":
         if rng is None:

@@ -124,8 +124,7 @@ def paper_scale_constants(measure, k, epsilon, eta):
         return math.ceil(51200.0 * k / epsilon ** 3), math.ceil(100.0 / epsilon)
     delta = 0.2
     gamma = epsilon / eta
-    mu = 1.0 if measure.mu is None else measure.mu
-    f = 1.0 / (mu * gamma * delta)
+    f = 1.0 / (measure.mu * gamma * delta)
     n = math.ceil(24.0 * eta * measure.alpha * measure.beta * k * f / epsilon ** 2)
     return n, math.ceil(f)
 

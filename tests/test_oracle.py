@@ -13,7 +13,6 @@ from d2ptas import (
     RngStream,
     SquaredEuclidean,
     TooLarge,
-    UnsupportedMeasure,
     inaba_trial,
     irreducibility,
     kmeanspp_seed,
@@ -21,7 +20,6 @@ from d2ptas import (
     optimal_bruteforce,
     subsample_extrapolation,
 )
-from d2ptas.divergences import GenericBregman
 from d2ptas.oracle import ORACLE_K_CAP, ORACLE_N_CAP
 
 MEASURES = {
@@ -98,14 +96,6 @@ class TestOptimalBruteforce:
     def test_k_validation(self, sq, four_point_line):
         with pytest.raises(ConfigError):
             optimal_bruteforce(four_point_line, 0, sq)
-
-    def test_mean_optimality_required(self, four_point_line):
-        crooked = GenericBregman(phi=lambda X: (X * X).sum(-1),
-                                 grad_phi=lambda X: 2 * X,
-                                 mu=1.0, domain="unrestricted",
-                                 exact_centroid=False)
-        with pytest.raises(UnsupportedMeasure):
-            optimal_bruteforce(four_point_line, 2, crooked)
 
 
 def closed_form_cost(points, labels, measure):
@@ -203,6 +193,13 @@ class TestLloyd:
     def test_dimension_mismatch(self, sq, four_point_line):
         with pytest.raises(ConfigError):
             lloyd(four_point_line, sq, np.zeros((2, 3)))
+
+    def test_clusters_of_equal_points_cost_exactly_zero(self, sq):
+        """A float mean of three copies of 0.1 is 0.10000000000000002."""
+        points = np.array([[0.1]] * 3 + [[7.3]] * 3)
+        res = lloyd(points, sq, np.array([[0.0], [7.0]]))
+        assert res.cost == 0.0
+        np.testing.assert_array_equal(np.asarray(res.centers), [[0.1], [7.3]])
 
 
 class TestIrreducibility:
