@@ -397,7 +397,8 @@ def _cmd_seedbench(args):
 
     spec = {"command": "seedbench", "input": args.input, "k": args.k,
             "epsilon": args.epsilon, "preset": args.preset, "strategy": args.strategy,
-            "restarts": args.restarts, "measure": args.measure, "trials": args.trials}
+            "restarts": args.restarts, "measure": args.measure, "mu": args.mu,
+            "domain": args.domain, "trials": args.trials}
     _emit(_report(spec, _add_ratios(results), args.seed), args.output)
     print(f"seeds: {args.trials}")
     print(f"mean cost  ptas: {results['ptas']['cost']:.6g}   "

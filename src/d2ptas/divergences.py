@@ -250,8 +250,6 @@ class DivergenceMeasure:
         # flat indices: a 2-D np.nonzero costs ten times more on these masks
         rows, cols = np.divmod(np.flatnonzero(~(table > _REPAIR_TAU * scale)), m)  # NaN too
         whole = np.bincount(cols, minlength=m) > _WHOLE_COLUMN_SHARE * n
-        if whole.all():
-            return np.maximum(self.rowwise(P[:, None, :], C[None, :, :]), 0.0)
         if whole.any():
             table[:, whole] = np.maximum(self.rowwise(P[:, None, :], C[None, whole, :]), 0.0)
             scattered = ~whole[cols]
@@ -671,17 +669,20 @@ def triangle_report(measure, dim, trials, rng, tolerance=1e-12):
     )
 
 
-def centroid_report(measure, rng, instances=100, tolerance=1e-9,
-                    size_range=(2, 40), dim_range=(1, 6)):
+# point counts and dimensions of centroid_report's random instances, inclusive
+_CENTROID_SIZES = (2, 40)
+_CENTROID_DIMS = (1, 6)
+
+
+def centroid_report(measure, rng, instances=100, tolerance=1e-9):
     """Centroid identity residuals over random instances; worst residual reported."""
     gen = _generator(rng)
-    if measure.fixed_dim is not None:
-        dim_range = (measure.fixed_dim, measure.fixed_dim)
+    dims = _CENTROID_DIMS if measure.fixed_dim is None else (measure.fixed_dim,) * 2
     worst = 0.0
     violations = 0
     for _ in range(instances):
-        n = int(gen.integers(size_range[0], size_range[1] + 1))
-        d = int(gen.integers(dim_range[0], dim_range[1] + 1))
+        n = int(gen.integers(_CENTROID_SIZES[0], _CENTROID_SIZES[1] + 1))
+        d = int(gen.integers(dims[0], dims[1] + 1))
         P = measure.sample_domain(gen, (n, d))
         c = measure.sample_domain(gen, (d,))
         rep = check_centroid_property(measure, P, c, tolerance=tolerance)

@@ -31,9 +31,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergences import SquaredEuclidean, _jsonable, as_points, assign
+from .divergences import SquaredEuclidean, as_points, assign
 from .errors import ConfigError, InsufficientPoints
-from .sampler import CenterSet, d2_sample, weighted_draw
+from .sampler import CenterSet, d2_law, d2_sample, weighted_draw
 
 __all__ = [
     "Exhaustive",
@@ -218,15 +218,6 @@ class ClusteringResult:
     cost: float
     meta: dict = field(default_factory=dict)
 
-    def to_dict(self, include_trace=False):
-        meta = {k: v for k, v in self.meta.items() if include_trace or k != "trace"}
-        return {
-            "centers": np.asarray(self.centers).tolist(),
-            "assignment": np.asarray(self.assignment).tolist(),
-            "cost": self.cost,
-            "meta": _jsonable(meta),
-        }
-
 
 # ----------------------------------------------------------------------
 # restart internals
@@ -403,18 +394,15 @@ class _TreeSearch:
     def _expand(self, potentials, streams):
         """Draw, dedupe and score the sibling nodes on ``streams`` as one batch.
 
-        ``potentials`` holds the siblings' potentials as columns, or is None
-        at the root.  Each sibling gets the bits a lone node would get: its
-        probability denominator is a 1-D sum, its subset means sum their
-        points in pool order, and its costs sum as a lone node's do (see
-        :class:`_Siblings`).
+        ``potentials`` holds the siblings' potentials as columns, +inf at
+        the root.  Each sibling gets the bits a lone node would get: its
+        :func:`~d2ptas.sampler.d2_law` column is a 1-D law, its subset means
+        sum their points in pool order, and its costs sum as a lone node's do
+        (see :class:`_Siblings`).
         """
         n, d = self.points.shape
-        if potentials is None:
-            probs = np.full((n, len(streams)), 1.0 / n)
-        else:
-            probs = potentials / np.ascontiguousarray(potentials.T).sum(axis=1)
-        samples = weighted_draw(probs, [s.derive(0) for s in streams], self.sample_size)
+        samples = weighted_draw(d2_law(potentials), [s.derive(0) for s in streams],
+                                self.sample_size)
         pools = _distinct_sample_points(self.ids, samples)
         sizes = np.array([len(pool) for pool in pools])
         distinct_sizes, size_index = np.unique(sizes, return_inverse=True)
@@ -441,12 +429,11 @@ class _TreeSearch:
             means[rows] = self.points[subsets[rows, :s] - 1].mean(axis=1)
         # closed form, not pairwise: the search branches on exact zero costs
         table = self.measure.rowwise(self.points[:, None, :], means[None, :, :])
-        if potentials is None:
-            potentials = np.full((n, 1), np.inf)
         return _Siblings(samples, pools, starts, which, means, table, potentials)
 
     def run(self, stream):
-        self._search(None, [stream], [()])
+        # the root's potentials are +inf, the cost to no center
+        self._search(np.full((self.points.shape[0], 1), np.inf), [stream], [()])
         return self.best_cost, self.best_path
 
     def _search(self, potentials, streams, paths):
@@ -456,8 +443,7 @@ class _TreeSearch:
             if self.best_cost == 0.0:
                 return
             chunk = slice(lo, lo + step)
-            node = self._expand(None if potentials is None else potentials[:, chunk],
-                                streams[chunk])
+            node = self._expand(potentials[:, chunk], streams[chunk])
             if len(paths[0]) == self.k - 1:
                 self._score_leaves(node, paths[chunk])
                 continue
@@ -497,7 +483,7 @@ class _TreeSearch:
     def replay(self, stream, path):
         """Recompute the winning branch and emit its per-iteration trace."""
         trace, centers = [], []
-        potentials = None
+        potentials = np.full((self.points.shape[0], 1), np.inf)
         for depth, b in enumerate(path):
             node = self._expand(potentials, [stream])
             pool_idx = node.pools[0]
@@ -544,7 +530,7 @@ def _greedy_restart(points, measure, cfg, stream):
     center_set = CenterSet.empty(points, measure)
     trace, examined = [], 0
     for i in range(cfg.k):
-        if center_set.size and center_set.total_potential == 0.0:
+        if center_set.total_potential == 0.0:
             break
         it_stream = stream.derive(i)
         sample_idx = d2_sample(center_set, it_stream.derive(0), cfg.sample_size_N)
@@ -557,7 +543,7 @@ def _greedy_restart(points, measure, cfg, stream):
         positions = np.argsort(to_anchor, axis=0, kind="stable")[:m_].T   # (R, M)
         cands = sample[positions].mean(axis=1)
         scores = np.minimum(
-            center_set.scoring_potentials()[:, None],
+            center_set.potentials[:, None],
             measure.pairwise(points, cands),
         ).sum(axis=0)
         examined += trials
@@ -664,10 +650,9 @@ def find_k_median(data, measure, config, rng, threads=None):
     return _result(points, measure, best.centers, meta)
 
 
-def find_k_means(data, config, rng, threads=None, measure=None):
+def find_k_means(data, config, rng, threads=None):
     """k-means entry point: squared-Euclidean objective, same engine underneath."""
-    return find_k_median(data, measure if measure is not None else SquaredEuclidean(),
-                         config, rng, threads=threads)
+    return find_k_median(data, SquaredEuclidean(), config, rng, threads=threads)
 
 
 def run_one_restart(data, measure, config, rng):

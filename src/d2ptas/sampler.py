@@ -1,10 +1,12 @@
 """Cost-weighted sampling against a growing center set.
 
 A point's sampling weight is its cached divergence to the nearest chosen
-center (the "potential").  With no centers yet every point gets pseudo-weight
-1, so the first draw is uniform; once all points are covered exactly the
-distribution falls back to uniform again, flagged so callers can terminate
-early instead of treating it as an error.
+center (the "potential").  The divergence to no center at all is +inf, so an
+empty center set has potential +inf everywhere.  One law, :func:`d2_law`,
+turns potentials into probabilities: proportional to potential, and uniform
+where the total is +inf (no center yet, so the first draw is uniform) or 0
+(every point covered exactly, which callers flag to terminate early instead
+of treating it as an error).
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from .errors import ConfigError, DimensionMismatch
 __all__ = [
     "RngStream",
     "CenterSet",
+    "d2_law",
     "d2_sample",
     "weighted_draw",
     "empirical_distribution_check",
@@ -67,9 +70,9 @@ class CenterSet:
     """Ordered centers plus cached per-point cost to the nearest one.
 
     Immutable in use: ``add`` returns a new CenterSet, updating the cache with
-    ``new = min(old, D(p, c_new))``.  Potentials are real costs from the first
-    center onward and shrink monotonically under ``add``; the empty set
-    carries pseudo-potential 1 per point purely so that sampling is uniform.
+    ``new = min(old, D(p, c_new))``.  The empty set's potentials are +inf, the
+    cost to no center, so the first ``add`` installs real costs bit for bit
+    and every later one shrinks them monotonically.
     """
 
     def __init__(self, points, measure, centers=None, potentials=None):
@@ -100,16 +103,8 @@ class CenterSet:
         if c.shape != (self.points.shape[1],):
             raise DimensionMismatch(f"center has shape {c.shape}, points are {self.points.shape[1]}-dimensional")
         self.measure.validate_points(c)
-        fresh = np.asarray(self.measure.rowwise(self.points, c[None, :]), dtype=float)
-        if self.centers:
-            fresh = np.minimum(self.potentials, fresh)
+        fresh = np.minimum(self.potentials, self.measure.rowwise(self.points, c[None, :]))
         return CenterSet(self.points, self.measure, self.centers + [c], fresh)
-
-    def scoring_potentials(self):
-        """Per-point costs for greedy augmentation scoring; +inf before any center."""
-        if self.centers:
-            return self.potentials
-        return np.full(self.points.shape[0], np.inf)
 
     def recomputed_potentials(self):
         """From-scratch potentials, for validating the incremental cache.
@@ -118,25 +113,38 @@ class CenterSet:
         the two agree bit for bit and a center on a data point leaves that
         point at exactly 0.
         """
-        if not self.centers:
-            return np.ones(self.points.shape[0])
-        return np.minimum.reduce([self.measure.rowwise(self.points, c[None, :])
-                                  for c in self.center_array()])
+        return np.minimum.reduce([np.full(self.points.shape[0], np.inf)]
+                                 + [self.measure.rowwise(self.points, c[None, :])
+                                    for c in self.center_array()])
 
     def distribution(self):
-        """(probabilities, zero_potential): the exact cost-weighted sampling law.
+        """(probabilities, zero_potential): :func:`d2_law` of the potentials.
 
-        Probability is proportional to cost-to-nearest-center.  Empty center
-        set: uniform.  All points already covered exactly: uniform, with
-        ``zero_potential`` set (the clustering cost is 0, not an error).
+        ``zero_potential`` is set when every point is covered exactly: the
+        clustering cost is 0, not an error, and the law is uniform.
         """
-        n = self.points.shape[0]
-        if self.centers and self.total_potential <= 0.0:
-            return np.full(n, 1.0 / n), True
-        return self.potentials / self.total_potential, False
+        return d2_law(self.potentials, self.total_potential), self.total_potential == 0.0
 
     def __repr__(self):
         return f"CenterSet(size={self.size}, total_potential={self.total_potential:.6g})"
+
+
+def d2_law(potentials, totals=None):
+    """The D² sampling law of each column of ``potentials``.
+
+    Probability is proportional to potential, and uniform where the column
+    total is 0 (every point covered) or +inf (no center yet).  ``potentials``
+    is one vector or an (n, B) table; ``totals`` defaults to each column's
+    sum, taken as a 1-D sum so that column b of a table gets bitwise the law
+    of the vector alone.  No inf/inf or 0/0 is ever evaluated.
+    """
+    potentials = np.asarray(potentials, dtype=float)
+    if totals is None:
+        totals = (potentials.sum() if potentials.ndim == 1
+                  else np.ascontiguousarray(potentials.T).sum(axis=1))
+    uniform = (totals == 0.0) | (totals == np.inf)
+    return np.where(uniform, 1.0 / potentials.shape[0],
+                    potentials / np.where(uniform, 1.0, totals))
 
 
 def weighted_draw(probs, rng, count):

@@ -298,6 +298,18 @@ class TestMainExitCodes:
                      "--trials", "3", "--strategy", "random:5", "--restarts", "2"]) == 0
         assert "wins or ties" in capsys.readouterr().out
 
+    def test_seedbench_spec_rebuilds_its_measure(self, tmp_path, capsys):
+        """A seedbench report echoes mu and domain, so its spec rebuilds the measure."""
+        path, out = tmp_path / "pos.csv", tmp_path / "bench.json"
+        write_points_csv(path, RngStream(8).generator.uniform(0.2, 0.8, size=(12, 2)))
+        assert main(["seedbench", "--input", str(path), "--k", "2", "--trials", "2",
+                     "--strategy", "random:5", "--restarts", "2", "--measure", "kl",
+                     "--mu", "0.04", "--domain", "0.05:0.95", "--output", str(out)]) == 0
+        spec = json.loads(out.read_text())["spec"]
+        assert spec["mu"] == 0.04 and spec["domain"] == "0.05:0.95"
+        measure = build_measure(spec["measure"], mu=spec["mu"], domain=parse_domain(spec["domain"]))
+        assert measure.mu == 0.04 and measure.box == (0.05, 0.95)
+
     def test_missing_input_file_is_runtime_error(self, tmp_path, capsys):
         code = main(["cluster", "--input", str(tmp_path / "nope.csv"), "--k", "2"])
         assert code == 1

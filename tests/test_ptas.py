@@ -287,7 +287,7 @@ class TestAnchoredTrialsDiscipline:
             to_anchor = measure.pairwise(sample, sample[anchors])
             positions = np.argsort(to_anchor, axis=0, kind="stable")[:cfg.subset_size_M].T
             cands = sample[positions].mean(axis=1)
-            scores = np.minimum(center_set.scoring_potentials()[:, None],
+            scores = np.minimum(center_set.potentials[:, None],
                                 measure.pairwise(points, cands)).sum(axis=0)
             best = int(np.argmin(scores))
             menus.append(cands)

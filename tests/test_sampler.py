@@ -8,6 +8,7 @@ from d2ptas import ConfigError, Mahalanobis, SquaredEuclidean
 from d2ptas.sampler import (
     CenterSet,
     RngStream,
+    d2_law,
     d2_sample,
     empirical_distribution_check,
     weighted_draw,
@@ -46,11 +47,11 @@ class TestRngStream:
 
 
 class TestCenterSet:
-    def test_empty_has_unit_pseudo_potentials(self, sq, four_point_line):
+    def test_empty_has_infinite_potentials(self, sq, four_point_line):
         cs = CenterSet.empty(four_point_line, sq)
         assert cs.size == 0
-        np.testing.assert_array_equal(cs.potentials, np.ones(4))
-        assert cs.total_potential == 4.0
+        np.testing.assert_array_equal(cs.potentials, np.full(4, np.inf))
+        assert cs.total_potential == np.inf
 
     def test_first_add_installs_real_costs(self, sq, four_point_line):
         cs = CenterSet.empty(four_point_line, sq).add([0.0])
@@ -94,10 +95,10 @@ class TestCenterSet:
         grown = base.add([0.0])
         assert base.size == 0 and grown.size == 1
 
-    def test_scoring_potentials_infinite_before_any_center(self, sq, four_point_line):
+    def test_potentials_infinite_before_any_center(self, sq, four_point_line):
         cs = CenterSet.empty(four_point_line, sq)
-        assert np.all(np.isinf(cs.scoring_potentials()))
-        assert np.all(np.isfinite(cs.add([2.0]).scoring_potentials()))
+        assert np.all(np.isinf(cs.potentials))
+        assert np.all(np.isfinite(cs.add([2.0]).potentials))
 
     def test_center_array_shape(self, sq, four_point_line):
         cs = CenterSet.empty(four_point_line, sq)
@@ -125,6 +126,49 @@ class TestD2Distribution:
         probs, zero_potential = cs.distribution()
         assert zero_potential
         np.testing.assert_array_equal(probs, np.full(4, 0.25))
+
+
+class TestD2Law:
+    """One law for every caller: proportional to potential, uniform where the
+    column total is 0 or +inf, and never an inf/inf or 0/0 on the way."""
+
+    @pytest.fixture(autouse=True)
+    def no_invalid_arithmetic(self):
+        with np.errstate(divide="raise", invalid="raise"):
+            yield
+
+    def test_finite_positive_column_is_the_plain_ratio(self, gen):
+        p = gen.random(30) * 10.0 ** gen.integers(-12, 3, size=30)
+        p[[3, 7]] = 0.0
+        np.testing.assert_array_equal(d2_law(p), p / p.sum())
+
+    def test_infinite_and_zero_columns_are_exactly_uniform(self):
+        table = np.zeros((7, 3))
+        table[:, 0] = np.inf
+        table[:, 2] = 1.5
+        law = d2_law(table)
+        assert np.all(law[:, :2] == 1.0 / 7)
+        assert np.all(law[:, 2] == 1.5 / 10.5)
+        assert np.all(d2_law(np.full(7, np.inf)) == 1.0 / 7)
+        assert np.all(d2_law(np.zeros(7)) == 1.0 / 7)
+
+    def test_table_columns_are_the_one_dimensional_laws(self, gen):
+        table = gen.random((20, 6)) * 10.0 ** gen.integers(-12, 3, size=(20, 6))
+        table[:, 1] = np.inf
+        table[:, 4] = 0.0
+        table[::3, 5] = 0.0
+        law = d2_law(table)
+        for b in range(table.shape[1]):
+            np.testing.assert_array_equal(law[:, b], d2_law(np.ascontiguousarray(table[:, b])))
+
+    def test_empty_center_set_keeps_the_uniform_first_draw(self, sq, gen):
+        pts = gen.standard_normal((9, 2))
+        cs = CenterSet.empty(pts, sq)
+        assert cs.total_potential == np.inf
+        probs, zero_potential = cs.distribution()
+        assert np.all(probs == 1.0 / 9) and zero_potential is False
+        np.testing.assert_array_equal(d2_sample(cs, RngStream(4), 500),
+                                      weighted_draw(np.full(9, 1.0 / 9), RngStream(4), 500))
 
 
 class TestWeightedDraw:

@@ -164,8 +164,8 @@ class TestSearchMatchesReference:
         root = RngStream(49, d)
         parents = reference.expand(None, root)[-1]
         streams = [root.derive(1 + b) for b in range(parents.shape[1])]
-        batch = search._expand(search._expand(None, [root]).potentials(np.arange(len(streams))),
-                               streams)
+        root_node = search._expand(np.full((12, 1), np.inf), [root])
+        batch = search._expand(root_node.potentials(np.arange(len(streams))), streams)
         for b, stream in enumerate(streams):
             sample, pool, _, cands, pots = reference.expand(parents[:, b], stream)
             cols = np.arange(batch.starts[b], batch.starts[b + 1])
