@@ -18,7 +18,6 @@ from .errors import (
     UnsupportedMeasure,
 )
 from .divergences import (
-    Dataset,
     DivergenceMeasure,
     GenericBregman,
     ItakuraSaito,

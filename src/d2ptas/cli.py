@@ -4,12 +4,17 @@ Exit codes: 0 success, 2 usage/configuration error, 1 runtime or data error.
 The report schema is stable: {spec, results: {method: {cost, ratio, seconds}},
 properties: [...], seed, version}; everything except the "seconds" fields is
 deterministic given the spec and seed.
+
+A subcommand's spec is its parsed arguments except ``--output``, with
+``--domain LO:HI`` echoed as the pair ``[lo, hi]``, so the report alone rebuilds
+the run: ``run_experiment(report["spec"])`` repeats a ``cluster`` run.  The
+library checks the inputs: ``measure.validate_points`` rejects points outside
+the measure's domain, and the engine refuses hopeless exhaustive searches.
 """
 
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -18,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .divergences import (
-    Dataset,
     ItakuraSaito,
     KullbackLeibler,
     Mahalanobis,
@@ -34,7 +38,6 @@ from .ptas import PtasConfig, find_k_median, kmeanspp_seed, parse_strategy
 from .sampler import RngStream
 
 __all__ = [
-    "PaperScaleRefusal",
     "ingest_csv",
     "write_points_csv",
     "generate_planted",
@@ -45,13 +48,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("d2ptas.cli")
-
-ENUMERATION_BUDGET = 10 ** 9
-
-
-class PaperScaleRefusal(ConfigError):
-    """Raised instead of attempting an astronomically large enumeration."""
-
 
 # ----------------------------------------------------------------------
 # data in / data out
@@ -73,11 +69,11 @@ def _is_number(tok):
         return False
 
 
-def ingest_csv(path, domain="unrestricted"):
-    """Read one point per row of comma-separated decimals; optional header line.
+def ingest_csv(path):
+    """The (n, d) float array of one point per row of comma-separated decimals.
 
-    A header is detected by a non-numeric first token on the first non-blank
-    line.  Row order is preserved.
+    An optional header is detected by a non-numeric first token on the first
+    non-blank line.  Row order is preserved.
     """
     rows = []
     width = None
@@ -100,7 +96,7 @@ def ingest_csv(path, domain="unrestricted"):
             rows.append(vals)
     if not rows:
         raise EmptyFile(f"no data rows in {path}")
-    return Dataset(np.asarray(rows, dtype=float), domain=domain)
+    return np.asarray(rows, dtype=float)
 
 
 def write_points_csv(path, points, header=None):
@@ -154,7 +150,10 @@ def parse_domain(text):
 
 
 def build_measure(name, mu=None, domain=None):
-    """Measure from its CLI spelling: sqeuclid | mahalanobis:FILE | kl | itakura-saito."""
+    """Measure from its CLI spelling: sqeuclid | mahalanobis:FILE | kl | itakura-saito.
+
+    ``domain`` is the (lo, hi) box of the generator measures.
+    """
     box = domain if domain is not None else (0.1, 0.9)
     if name == "sqeuclid":
         return SquaredEuclidean()
@@ -162,7 +161,7 @@ def build_measure(name, mu=None, domain=None):
         matrix_path = name.split(":", 1)[1]
         if not matrix_path:
             raise ConfigError("mahalanobis needs a matrix file: --measure mahalanobis:FILE")
-        matrix = ingest_csv(matrix_path).points
+        matrix = ingest_csv(matrix_path)
         return Mahalanobis(matrix)
     if name == "mahalanobis":
         raise ConfigError("mahalanobis needs a matrix file: --measure mahalanobis:FILE")
@@ -173,40 +172,17 @@ def build_measure(name, mu=None, domain=None):
     raise ConfigError(f"unknown measure {name!r}")
 
 
-def _log_comb(n, m):
-    """log10 of C(n, m) without forming the integer."""
-    return (math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)) / math.log(10.0)
+def _measure(spec):
+    """The measure a spec names, with its ``mu`` and ``domain``."""
+    return build_measure(spec["measure"], mu=spec.get("mu"), domain=spec.get("domain"))
 
 
-def check_enumeration_budget(cfg):
-    """Refuse a paper-scale run whose per-iteration subset count is hopeless."""
-    n_, m_ = cfg.sample_size_N, cfg.subset_size_M
-    log_count = _log_comb(n_, m_)
-    if log_count <= 18:
-        count = math.comb(n_, m_)
-        if count <= ENUMERATION_BUDGET:
-            return
-        shown = f"{count}"
-    else:
-        shown = f"about 10^{log_count:.0f}"
-    raise PaperScaleRefusal(
-        f"refusing paper-scale enumeration: N={n_}, M={m_}, C(N,M) = {shown} "
-        f"subsets per iteration exceeds the {ENUMERATION_BUDGET} budget"
-    )
-
-
-def _resolved_config(measure, k, epsilon, restarts, strategy, preset):
-    """Resolved PtasConfig from CLI-style fields; refuses hopeless paper-scale runs."""
-    cfg = PtasConfig(
-        k=k,
-        epsilon=epsilon,
-        restarts=restarts,
-        subset_strategy=parse_strategy(strategy) if strategy else None,
-        scale_preset=preset,
-    ).resolved(measure)
-    if cfg.scale_preset == "paper":
-        check_enumeration_budget(cfg)
-    return cfg
+def _spec(args):
+    """A subcommand's spec: its parsed arguments but ``--output``, the domain as [lo, hi]."""
+    spec = {key: value for key, value in vars(args).items() if key != "output"}
+    if spec.get("domain") is not None:
+        spec["domain"] = list(parse_domain(spec["domain"]))
+    return spec
 
 
 def _add_ratios(results):
@@ -223,13 +199,13 @@ def _add_ratios(results):
     return results
 
 
-def _report(spec, results, seed, properties=()):
+def _report(spec, results, properties=()):
     """The one report schema every subcommand emits."""
     return {
         "spec": {key: spec[key] for key in sorted(spec)},
         "results": results,
         "properties": [rep.to_dict() for rep in properties],
-        "seed": seed,
+        "seed": int(spec.get("seed", 0)),
         "version": __version__,
     }
 
@@ -237,39 +213,41 @@ def _report(spec, results, seed, properties=()):
 def run_experiment(spec):
     """Execute a clustering experiment described by a plain spec dict.
 
-    The spec echoes into the report, so a run is reproducible from the
-    report alone (plus the package version).
+    The PTAS is compared with the best of as many k-means++/Lloyd runs as it
+    has restarts, and with the exact oracle on inputs under its caps.  The
+    spec echoes into the report, so a run is reproducible from the report
+    alone (plus the package version).
     """
-    measure = build_measure(spec["measure"], mu=spec.get("mu"), domain=spec.get("domain"))
-    data = ingest_csv(spec["input"], domain=measure.domain)
-    cfg = _resolved_config(measure, spec["k"], spec.get("epsilon", 0.5), spec.get("restarts"),
-                           spec.get("strategy"), spec.get("preset", "desk"))
-
-    seed = int(spec.get("seed", 0))
-    threads = spec.get("threads")
-    rng = RngStream(seed)
+    measure = _measure(spec)
+    points = ingest_csv(spec["input"])
+    strategy = spec.get("strategy")
+    config = PtasConfig(k=spec["k"], epsilon=spec.get("epsilon", 0.5),
+                        restarts=spec.get("restarts"),
+                        subset_strategy=parse_strategy(strategy) if strategy else None,
+                        scale_preset=spec.get("preset", "desk"))
+    rng = RngStream(int(spec.get("seed", 0)))
     results = {}
 
     t0 = time.perf_counter()
-    ptas_result = find_k_median(data.points, measure, cfg, rng.derive(1), threads=threads)
+    ptas_result = find_k_median(points, measure, config, rng.derive(1), threads=spec.get("threads"))
     results["ptas"] = {"cost": ptas_result.cost, "seconds": time.perf_counter() - t0}
 
     t0 = time.perf_counter()
     baseline_rng = rng.derive(2)
     best_baseline = None
-    for r in range(cfg.restarts):
-        seeded = kmeanspp_seed(data.points, measure, cfg.k, baseline_rng.derive(r))
-        refined = lloyd(data.points, measure, seeded.centers)
+    for r in range(ptas_result.meta["config"]["restarts"]):
+        seeded = kmeanspp_seed(points, measure, config.k, baseline_rng.derive(r))
+        refined = lloyd(points, measure, seeded.centers)
         if best_baseline is None or refined.cost < best_baseline:
             best_baseline = refined.cost
     results["kmeanspp_lloyd"] = {"cost": best_baseline, "seconds": time.perf_counter() - t0}
 
-    if data.n <= ORACLE_N_CAP and cfg.k <= ORACLE_K_CAP:
+    if len(points) <= ORACLE_N_CAP and config.k <= ORACLE_K_CAP:
         t0 = time.perf_counter()
-        oracle_result = optimal_bruteforce(data.points, cfg.k, measure)
+        oracle_result = optimal_bruteforce(points, config.k, measure)
         results["oracle"] = {"cost": oracle_result.optimal_cost, "seconds": time.perf_counter() - t0}
 
-    return _report(spec, _add_ratios(results), seed)
+    return _report(spec, _add_ratios(results))
 
 
 def strip_timing(obj):
@@ -293,55 +271,35 @@ def _emit(report, output):
 # subcommands
 # ----------------------------------------------------------------------
 
-def _cmd_cluster(args):
-    spec = {
-        "command": "cluster",
-        "input": args.input,
-        "k": args.k,
-        "epsilon": args.epsilon,
-        "preset": args.preset,
-        "strategy": args.strategy,
-        "restarts": args.restarts,
-        "measure": args.measure,
-        "mu": args.mu,
-        "domain": parse_domain(args.domain) if args.domain else None,
-        "seed": args.seed,
-        "threads": args.threads,
-    }
+def _cmd_cluster(spec, output):
     report = run_experiment(spec)
-    _emit(report, args.output)
+    _emit(report, output)
     print(f"{'method':<16}{'cost':>16}{'ratio':>10}{'seconds':>10}")
     for method, entry in report["results"].items():
         ratio = "n/a" if entry["ratio"] is None else f"{entry['ratio']:.4f}"
         print(f"{method:<16}{entry['cost']:>16.6g}{ratio:>10}{entry['seconds']:>10.3f}")
-    if args.output:
-        print(f"report written to {args.output}")
+    if output:
+        print(f"report written to {output}")
     return 0
 
 
-def _measure_from_args(args):
-    domain = parse_domain(args.domain) if args.domain else None
-    return build_measure(args.measure, mu=args.mu, domain=domain)
-
-
-def _cmd_oracle(args):
-    measure = _measure_from_args(args)
-    data = ingest_csv(args.input, domain=measure.domain)
+def _cmd_oracle(spec, output):
+    measure = _measure(spec)
+    points = ingest_csv(spec["input"])
+    k = spec["k"]
     t0 = time.perf_counter()
-    result = optimal_bruteforce(data.points, args.k, measure)
+    result = optimal_bruteforce(points, k, measure)
     entry = {
         "cost": result.optimal_cost,
         "seconds": time.perf_counter() - t0,
         "partition": result.optimal_partition.tolist(),
         "assignments_examined": result.assignments_examined,
     }
-    if args.k >= 2:
-        entry["delta_km1"] = optimal_bruteforce(data.points, args.k - 1, measure).optimal_cost
+    if k >= 2:
+        entry["delta_km1"] = optimal_bruteforce(points, k - 1, measure).optimal_cost
         gamma = _gamma(entry["delta_km1"], result.optimal_cost)
         entry["gamma"] = gamma if np.isfinite(gamma) else "inf"
-    spec = {"command": "oracle", "input": args.input, "k": args.k,
-            "measure": args.measure, "mu": args.mu, "domain": args.domain}
-    _emit(_report(spec, _add_ratios({"oracle": entry}), args.seed), args.output)
+    _emit(_report(spec, _add_ratios({"oracle": entry})), output)
     print(f"optimal cost: {result.optimal_cost:.12g}")
     print(f"partition: {result.optimal_partition.tolist()}")
     if "gamma" in entry:
@@ -349,20 +307,19 @@ def _cmd_oracle(args):
     return 0
 
 
-def _cmd_properties(args):
-    measure = _measure_from_args(args)
-    rng = RngStream(args.seed)
-    dim = measure.fixed_dim if measure.fixed_dim is not None else args.dim
+def _cmd_properties(spec, output):
+    measure = _measure(spec)
+    rng = RngStream(spec["seed"])
+    trials = spec["trials"]
+    dim = measure.fixed_dim if measure.fixed_dim is not None else spec["dim"]
     centroid_tol = 1e-9 if measure.beta == 1.0 else 1e-8
     reports = [
-        symmetry_report(measure, dim, args.trials, rng.derive(1)),
-        triangle_report(measure, dim, args.trials, rng.derive(2)),
+        symmetry_report(measure, dim, trials, rng.derive(1)),
+        triangle_report(measure, dim, trials, rng.derive(2)),
         centroid_report(measure, rng.derive(3), instances=100, tolerance=centroid_tol),
-        mu_similarity_report(measure, dim, min(args.trials, 10_000), rng.derive(4)),
+        mu_similarity_report(measure, dim, min(trials, 10_000), rng.derive(4)),
     ]
-    spec = {"command": "properties", "measure": args.measure, "mu": args.mu,
-            "domain": args.domain, "trials": args.trials, "dim": dim}
-    _emit(_report(spec, {}, args.seed, properties=reports), args.output)
+    _emit(_report(spec, {}, properties=reports), output)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(f"{status} {rep.property}: violations {rep.violations}/{rep.trials}, "
@@ -370,54 +327,40 @@ def _cmd_properties(args):
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-def _cmd_seedbench(args):
-    measure = _measure_from_args(args)
-    data = ingest_csv(args.input, domain=measure.domain)
-    cfg = _resolved_config(measure, args.k, args.epsilon, args.restarts, args.strategy,
-                           args.preset)
-
-    ptas_costs, baseline_costs = [], []
-    t0 = time.perf_counter()
-    for s in range(args.trials):
-        rng = RngStream(args.seed + s)
-        ptas_costs.append(find_k_median(data.points, measure, cfg, rng.derive(1),
-                                        threads=args.threads).cost)
-        seeded = kmeanspp_seed(data.points, measure, cfg.k, rng.derive(2))
-        baseline_costs.append(lloyd(data.points, measure, seeded.centers).cost)
-    elapsed = time.perf_counter() - t0
-
+def _cmd_seedbench(spec, output):
+    """``cluster`` at seeds seed, seed+1, ...: per method, the mean and per-seed costs."""
+    trials = spec["trials"]
+    if trials < 1:
+        raise ConfigError(f"seedbench needs at least one trial, got {trials}")
+    runs = [run_experiment({**spec, "seed": spec["seed"] + s})["results"] for s in range(trials)]
     results = {}
-    for method, costs in (("ptas", ptas_costs), ("kmeanspp_lloyd", baseline_costs)):
+    for method in runs[0]:
+        costs = [float(run[method]["cost"]) for run in runs]
         results[method] = {
             "cost": float(np.mean(costs)),
-            "seconds": elapsed,
-            "per_seed_costs": [float(c) for c in costs],
+            "seconds": sum(run[method]["seconds"] for run in runs),
+            "per_seed_costs": costs,
         }
-    wins = sum(p <= b for p, b in zip(ptas_costs, baseline_costs))
-
-    spec = {"command": "seedbench", "input": args.input, "k": args.k,
-            "epsilon": args.epsilon, "preset": args.preset, "strategy": args.strategy,
-            "restarts": args.restarts, "measure": args.measure, "mu": args.mu,
-            "domain": args.domain, "trials": args.trials}
-    _emit(_report(spec, _add_ratios(results), args.seed), args.output)
-    print(f"seeds: {args.trials}")
+    wins = sum(run["ptas"]["cost"] <= run["kmeanspp_lloyd"]["cost"] for run in runs)
+    _emit(_report(spec, _add_ratios(results)), output)
+    print(f"seeds: {trials}")
     print(f"mean cost  ptas: {results['ptas']['cost']:.6g}   "
           f"kmeanspp+lloyd: {results['kmeanspp_lloyd']['cost']:.6g}")
-    print(f"ptas wins or ties on {wins}/{args.trials} seeds")
+    print(f"ptas wins or ties on {wins}/{trials} seeds")
     return 0
 
 
-def _cmd_generate(args):
-    rng = RngStream(args.seed)
+def _cmd_generate(spec, output):
+    rng = RngStream(spec["seed"])
     points, labels, centers = generate_planted(
-        args.k, args.per_cluster, args.dim, args.separation, args.sigma, rng)
-    stem, ext = os.path.splitext(args.output)
+        spec["k"], spec["per_cluster"], spec["dim"], spec["separation"], spec["sigma"], rng)
+    stem, ext = os.path.splitext(output)
     labels_path = f"{stem}.labels{ext or '.csv'}"
     centers_path = f"{stem}.centers{ext or '.csv'}"
-    write_points_csv(args.output, points)
+    write_points_csv(output, points)
     write_points_csv(labels_path, labels.reshape(-1, 1))
     write_points_csv(centers_path, centers)
-    print(f"wrote {len(points)} points to {args.output}")
+    print(f"wrote {len(points)} points to {output}")
     print(f"wrote labels to {labels_path}")
     print(f"wrote centers to {centers_path}")
     return 0
@@ -515,7 +458,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        code = _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](_spec(args), args.output)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2

@@ -41,7 +41,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Dataset",
     "DivergenceMeasure",
     "SquaredEuclidean",
     "Mahalanobis",
@@ -63,8 +62,8 @@ __all__ = [
 
 
 def as_points(data):
-    """Coerce ``data`` (Dataset, array-like, list of points) to an (n, d) float array."""
-    pts = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    """Coerce ``data`` (array-like, list of points) to an (n, d) float array."""
+    pts = np.asarray(data, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
@@ -86,33 +85,6 @@ def _check_domain(points, domain):
     lo, hi = domain
     if np.any(points < lo) or np.any(points > hi):
         raise DomainError(f"coordinates must lie in [{lo}, {hi}]")
-
-
-class Dataset:
-    """A dense (n, d) batch of points plus the validity domain they live in.
-
-    ``domain`` is one of ``"unrestricted"``, ``"positive"``, or an
-    ``(lo, hi)`` pair meaning every coordinate lies in the closed box.
-    """
-
-    def __init__(self, points, domain="unrestricted"):
-        self.points = as_points(points)
-        self.domain = domain
-        _check_domain(self.points, domain)
-
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    def __len__(self):
-        return self.n
-
-    def __repr__(self):
-        return f"Dataset(n={self.n}, dim={self.dim}, domain={self.domain!r})"
 
 
 @dataclass

@@ -59,6 +59,9 @@ DESK_SUBSET_SIZE = 10
 DESK_TRIALS = 50
 DESK_RESTARTS = 8
 
+# An exhaustive run that could score more subsets than this is refused.
+ENUMERATION_BUDGET = 10 ** 9
+
 
 # ----------------------------------------------------------------------
 # subset-selection strategies
@@ -106,22 +109,17 @@ def parse_strategy(text):
 # ----------------------------------------------------------------------
 
 def default_eta(measure):
-    """Triangle/symmetry aggregate used by the generic sample-size formula.
-
-    For the plain squared-Euclidean objective the tuned constant 20 is used;
-    otherwise eta is derived from the measure's declared constants as
-    2 * alpha^2 / beta^2 * (1 + 1/beta).
-    """
-    if isinstance(measure, SquaredEuclidean):
-        return 20.0
+    """Triangle/symmetry aggregate used by the generic sample-size formula:
+    2 * alpha^2 / beta^2 * (1 + 1/beta) of the measure's declared constants."""
     a, b = measure.alpha, measure.beta
     return 2.0 * a * a / (b * b) * (1.0 + 1.0 / b)
 
 
-def paper_scale_constants(measure, k, epsilon, eta):
+def paper_scale_constants(measure, k, epsilon):
     """(N, M) at full analysis scale -- far beyond what enumeration can run."""
     if isinstance(measure, SquaredEuclidean):
         return math.ceil(51200.0 * k / epsilon ** 3), math.ceil(100.0 / epsilon)
+    eta = default_eta(measure)
     delta = 0.2
     gamma = epsilon / eta
     f = 1.0 / (measure.mu * gamma * delta)
@@ -135,8 +133,8 @@ class PtasConfig:
 
     ``scale_preset="desk"`` uses constants sized for interactive runs
     (N=100, M=10, RandomTrials(50), 8 restarts).  ``"paper"`` uses the full
-    analysis constants with exhaustive enumeration and 2^k restarts, which is
-    only meaningful to inspect, not to run.
+    analysis constants with exhaustive enumeration and 2^k restarts, which
+    the engine refuses to run on all but a few distinct values.
     """
 
     k: int
@@ -145,7 +143,6 @@ class PtasConfig:
     subset_size_M: int = None
     restarts: int = None
     subset_strategy: object = None
-    eta: float = None
     scale_preset: str = "desk"
 
     def resolved(self, measure):
@@ -164,7 +161,6 @@ class PtasConfig:
         if self.scale_preset not in ("desk", "paper"):
             raise ConfigError(f"unknown scale preset {self.scale_preset!r}")
 
-        eta = float(self.eta) if self.eta is not None else default_eta(measure)
         n_, m_ = self.sample_size_N, self.subset_size_M
         restarts, strategy = self.restarts, self.subset_strategy
         if self.scale_preset == "desk":
@@ -173,7 +169,7 @@ class PtasConfig:
             restarts = DESK_RESTARTS if restarts is None else restarts
             strategy = RandomTrials() if strategy is None else strategy
         else:
-            pn, pm = paper_scale_constants(measure, self.k, eps, eta)
+            pn, pm = paper_scale_constants(measure, self.k, eps)
             n_ = pn if n_ is None else n_
             m_ = pm if m_ is None else m_
             restarts = 2 ** self.k if restarts is None else restarts
@@ -193,7 +189,6 @@ class PtasConfig:
             subset_size_M=m_,
             restarts=restarts,
             subset_strategy=strategy,
-            eta=eta,
         )
 
     def summary(self):
@@ -204,7 +199,6 @@ class PtasConfig:
             "subset_size_M": self.subset_size_M,
             "restarts": self.restarts,
             "strategy": self.subset_strategy.describe() if self.subset_strategy else None,
-            "eta": self.eta,
             "scale_preset": self.scale_preset,
         }
 
@@ -274,6 +268,45 @@ def _combo_groups(pool_size, max_size):
         combos = np.array(list(itertools.combinations(range(pool_size), size)), dtype=np.intp)
         groups.append(combos)
     return tuple(groups)
+
+
+def _menu_size(sample_size, subset_size, distinct, cap=math.inf):
+    """Most candidates a tree node can offer: the subsets of 1..M values of a
+    pool of at most min(N, distinct values) sample points.  The sum stops once
+    it passes ``cap``."""
+    pool = min(sample_size, distinct)
+    menu, count = 0, 1
+    for s in range(1, min(pool, subset_size) + 1):
+        if menu > cap:
+            break
+        count = count * (pool - s + 1) // s  # C(pool, s), exactly
+        menu += count
+    return menu
+
+
+def _check_tree_size(cfg, distinct, restarts):
+    """Refuse an exhaustive search that could score more than ``ENUMERATION_BUDGET``
+    subsets: ``restarts`` trees of k levels, each node offering up to
+    :func:`_menu_size` candidates.
+
+    With at most k distinct values no search is needed: ``find_k_median``
+    places a center on each, and a lone tree stops at its first zero-cost leaf.
+    """
+    if distinct <= cfg.k:
+        return
+    menu = _menu_size(cfg.sample_size_N, cfg.subset_size_M, distinct, cap=10 ** 18)
+    if menu > 10 ** 18:
+        shown = "more than 10^18"
+    else:
+        count = restarts * sum(menu ** j for j in range(1, cfg.k + 1))
+        if count <= ENUMERATION_BUDGET:
+            return
+        shown = str(count) if count < 10 ** 18 else f"about 10^{math.log10(count):.0f}"
+    raise ConfigError(
+        f"refusing exhaustive search of {shown} subsets ({restarts} restarts, k={cfg.k}, "
+        f"N={cfg.sample_size_N}, M={cfg.subset_size_M}, {distinct} distinct values); "
+        f"the budget is {ENUMERATION_BUDGET}"
+    )
 
 
 def _combo_by_rank(groups, rank):
@@ -387,8 +420,7 @@ class _TreeSearch:
         self.best_path = None
         self.subsets_examined = 0
         self.nodes_expanded = 0
-        pool = min(sample_size, int(ids.max()) + 1)
-        most = sum(math.comb(pool, s) for s in range(1, min(pool, subset_size) + 1))
+        most = _menu_size(sample_size, subset_size, int(ids.max()) + 1)
         self._node_entries = points.shape[0] * points.shape[1] * most
 
     def _expand(self, potentials, streams):
@@ -577,11 +609,13 @@ def _single_restart(points, ids, measure, cfg, stream):
     return _greedy_restart(points, measure, cfg, stream)
 
 
-def _prepare(data, measure, config):
+def _prepare(data, measure, config, restarts=None):
     """Validated points, the resolved config, and each point's distinct-value id.
 
     Two points share an id exactly when their coordinates compare equal, so
-    ``0.0`` and ``-0.0`` count as one value.
+    ``0.0`` and ``-0.0`` count as one value.  An exhaustive search of
+    ``restarts`` restarts (by default the config's) is refused here, before
+    any draw, when it could score too many subsets (:func:`_check_tree_size`).
     """
     points = as_points(data)
     measure.validate_points(points)
@@ -589,7 +623,10 @@ def _prepare(data, measure, config):
     if points.shape[0] < cfg.k:
         raise InsufficientPoints(f"need at least k={cfg.k} points, got {points.shape[0]}")
     _, ids = np.unique(points, axis=0, return_inverse=True)
-    return points, cfg, ids.reshape(-1)
+    ids = ids.reshape(-1)
+    if isinstance(cfg.subset_strategy, Exhaustive):
+        _check_tree_size(cfg, int(ids.max()) + 1, cfg.restarts if restarts is None else restarts)
+    return points, cfg, ids
 
 
 def _result(points, measure, centers, meta):
@@ -657,7 +694,7 @@ def find_k_means(data, config, rng, threads=None):
 
 def run_one_restart(data, measure, config, rng):
     """Execute the k-iteration inner loop once, with a full per-iteration trace."""
-    points, cfg, ids = _prepare(data, measure, config)
+    points, cfg, ids = _prepare(data, measure, config, restarts=1)
     t0 = time.perf_counter()
     outcome = _single_restart(points, ids, measure, cfg, rng)
     _log_restart(0, cfg, outcome)

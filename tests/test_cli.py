@@ -14,9 +14,7 @@ import d2ptas.cli
 import d2ptas.oracle
 from d2ptas import __version__
 from d2ptas.cli import (
-    PaperScaleRefusal,
     build_measure,
-    check_enumeration_budget,
     generate_planted,
     ingest_csv,
     main,
@@ -33,12 +31,11 @@ from d2ptas.divergences import (
 )
 from d2ptas.errors import (
     ConfigError,
-    DomainError,
     EmptyFile,
     ParseError,
     RaggedRows,
 )
-from d2ptas.ptas import PtasConfig
+from d2ptas.ptas import Exhaustive, PtasConfig, find_k_median
 from d2ptas.sampler import RngStream
 
 
@@ -49,24 +46,39 @@ def four_point_file(tmp_path, four_point_line):
     return str(path)
 
 
+@pytest.fixture
+def planted_file(tmp_path, planted):
+    """The 300 distinct points of the planted fixture."""
+    path = tmp_path / "planted.csv"
+    write_points_csv(path, planted[0])
+    return str(path)
+
+
+@pytest.fixture
+def forty_point_file(tmp_path, planted):
+    """40 distinct points: too many for the paper preset's exhaustive search."""
+    path = tmp_path / "forty.csv"
+    write_points_csv(path, planted[0][:40])
+    return str(path)
+
+
 class TestIngest:
     def test_round_trip_is_bit_exact(self, tmp_path, gen):
         pts = gen.standard_normal((17, 3)) * 1e6
         path = tmp_path / "pts.csv"
         write_points_csv(path, pts)
         back = ingest_csv(path)
-        np.testing.assert_array_equal(back.points, pts)
+        np.testing.assert_array_equal(back, pts)
 
     def test_header_detected_and_skipped(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("x,y\n1.0,2.0\n3.0,4.0\n")
-        data = ingest_csv(path)
-        np.testing.assert_array_equal(data.points, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(ingest_csv(path), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("\n1.0,2.0\n\n3.0,4.0\n\n")
-        assert ingest_csv(path).n == 2
+        assert ingest_csv(path).shape == (2, 2)
 
     def test_ragged_rows_reported_with_line_number(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -89,12 +101,6 @@ class TestIngest:
         header_only.write_text("x,y\n")
         with pytest.raises(EmptyFile):
             ingest_csv(header_only)
-
-    def test_domain_enforced_at_ingest(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("0.0,1.0\n")
-        with pytest.raises(DomainError):
-            ingest_csv(path, domain="positive")
 
     def test_writer_emits_header(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -165,19 +171,27 @@ class TestMeasureSpelling:
 
 
 class TestEnumerationBudget:
-    def test_small_config_allowed(self, sq):
-        cfg = PtasConfig(k=2, epsilon=0.5, sample_size_N=30, subset_size_M=2).resolved(sq)
-        check_enumeration_budget(cfg)  # no raise
+    """The engine counts restarts * sum_{j<=k} menu^j subsets, where a node's
+    menu is every subset of 1..M of min(N, distinct values) sample points."""
 
-    def test_midsize_refusal_shows_exact_count(self, sq):
-        cfg = PtasConfig(k=2, epsilon=0.5, sample_size_N=100, subset_size_M=10).resolved(sq)
-        with pytest.raises(PaperScaleRefusal, match="17310309456440"):
-            check_enumeration_budget(cfg)
+    def test_small_config_allowed(self, sq, planted):
+        # menu 30 + C(30, 2) = 465 from N = 30; 8 * (465 + 465^2) subsets
+        cfg = PtasConfig(k=2, epsilon=0.5, sample_size_N=30, subset_size_M=2,
+                         subset_strategy=Exhaustive())
+        assert find_k_median(planted[0][:40], sq, cfg, RngStream(1)).cost > 0.0
 
-    def test_paper_scale_refusal_shows_magnitude(self, sq):
-        cfg = PtasConfig(k=2, epsilon=0.5, scale_preset="paper").resolved(sq)
-        with pytest.raises(PaperScaleRefusal, match=r"about 10\^"):
-            check_enumeration_budget(cfg)
+    def test_midsize_refusal_shows_exact_count(self, sq, planted):
+        # menu 30 + C(30, 2) = 465 from N = 30; 10 * (465 + 465^2 + 465^3) subsets
+        cfg = PtasConfig(k=3, epsilon=0.5, sample_size_N=30, subset_size_M=2, restarts=10,
+                         subset_strategy=Exhaustive())
+        with pytest.raises(ConfigError, match="refusing exhaustive search of 1007613150 subsets"):
+            find_k_median(planted[0][:40], sq, cfg, RngStream(1))
+
+    def test_paper_scale_refusal_shows_magnitude(self, forty_point_file):
+        # 4 restarts * ((2^40 - 1) + (2^40 - 1)^2) subsets
+        spec = {"input": forty_point_file, "k": 2, "measure": "sqeuclid", "preset": "paper"}
+        with pytest.raises(ConfigError, match=r"about 10\^25 subsets"):
+            run_experiment(spec)
 
 
 class TestRunExperiment:
@@ -214,9 +228,17 @@ class TestRunExperiment:
         assert "seconds" in a["results"]["ptas"]
         assert "seconds" not in strip_timing(a)["results"]["ptas"]
 
-    def test_paper_preset_refused(self, four_point_file):
-        with pytest.raises(PaperScaleRefusal):
-            run_experiment(self.spec(four_point_file, preset="paper"))
+    def test_paper_preset_refused(self, forty_point_file):
+        with pytest.raises(ConfigError, match="refusing"):
+            run_experiment(self.spec(forty_point_file, preset="paper"))
+
+    def test_spec_of_a_cluster_report_reproduces_it(self, planted_file, tmp_path, capsys):
+        out = tmp_path / "cluster.json"
+        assert main(["cluster", "--input", planted_file, "--k", "3", "--seed", "4",
+                     "--strategy", "random:5", "--restarts", "3", "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        again = run_experiment(report["spec"])
+        assert strip_timing(again)["results"] == strip_timing(report)["results"]
 
 
 class TestLogging:
@@ -298,17 +320,50 @@ class TestMainExitCodes:
                      "--trials", "3", "--strategy", "random:5", "--restarts", "2"]) == 0
         assert "wins or ties" in capsys.readouterr().out
 
-    def test_seedbench_spec_rebuilds_its_measure(self, tmp_path, capsys):
-        """A seedbench report echoes mu and domain, so its spec rebuilds the measure."""
-        path, out = tmp_path / "pos.csv", tmp_path / "bench.json"
+    def test_seedbench_is_cluster_over_seeds(self, tmp_path, capsys):
+        # unclustered points, so Lloyd's local optima differ from seed to seed
+        path = tmp_path / "uniform.csv"
+        write_points_csv(path, RngStream(13).generator.uniform(size=(60, 2)))
+        flags = ["--input", str(path), "--k", "4", "--strategy", "random:5",
+                 "--restarts", "4"]
+        out = tmp_path / "bench.json"
+        assert main(["seedbench", *flags, "--seed", "6", "--trials", "3",
+                     "--output", str(out)]) == 0
+        bench = json.loads(out.read_text())["results"]
+        for s, seed in enumerate((6, 7, 8)):
+            path = tmp_path / f"cluster-{seed}.json"
+            assert main(["cluster", *flags, "--seed", str(seed), "--output", str(path)]) == 0
+            cluster = json.loads(path.read_text())["results"]
+            for method in ("ptas", "kmeanspp_lloyd"):
+                assert bench[method]["per_seed_costs"][s] == cluster[method]["cost"]
+
+    @pytest.mark.parametrize("command", ["cluster", "oracle", "properties", "seedbench"])
+    def test_spec_rebuilds_its_measure(self, command, tmp_path, capsys):
+        """Every report echoes mu and domain, so its spec rebuilds the measure."""
+        path, out = tmp_path / "pos.csv", tmp_path / "report.json"
         write_points_csv(path, RngStream(8).generator.uniform(0.2, 0.8, size=(12, 2)))
-        assert main(["seedbench", "--input", str(path), "--k", "2", "--trials", "2",
-                     "--strategy", "random:5", "--restarts", "2", "--measure", "kl",
-                     "--mu", "0.04", "--domain", "0.05:0.95", "--output", str(out)]) == 0
+        args = {
+            "cluster": ["--input", str(path), "--k", "2", "--strategy", "random:5",
+                        "--restarts", "2"],
+            "oracle": ["--input", str(path), "--k", "2"],
+            "properties": ["--trials", "1000"],
+            "seedbench": ["--input", str(path), "--k", "2", "--trials", "2",
+                          "--strategy", "random:5", "--restarts", "2"],
+        }[command]
+        assert main([command, *args, "--measure", "kl", "--mu", "0.02",
+                     "--domain", "0.05:0.95", "--output", str(out)]) == 0
         spec = json.loads(out.read_text())["spec"]
-        assert spec["mu"] == 0.04 and spec["domain"] == "0.05:0.95"
-        measure = build_measure(spec["measure"], mu=spec["mu"], domain=parse_domain(spec["domain"]))
-        assert measure.mu == 0.04 and measure.box == (0.05, 0.95)
+        assert spec["command"] == command
+        assert spec["mu"] == 0.02 and spec["domain"] == [0.05, 0.95]
+        measure = build_measure(spec["measure"], mu=spec["mu"], domain=spec["domain"])
+        assert measure.mu == 0.02 and measure.box == (0.05, 0.95)
+
+    @pytest.mark.parametrize("command", ["cluster", "oracle", "seedbench"])
+    def test_points_outside_the_domain_are_a_runtime_error(self, command, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text("0.0,0.5\n0.3,0.4\n0.6,0.7\n")
+        assert main([command, "--input", str(path), "--k", "2", "--measure", "kl"]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_input_file_is_runtime_error(self, tmp_path, capsys):
         code = main(["cluster", "--input", str(tmp_path / "nope.csv"), "--k", "2"])
@@ -324,10 +379,15 @@ class TestMainExitCodes:
         path.write_text("1.0,2.0\n3.0\n")
         assert main(["cluster", "--input", str(path), "--k", "1"]) == 1
 
-    def test_paper_preset_is_usage_error(self, four_point_file, capsys):
-        assert main(["cluster", "--input", four_point_file, "--k", "2",
+    def test_paper_preset_is_usage_error(self, forty_point_file, capsys):
+        assert main(["cluster", "--input", forty_point_file, "--k", "2",
                      "--preset", "paper"]) == 2
         assert "refusing" in capsys.readouterr().err
+
+    def test_hopeless_exhaustive_search_is_usage_error(self, planted_file, capsys):
+        assert main(["cluster", "--input", planted_file, "--k", "3",
+                     "--strategy", "exhaustive"]) == 2
+        assert "refusing exhaustive search of about 10^41 subsets" in capsys.readouterr().err
 
     def test_oracle_over_cap_is_runtime_error(self, tmp_path, capsys):
         pts = RngStream(10).generator.standard_normal((20, 2))

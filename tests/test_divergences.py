@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from d2ptas import (
-    Dataset,
     DimensionMismatch,
     DomainError,
     EmptySet,
@@ -48,11 +47,6 @@ class TestAsPoints:
         pts = as_points([0.0, 1.0, 4.0, 5.0])
         assert pts.shape == (4, 1)
 
-    def test_dataset_passthrough(self):
-        ds = Dataset([[1.0, 2.0], [3.0, 4.0]])
-        assert as_points(ds) is ds.points
-        assert ds.n == 2 and ds.dim == 2 and len(ds) == 2
-
     def test_empty_rejected(self):
         with pytest.raises(EmptySet):
             as_points(np.empty((0, 3)))
@@ -66,12 +60,6 @@ class TestAsPoints:
     def test_three_dimensional_rejected(self):
         with pytest.raises(DimensionMismatch):
             as_points(np.zeros((2, 2, 2)))
-
-    def test_dataset_domain_enforced(self):
-        with pytest.raises(DomainError):
-            Dataset([[0.5, -1.0]], domain="positive")
-        with pytest.raises(DomainError):
-            Dataset([[0.05]], domain=(0.1, 0.9))
 
 
 class TestSquaredEuclidean:
@@ -259,6 +247,14 @@ class TestGenericBregman:
     def test_mu_validated(self):
         with pytest.raises(ConfigError):
             GenericBregman(phi=None, grad_phi=None, mu=2.0)
+
+    def test_domain_enforced(self):
+        square = dict(phi=lambda X: (X * X).sum(-1), grad_phi=lambda X: 2 * X, mu=1.0)
+        with pytest.raises(DomainError, match=r"\[0.1, 0.9\]"):
+            GenericBregman(**square, domain=(0.1, 0.9)).validate_points([[0.05]])
+        with pytest.raises(DomainError, match="positive"):
+            GenericBregman(**square).validate_points([[0.5, -1.0]])
+        GenericBregman(**square, domain=(0.1, 0.9)).validate_points([[0.1], [0.9]])
 
     def test_similarity_matrix_optional(self):
         g = GenericBregman(phi=lambda X: X.sum(-1) ** 2, grad_phi=lambda X: X,

@@ -27,6 +27,7 @@ from d2ptas import (
 )
 from d2ptas.divergences import GenericBregman, Mahalanobis, assign
 from d2ptas.oracle import lloyd, optimal_bruteforce
+from d2ptas import ptas
 from d2ptas.ptas import _distinct_sample_points, _prepare
 from d2ptas.sampler import CenterSet, RngStream, d2_sample
 
@@ -64,7 +65,6 @@ class TestConfigResolution:
         cfg = desk(3).resolved(sq)
         assert (cfg.sample_size_N, cfg.subset_size_M, cfg.restarts) == (100, 10, 8)
         assert cfg.subset_strategy.describe() == "random:50"
-        assert cfg.eta == 20.0
 
     def test_paper_constants_squared_euclidean(self, sq):
         """N = ceil(51200 k / eps^3), M = ceil(100 / eps)."""
@@ -76,13 +76,13 @@ class TestConfigResolution:
     def test_paper_constants_generic_quadratic(self):
         mah = Mahalanobis(np.eye(2))
         assert default_eta(mah) == 16.0
-        assert paper_scale_constants(mah, 1, 0.5, 16.0) == (491520, 160)
+        assert paper_scale_constants(mah, 1, 0.5) == (491520, 160)
 
     def test_paper_constants_bregman_half_mu(self):
         breg = GenericBregman(phi=lambda X: (X * X).sum(-1),
                               grad_phi=lambda X: 2 * X, mu=0.5)
         assert default_eta(breg) == 384.0
-        assert paper_scale_constants(breg, 1, 0.5, 384.0) == (566231040, 7680)
+        assert paper_scale_constants(breg, 1, 0.5) == (566231040, 7680)
 
     def test_epsilon_clamped_with_warning(self, sq):
         with pytest.warns(UserWarning, match="clamped"):
@@ -170,6 +170,49 @@ class TestTinyExhaustive:
                 if not any(np.array_equal(pts[i], pts[j]) for j in expected):
                     expected.append(i)
             assert _distinct_sample_points(ids, sample[None, :])[0].tolist() == expected
+
+
+class TestExhaustiveBudget:
+    """An exhaustive run that could score more than 10^9 subsets is refused:
+    restarts * sum_{j<=k} menu^j, with menu the subsets of 1..M of
+    min(N, distinct values) sample points."""
+
+    EXACT_SMALL = dict(sample_size_N=239, subset_size_M=2, restarts=2,
+                       subset_strategy=Exhaustive())
+
+    def test_desk_exhaustive_on_300_points_is_refused_before_any_draw(self, sq, planted,
+                                                                      monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(ptas, "weighted_draw", no_draw)
+        monkeypatch.setattr(ptas, "d2_sample", no_draw)
+        with pytest.raises(ConfigError, match=r"about 10\^41 subsets \(8 restarts, k=3"):
+            find_k_median(planted[0], sq, desk(3, subset_strategy=Exhaustive()), RngStream(1))
+
+    def test_exact_small_shape_counts_961428_subsets(self, sq, gen, monkeypatch):
+        # menu 12 + C(12, 2) = 78; 2 * (78 + 78^2 + 78^3) = 961428
+        points = gen.standard_normal((12, 2))
+        find_k_median(points, sq, desk(3, **self.EXACT_SMALL), RngStream(1))
+        monkeypatch.setattr(ptas, "ENUMERATION_BUDGET", 961_427)
+        with pytest.raises(ConfigError, match="search of 961428 subsets"):
+            find_k_median(points, sq, desk(3, **self.EXACT_SMALL), RngStream(1))
+        monkeypatch.setattr(ptas, "ENUMERATION_BUDGET", 480_713)
+        with pytest.raises(ConfigError, match="search of 480714 subsets"):  # one restart
+            run_one_restart(points, sq, desk(3, **self.EXACT_SMALL), RngStream(1))
+
+    def test_every_criterion_5_config_is_admitted(self, sq):
+        for i in range(50):  # the instances of test_criterion_5_matches_the_exact_oracle
+            gen = RngStream(2000 + i).derive(0).generator
+            n, k, d = int(gen.integers(5, 11)), int(gen.integers(2, 4)), int(gen.integers(1, 4))
+            cfg = PtasConfig(k=k, epsilon=0.5, sample_size_N=int(np.ceil(8.0 * n * np.log(n))),
+                             subset_size_M=2, restarts=2 ** k, subset_strategy=Exhaustive())
+            _prepare(gen.standard_normal((n, d)), sq, cfg)
+
+    def test_at_most_k_distinct_values_need_no_search(self, sq):
+        # 64 restarts of menu 2^6 - 1 would count ~4e12 subsets, but no search runs
+        cfg = PtasConfig(k=6, epsilon=0.5, scale_preset="paper")
+        assert find_k_median(np.arange(6.0), sq, cfg, RngStream(1)).cost == 0.0
 
 
 class TestFindKMedianContracts:
