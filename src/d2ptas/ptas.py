@@ -17,7 +17,11 @@ game:
 
 Everything is deterministic given an :class:`~d2ptas.sampler.RngStream`:
 restart r uses ``rng.derive(r)``, iteration/trial streams are derived below
-that, so extending restarts or trials never reshuffles earlier draws.
+that, so extending restarts or trials never reshuffles earlier draws.  D²
+samples, k-means++ seeds and the exhaustive tree draw from each stream's
+seeded generator; a ``RandomTrials`` anchor is instead a counter-based uniform
+of its trial's stream id (see :func:`_greedy_restart`), computed for all
+trials of an iteration in one vectorised step.
 """
 
 import itertools
@@ -33,7 +37,8 @@ import numpy as np
 
 from .divergences import SquaredEuclidean, as_points, assign
 from .errors import ConfigError, InsufficientPoints
-from .sampler import CenterSet, d2_law, d2_sample, weighted_draw
+from .sampler import (CenterSet, _counter_uniforms, _uniform_indices, d2_law, d2_sample,
+                      weighted_draw)
 
 __all__ = [
     "Exhaustive",
@@ -556,6 +561,18 @@ def _greedy_restart(points, measure, cfg, stream):
     nearest-neighbor patch around a sampled anchor is cluster-pure whenever
     clusters are separated, so the candidate menu consists of plausible
     cluster centers instead of mixture midpoints.
+
+    Iteration i draws its sample with the generator of
+    ``stream.derive(i).derive(0)``.  Trial t's anchor is ``floor(u * N)``,
+    with u the first counter uniform of the id of
+    ``stream.derive(i).derive(1 + t)``: the top 53 bits of
+    ``splitmix64(splitmix64(id) + 0)`` times 2^-53.  No generator is built for
+    a trial.  The anchors depend on the stream id, not on the seed; they index
+    a sample that the seeded generator drew, so menus at different seeds are
+    still independent.  u lies on a grid of 2^53 values, so each position
+    gets probability within 2^-53 of 1/N (a relative bias of at most N/2^53),
+    and the largest u still gives N - 1
+    (:func:`~d2ptas.sampler._uniform_indices`).
     """
     trials = cfg.subset_strategy.trials
     m_ = cfg.subset_size_M
@@ -567,10 +584,8 @@ def _greedy_restart(points, measure, cfg, stream):
         it_stream = stream.derive(i)
         sample_idx = d2_sample(center_set, it_stream.derive(0), cfg.sample_size_N)
         sample = points[sample_idx]
-        anchors = np.array([
-            int(it_stream.derive(1 + t).generator.integers(cfg.sample_size_N))
-            for t in range(trials)
-        ])
+        uniforms = _counter_uniforms(it_stream.derived_ids(1 + np.arange(trials)), 1)[:, 0]
+        anchors = _uniform_indices(uniforms, cfg.sample_size_N)
         to_anchor = measure.pairwise(sample, sample[anchors])    # (N, R)
         positions = np.argsort(to_anchor, axis=0, kind="stable")[:m_].T   # (R, M)
         cands = sample[positions].mean(axis=1)

@@ -34,6 +34,40 @@ def _splitmix64(x):
     return (x ^ (x >> 31)) & _MASK64
 
 
+def _splitmix64_array(x):
+    """:func:`_splitmix64` of every word of ``x``, as a uint64 array of at least one dimension.
+
+    Arithmetic on uint64 arrays wraps modulo 2^64 silently; on numpy uint64
+    scalars it warns, so nothing here is ever reduced to a scalar.
+    """
+    x = np.array(x, dtype=np.uint64, ndmin=1) + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _counter_uniforms(ids, count):
+    """The first ``count`` counter-based uniforms of each stream id, as a (len(ids), count) table.
+
+    The j-th uniform of the stream with id s is the top 53 bits of
+    ``splitmix64(splitmix64(s) + j)`` times 2^-53, the 53-bit construction of
+    numpy's ``random()``, so it lies in [0, 1).  Each value is a pure function
+    of (s, j): a longer table extends a shorter one, and no generator state is
+    built or shared.
+    """
+    keys = _splitmix64_array(ids)[:, None] + np.arange(int(count), dtype=np.uint64)
+    return (_splitmix64_array(keys) >> np.uint64(11)).astype(float) * 2.0 ** -53
+
+
+def _uniform_indices(uniforms, n):
+    """``floor(u * n)`` for each uniform u of the 2^53-grid in [0, 1): an index in [0, n).
+
+    The largest uniform, 1 - 2^-53, maps to n - 1 for every n < 2^53, and each
+    index gets probability within 2^-53 of 1/n: a relative bias of at most n/2^53.
+    """
+    return (np.asarray(uniforms, dtype=float) * n).astype(np.intp)
+
+
 class RngStream:
     """Deterministic random stream addressed by (seed, stream_id).
 
@@ -42,6 +76,14 @@ class RngStream:
     64-bit mix of the parent id, so a derivation path like
     ``root.derive(r).derive(i)`` is stable no matter how many siblings are
     ever created -- which is what makes "extend the experiment" reproducible.
+
+    A stream draws in one of two ways.  ``generator`` is a PCG64 seeded by
+    (seed, stream_id); D² samples, k-means++ seeds and the exhaustive tree use
+    it.  Hot paths that need one value from each of many sibling streams skip
+    the generator: :meth:`derived_ids` gives the siblings' ids as one array
+    and :func:`_counter_uniforms` their uniforms, each a pure function of
+    (id, counter), so no state is built per stream.  ``RandomTrials`` anchors
+    are drawn this way.
     """
 
     def __init__(self, seed, stream_id=0):
@@ -61,6 +103,11 @@ class RngStream:
         """Child stream ``index`` of this stream (fresh generator state)."""
         child = _splitmix64((_splitmix64(self.stream_id) + int(index)) & _MASK64)
         return RngStream(self.seed, child)
+
+    def derived_ids(self, indices):
+        """``derive(i).stream_id`` for every i of ``indices``, as one uint64 array."""
+        base = _splitmix64_array(self.stream_id)
+        return _splitmix64_array(base + np.asarray(indices, dtype=np.uint64))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

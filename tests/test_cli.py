@@ -311,9 +311,11 @@ class TestMainExitCodes:
     def test_properties_follow_matrix_dimension(self, tmp_path, capsys):
         matrix_path = tmp_path / "m3.csv"
         write_points_csv(matrix_path, np.diag([2.0, 1.0, 0.5]))
+        out = tmp_path / "props.json"
         assert main(["properties", "--measure", f"mahalanobis:{matrix_path}",
-                     "--trials", "2000", "--dim", "5", "--seed", "4"]) == 0
+                     "--trials", "2000", "--dim", "5", "--seed", "4", "--output", str(out)]) == 0
         assert capsys.readouterr().out.count("PASS") == 4
+        assert json.loads(out.read_text())["spec"]["dim"] == 3
 
     def test_seedbench_subcommand(self, four_point_file, capsys):
         assert main(["seedbench", "--input", four_point_file, "--k", "2",
@@ -336,6 +338,34 @@ class TestMainExitCodes:
             cluster = json.loads(path.read_text())["results"]
             for method in ("ptas", "kmeanspp_lloyd"):
                 assert bench[method]["per_seed_costs"][s] == cluster[method]["cost"]
+
+    def test_seedbench_reads_and_solves_the_oracle_once(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "twelve.csv"
+        write_points_csv(path, RngStream(14).generator.standard_normal((12, 2)))
+        flags = ["--input", str(path), "--k", "3", "--strategy", "random:5", "--restarts", "2"]
+        clusters = []
+        for seed in (6, 7, 8):
+            out = tmp_path / f"cluster-{seed}.json"
+            assert main(["cluster", *flags, "--seed", str(seed), "--output", str(out)]) == 0
+            clusters.append(json.loads(out.read_text())["results"])
+        calls = {"oracle": 0, "ingest": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(d2ptas.cli, "optimal_bruteforce",
+                            counted("oracle", d2ptas.cli.optimal_bruteforce))
+        monkeypatch.setattr(d2ptas.cli, "ingest_csv", counted("ingest", d2ptas.cli.ingest_csv))
+        out = tmp_path / "bench.json"
+        assert main(["seedbench", *flags, "--seed", "6", "--trials", "3",
+                     "--output", str(out)]) == 0
+        assert calls == {"oracle": 1, "ingest": 1}
+        bench = json.loads(out.read_text())["results"]
+        for method in ("ptas", "kmeanspp_lloyd", "oracle"):
+            assert bench[method]["per_seed_costs"] == [c[method]["cost"] for c in clusters]
 
     @pytest.mark.parametrize("command", ["cluster", "oracle", "properties", "seedbench"])
     def test_spec_rebuilds_its_measure(self, command, tmp_path, capsys):

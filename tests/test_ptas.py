@@ -29,7 +29,7 @@ from d2ptas.divergences import GenericBregman, Mahalanobis, assign
 from d2ptas.oracle import lloyd, optimal_bruteforce
 from d2ptas import ptas
 from d2ptas.ptas import _distinct_sample_points, _prepare
-from d2ptas.sampler import CenterSet, RngStream, d2_sample
+from d2ptas.sampler import CenterSet, RngStream, _splitmix64, d2_sample
 
 
 def desk(k, **overrides):
@@ -311,9 +311,11 @@ class TestFindKMedianContracts:
 
 class TestAnchoredTrialsDiscipline:
     """The documented stream layout is a public contract: restart r derives
-    stream r, iteration i derives i below that, the sample uses derive(0),
-    trial t uses derive(1 + t).  The inline mirror below must reproduce the
-    engine bit for bit."""
+    stream r, iteration i derives i below that, the sample is drawn by the
+    generator of derive(0), and trial t's anchor is floor(u * N) for u the
+    first counter uniform of derive(1 + t)'s id, the top 53 bits of
+    splitmix64(splitmix64(id)) times 2^-53.  The inline mirror below must
+    reproduce the engine bit for bit."""
 
     @staticmethod
     def mirror_restart(points, measure, cfg, stream, trials):
@@ -323,10 +325,11 @@ class TestAnchoredTrialsDiscipline:
             it = stream.derive(i)
             sample_idx = d2_sample(center_set, it.derive(0), cfg.sample_size_N)
             sample = points[sample_idx]
-            anchors = np.array([
-                int(it.derive(1 + t).generator.integers(cfg.sample_size_N))
-                for t in range(trials)
-            ])
+            anchors = []
+            for t in range(trials):
+                word = _splitmix64(_splitmix64(it.derive(1 + t).stream_id))
+                anchors.append(int((word >> 11) * 2.0 ** -53 * cfg.sample_size_N))
+            anchors = np.array(anchors)
             to_anchor = measure.pairwise(sample, sample[anchors])
             positions = np.argsort(to_anchor, axis=0, kind="stable")[:cfg.subset_size_M].T
             cands = sample[positions].mean(axis=1)
@@ -356,6 +359,36 @@ class TestAnchoredTrialsDiscipline:
         _, menus_small = self.mirror_restart(points, sq, cfg_small, stream, 25)
         _, menus_big = self.mirror_restart(points, sq, cfg_small, stream, 50)
         np.testing.assert_array_equal(menus_small[0], menus_big[0][:25])
+
+    def test_engine_trial_budget_extends_without_reshuffling(self, planted):
+        """On the engine itself: RandomTrials(25) scores a strict prefix of
+        RandomTrials(50)'s first candidate menu for the same stream."""
+        points = planted[0]
+
+        class MenuRecorder(SquaredEuclidean):
+            def __init__(self):
+                super().__init__()
+                self.menus = []
+
+            def pairwise(self, P, C):
+                if len(P) == len(points):  # the candidate scoring table
+                    self.menus.append(np.array(C))
+                return super().pairwise(P, C)
+
+        menus = {}
+        for trials in (25, 50):
+            recorder = MenuRecorder()
+            run_one_restart(points, recorder, desk(3, subset_strategy=RandomTrials(trials)),
+                            RngStream(34))
+            menus[trials] = recorder.menus[0]
+        assert menus[25].shape == (25, 2) and menus[50].shape == (50, 2)
+        np.testing.assert_array_equal(menus[25], menus[50][:25])
+
+    def test_largest_uniform_anchors_the_last_sample_position(self, sq, planted, monkeypatch):
+        monkeypatch.setattr(ptas, "_counter_uniforms",
+                            lambda ids, count: np.full((len(ids), count), 1.0 - 2.0 ** -53))
+        res = run_one_restart(planted[0], sq, desk(3, sample_size_N=239), RngStream(38))
+        assert [entry["anchor"] for entry in res.meta["trace"]] == [238, 238, 238]
 
     @pytest.mark.parametrize("offset", [0.0, 1e6], ids=["planted", "offset"])
     def test_one_trial_is_the_first_of_two(self, sq, planted, offset):

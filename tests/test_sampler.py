@@ -8,6 +8,10 @@ from d2ptas import ConfigError, Mahalanobis, SquaredEuclidean
 from d2ptas.sampler import (
     CenterSet,
     RngStream,
+    _counter_uniforms,
+    _splitmix64,
+    _splitmix64_array,
+    _uniform_indices,
     d2_law,
     d2_sample,
     empirical_distribution_check,
@@ -44,6 +48,50 @@ class TestRngStream:
         child = s.derive(2)
         assert child.seed == 99
         assert child.stream_id != s.stream_id
+
+
+class TestCounterDraws:
+    """Counter-based uniforms: the j-th uniform of stream id s is the top 53
+    bits of splitmix64(splitmix64(s) + j) times 2^-53."""
+
+    def test_vectorised_mixer_is_the_scalar_mixer(self, gen):
+        ids = [0, 2 ** 64 - 1] + gen.integers(0, 2 ** 64, size=1000, dtype=np.uint64).tolist()
+        assert _splitmix64_array(ids).tolist() == [_splitmix64(i) for i in ids]
+
+    def test_derived_ids_are_the_derived_stream_ids(self):
+        for stream in (RngStream(3), RngStream(3).derive(5), RngStream(0, 2 ** 64 - 1)):
+            ids = stream.derived_ids(1 + np.arange(50))
+            assert ids.dtype == np.uint64
+            assert ids.tolist() == [stream.derive(1 + t).stream_id for t in range(50)]
+
+    def test_uniforms_follow_the_documented_formula(self, gen):
+        ids = [0, 2 ** 64 - 1] + gen.integers(0, 2 ** 64, size=20, dtype=np.uint64).tolist()
+        table = _counter_uniforms(ids, 4)
+        expected = [[(_splitmix64((_splitmix64(s) + j) & (2 ** 64 - 1)) >> 11) * 2.0 ** -53
+                     for j in range(4)] for s in ids]
+        assert table.tolist() == expected
+        assert ((0.0 <= table) & (table < 1.0)).all()
+
+    def test_more_uniforms_extend_fewer(self):
+        ids = RngStream(9).derived_ids(np.arange(30))
+        np.testing.assert_array_equal(_counter_uniforms(ids, 7)[:, :3], _counter_uniforms(ids, 3))
+        np.testing.assert_array_equal(_counter_uniforms(ids[:10], 3), _counter_uniforms(ids, 3)[:10])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 239, 2 ** 31 - 1])
+    def test_largest_uniform_maps_to_the_last_index(self, n):
+        assert _uniform_indices([0.0, 2.0 ** -53, 1.0 - 2.0 ** -53], n).tolist() == [0, 0, n - 1]
+
+    @pytest.mark.parametrize("n", [3, 10, 239])
+    def test_indices_are_uniform_over_many_stream_ids(self, n):
+        """L-infinity distance of the index frequencies from 1/n over 10^5
+        sibling streams, within 5 binomial standard deviations."""
+        trials = 100_000
+        ids = RngStream(1).derive(4).derived_ids(1 + np.arange(trials))
+        indices = _uniform_indices(_counter_uniforms(ids, 1)[:, 0], n)
+        freq = np.bincount(indices, minlength=n) / trials
+        assert freq.shape == (n,)
+        p = 1.0 / n
+        assert np.abs(freq - p).max() <= 5.0 * np.sqrt(p * (1.0 - p) / trials)
 
 
 class TestCenterSet:
