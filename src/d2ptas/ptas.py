@@ -573,6 +573,11 @@ def _greedy_restart(points, measure, cfg, stream):
     gets probability within 2^-53 of 1/N (a relative bias of at most N/2^53),
     and the largest u still gives N - 1
     (:func:`~d2ptas.sampler._uniform_indices`).
+
+    Trial t scores sum_x min(potential(x), D(x, c_t)).  The min is taken in
+    place in the (n, R) ``pairwise`` table, and the table is dropped before
+    the next iteration builds its own, so a restart holds one n x R table at a
+    time.
     """
     trials = cfg.subset_strategy.trials
     m_ = cfg.subset_size_M
@@ -589,10 +594,13 @@ def _greedy_restart(points, measure, cfg, stream):
         to_anchor = measure.pairwise(sample, sample[anchors])    # (N, R)
         positions = np.argsort(to_anchor, axis=0, kind="stable")[:m_].T   # (R, M)
         cands = sample[positions].mean(axis=1)
-        scores = np.minimum(
-            center_set.potentials[:, None],
-            measure.pairwise(points, cands),
-        ).sum(axis=0)
+        # Score in place and drop the table before the next iteration: with a
+        # second live (n, R) table the allocator releases and re-faults their
+        # pages on every iteration.  The potentials stay the first operand, so
+        # the scores keep the bits of np.minimum(potentials, table).
+        table = measure.pairwise(points, cands)
+        scores = np.minimum(center_set.potentials[:, None], table, out=table).sum(axis=0)
+        del table
         examined += trials
         t_best = int(np.argmin(scores))
         trace.append({

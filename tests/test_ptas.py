@@ -5,6 +5,8 @@ specific seeds; the expectations were measured once and asserted with wide
 margins so the tests are deterministic, not flaky.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from d2ptas import (
     ConfigError,
     Exhaustive,
     InsufficientPoints,
+    KullbackLeibler,
     PtasConfig,
     RandomTrials,
     SquaredEuclidean,
@@ -401,6 +404,69 @@ class TestAnchoredTrialsDiscipline:
             _, menus_one = self.mirror_restart(points, sq, cfg, stream, 1)
             _, menus_two = self.mirror_restart(points, sq, cfg, stream, 2)
             np.testing.assert_array_equal(menus_one[0], menus_two[0][:1])
+
+
+class TestGreedyScoring:
+    """Candidates are scored inside their own pairwise table: the engine keeps
+    the bits of a fresh ``np.minimum`` and holds one n x R table at a time."""
+
+    @staticmethod
+    def assert_engine_is_the_mirror(points, measure, cfg, seeds):
+        trials = cfg.subset_strategy.trials
+        for seed in seeds:
+            stream = RngStream(seed)
+            engine = run_one_restart(points, measure, cfg, stream)
+            mirror, menus = TestAnchoredTrialsDiscipline.mirror_restart(points, measure, cfg,
+                                                                        stream, trials)
+            assert np.asarray(engine.centers).tobytes() == mirror.tobytes()
+            # the kept trial's score, from a fresh np.minimum over the same menu
+            center_set = CenterSet.empty(points, measure)
+            for entry, cands, center in zip(engine.meta["trace"], menus, mirror):
+                scores = np.minimum(center_set.potentials[:, None],
+                                    measure.pairwise(points, cands)).sum(axis=0)
+                assert np.float64(entry["partial_cost"]).tobytes() == scores.min().tobytes()
+                center_set = center_set.add(center)
+
+    @pytest.mark.parametrize("trials", [50, 1])
+    def test_engine_is_the_mirror_on_kl_data(self, planted, trials):
+        kl = KullbackLeibler()
+        points = planted[0]
+        points = 0.1 + 0.8 * (points - points.min(axis=0)) / np.ptp(points, axis=0)
+        cfg = desk(3, subset_strategy=RandomTrials(trials)).resolved(kl)
+        self.assert_engine_is_the_mirror(points, kl, cfg, (41, 42, 43))
+
+    @pytest.mark.parametrize("trials", [50, 1])
+    def test_engine_is_the_mirror_on_a_grid_with_signed_zeros(self, sq, gen, trials):
+        """200 points on a 3 x 3 grid of step 0.5, with duplicates and -0.0
+        coordinates: potentials and table entries reach exact 0."""
+        signs = gen.choice([1.0, -1.0], size=(200, 1))
+        points = gen.integers(-1, 2, size=(200, 2)) * 0.5 * signs
+        cfg = desk(3, subset_strategy=RandomTrials(trials)).resolved(sq)
+        self.assert_engine_is_the_mirror(points, sq, cfg, (44, 45, 46))
+        centers = run_one_restart(points, sq, cfg, RngStream(44)).centers
+        assert (CenterSet(points, sq, centers).potentials == 0.0).any()
+
+    @pytest.mark.parametrize("name", ["sqeuclid", "kl"])
+    def test_a_restart_holds_one_scoring_table(self, name):
+        """At desk_large's shape (n = 4000, d = 16, k = 10, R = 50) one restart's
+        traced peak stays below two n x R float64 tables (3.2 MB)."""
+        gen = np.random.default_rng(11)
+        n, d, k, trials = 4000, 16, 10, 50
+        if name == "kl":
+            measure, points = KullbackLeibler(), 0.1 + 0.8 * gen.random((n, d))
+        else:
+            centers = gen.uniform(0.0, 100.0, size=(k, d))
+            measure = SquaredEuclidean()
+            points = np.repeat(centers, n // k, axis=0) + gen.standard_normal((n, d))
+        cfg = desk(k, restarts=1, subset_strategy=RandomTrials(trials))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_one_restart(points, measure, cfg, RngStream(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 2 * n * trials * 8
 
 
 class TestCoverageTraceProperty:
