@@ -407,7 +407,8 @@ def _add_algo_flags(sub):
     sub.add_argument("--strategy", default=None,
                      help="subset selection: exhaustive | random:R")
     sub.add_argument("--restarts", type=int, default=None, help="independent restarts")
-    sub.add_argument("--threads", type=int, default=None, help="parallel restart workers")
+    sub.add_argument("--threads", type=int, default=None,
+                     help="parallel workers over chunks of restarts")
 
 
 def build_parser():

@@ -20,8 +20,14 @@ restart r uses ``rng.derive(r)``, iteration/trial streams are derived below
 that, so extending restarts or trials never reshuffles earlier draws.  D²
 samples, k-means++ seeds and the exhaustive tree draw from each stream's
 seeded generator; a ``RandomTrials`` anchor is instead a counter-based uniform
-of its trial's stream id (see :func:`_greedy_restart`), computed for all
+of its trial's stream id (see :func:`_greedy_restarts`), computed for all
 trials of an iteration in one vectorised step.
+
+Restarts share no state, so ``RandomTrials`` restarts run in chunks, in lock
+step: each iteration draws, sorts and scores for the whole chunk at once,
+and every restart keeps the bits it would get on its own.  A chunk holds as
+many restarts as fit one scoring table of ``_CHUNK_ENTRIES`` entries, at
+least one; an ``Exhaustive`` restart is a chunk of one, with its own tree.
 """
 
 import itertools
@@ -37,8 +43,8 @@ import numpy as np
 
 from .divergences import SquaredEuclidean, as_points, assign
 from .errors import ConfigError, InsufficientPoints
-from .sampler import (CenterSet, _counter_uniforms, _uniform_indices, d2_law, d2_sample,
-                      weighted_draw)
+from .sampler import (CenterSet, _counter_uniforms, _derived_ids, _uniform_indices, d2_law,
+                      d2_sample, weighted_draw)
 
 __all__ = [
     "Exhaustive",
@@ -549,22 +555,32 @@ def _exhaustive_restart(points, ids, measure, cfg, stream):
     return _Restart(cost, centers, trace, search.subsets_examined, search.nodes_expanded)
 
 
-def _greedy_restart(points, measure, cfg, stream):
-    """One greedy pass: per iteration, R anchored subset trials, keep the best.
+# A chunk of greedy restarts runs in lock step and shares one scoring table of
+# n points by the chunk's trials, at most about this many entries (1 MiB of
+# float64) or one restart's table.  Sharing pays where a restart's table is
+# small and numpy's per-call overhead dominates (desk_small_kl's 8 restarts of
+# 300 x 50 make one chunk); where one restart's table alone is larger
+# (desk_large's 4000 x 50, 1.6 MB), chunks of one restart add no memory.
+_CHUNK_ENTRIES = 1 << 17
 
-    Trial t picks a uniform anchor position in the sample and takes the M
-    sample positions nearest the anchor (stable order, so ties resolve by
-    position).  Anchored subsets are the load-bearing choice: a subset of M
-    independent positions of a mixed sample almost never isolates one
-    cluster, so its mean lands between clusters and the greedy score --
-    which is blind beyond the current iteration -- happily keeps it.  A
-    nearest-neighbor patch around a sampled anchor is cluster-pure whenever
-    clusters are separated, so the candidate menu consists of plausible
-    cluster centers instead of mixture midpoints.
 
-    Iteration i draws its sample with the generator of
-    ``stream.derive(i).derive(0)``.  Trial t's anchor is ``floor(u * N)``,
-    with u the first counter uniform of the id of
+def _greedy_restarts(points, measure, cfg, streams):
+    """Greedy passes on ``streams``, run in lock step: one outcome per stream.
+
+    Per iteration each restart draws a D² sample, scores R anchored subset
+    trials and keeps the best.  Trial t picks a uniform anchor position in
+    the sample and takes the M sample positions nearest the anchor (stable
+    order, so ties resolve by position).  Anchored subsets are the
+    load-bearing choice: a subset of M independent positions of a mixed
+    sample almost never isolates one cluster, so its mean lands between
+    clusters and the greedy score -- which is blind beyond the current
+    iteration -- happily keeps it.  A nearest-neighbor patch around a sampled
+    anchor is cluster-pure whenever clusters are separated, so the candidate
+    menu consists of plausible cluster centers instead of mixture midpoints.
+
+    Iteration i of the restart on ``stream`` draws its sample with the
+    generator of ``stream.derive(i).derive(0)``.  Trial t's anchor is
+    ``floor(u * N)``, with u the first counter uniform of the id of
     ``stream.derive(i).derive(1 + t)``: the top 53 bits of
     ``splitmix64(splitmix64(id) + 0)`` times 2^-53.  No generator is built for
     a trial.  The anchors depend on the stream id, not on the seed; they index
@@ -574,50 +590,76 @@ def _greedy_restart(points, measure, cfg, stream):
     and the largest u still gives N - 1
     (:func:`~d2ptas.sampler._uniform_indices`).
 
-    Trial t scores sum_x min(potential(x), D(x, c_t)).  The min is taken in
-    place in the (n, R) ``pairwise`` table, and the table is dropped before
-    the next iteration builds its own, so a restart holds one n x R table at a
-    time.
+    Trial t scores sum_x min(potential(x), D(x, c_t)).  The A restarts still
+    live in an iteration (those whose total potential is not yet 0) share
+    one :func:`~d2ptas.sampler.d2_law` table and one draw call, one stable
+    argsort of their sample-to-anchor tables and one (n, A x R) ``pairwise``
+    table, scored in place and dropped before the next iteration builds its
+    own.  Each restart keeps the bits of a lone pass:
+    every column of these tables and every draw depends on its own restart
+    alone, and scores sum as a lone (n, R) table sums.  Each sample's own
+    sample-to-anchor table and each ``CenterSet.add`` stay per restart.
     """
-    trials = cfg.subset_strategy.trials
-    m_ = cfg.subset_size_M
-    center_set = CenterSet.empty(points, measure)
-    trace, examined = [], 0
+    trials, sample_size, m_ = cfg.subset_strategy.trials, cfg.sample_size_N, cfg.subset_size_M
+    n, d = points.shape
+    center_sets = [CenterSet.empty(points, measure) for _ in streams]
+    traces = [[] for _ in streams]
     for i in range(cfg.k):
-        if center_set.total_potential == 0.0:
+        live = [r for r, cs in enumerate(center_sets) if cs.total_potential != 0.0]
+        if not live:
             break
-        it_stream = stream.derive(i)
-        sample_idx = d2_sample(center_set, it_stream.derive(0), cfg.sample_size_N)
-        sample = points[sample_idx]
-        uniforms = _counter_uniforms(it_stream.derived_ids(1 + np.arange(trials)), 1)[:, 0]
-        anchors = _uniform_indices(uniforms, cfg.sample_size_N)
-        to_anchor = measure.pairwise(sample, sample[anchors])    # (N, R)
-        positions = np.argsort(to_anchor, axis=0, kind="stable")[:m_].T   # (R, M)
-        cands = sample[positions].mean(axis=1)
+        it_streams = [streams[r].derive(i) for r in live]
+        potentials = np.array([center_sets[r].potentials for r in live]).T        # (n, A)
+        totals = np.array([center_sets[r].total_potential for r in live])
+        samples = weighted_draw(d2_law(potentials, totals), [s.derive(0) for s in it_streams],
+                                sample_size)                                     # (A, N)
+        trial_ids = _derived_ids([s.stream_id for s in it_streams], 1 + np.arange(trials))
+        anchors = _uniform_indices(_counter_uniforms(trial_ids.reshape(-1), 1)[:, 0],
+                                   sample_size).reshape(trial_ids.shape)         # (A, R)
+        # trial a * R + t is column a * R + t of every table below
+        to_anchor = np.concatenate([measure.pairwise(sample, sample[a])
+                                    for sample, a in zip(points[samples], anchors)], axis=1)
+        # copied compact, so that neither the distances nor the full sort
+        # order is alive beside the scoring table
+        order = np.argsort(to_anchor, axis=0, kind="stable")
+        positions = order[:m_].T.copy()                                          # (A * R, M)
+        del to_anchor, order
+        rows = np.arange(len(live))
+        members = samples[np.repeat(rows, trials)[:, None], positions]          # (A * R, M)
+        cands = points[members].mean(axis=1)                                     # (A * R, d)
         # Score in place and drop the table before the next iteration: with a
-        # second live (n, R) table the allocator releases and re-faults their
-        # pages on every iteration.  The potentials stay the first operand, so
-        # the scores keep the bits of np.minimum(potentials, table).
-        table = measure.pairwise(points, cands)
-        scores = np.minimum(center_set.potentials[:, None], table, out=table).sum(axis=0)
+        # second live table the allocator releases and re-faults its pages on
+        # every iteration.  The potentials stay the first operand, so the
+        # scores keep the bits of np.minimum(potentials, table).
+        table = measure.pairwise(points, cands).reshape(n, len(live), trials)
+        np.minimum(potentials[:, :, None], table, out=table)
+        # a one-trial menu sums as a 1-D array, pairwise, as its lone (n, 1) table does
+        scores = (table.sum(axis=0) if trials > 1
+                  else np.ascontiguousarray(table[:, :, 0].T).sum(axis=1)[:, None])  # (A, R)
         del table
-        examined += trials
-        t_best = int(np.argmin(scores))
-        trace.append({
-            "iteration": i,
-            "sample": sample_idx,
-            "trial": t_best,
-            "anchor": int(anchors[t_best]),
-            "subset_positions": positions[t_best],
-            "subset_points": sample_idx[positions[t_best]],
-            "center": cands[t_best],
-            "partial_cost": float(scores[t_best]),
-        })
-        center_set = center_set.add(cands[t_best])
-    centers = _fill_distinct_centers(points, list(center_set.centers), cfg.k)
-    cost = float(CenterSet(points, measure, centers).total_potential) if len(centers) > center_set.size \
-        else center_set.total_potential
-    return _Restart(cost, centers, trace, examined, len(trace))
+        # the kept trials' rows, copied out so that a trace does not hold a whole menu
+        best = np.argmin(scores, axis=1)
+        kept = rows * trials + best
+        for j, (r, t, kept_positions, kept_points, center) in enumerate(
+                zip(live, best.tolist(), positions[kept], members[kept], cands[kept])):
+            traces[r].append({
+                "iteration": i,
+                "sample": samples[j],
+                "trial": t,
+                "anchor": int(anchors[j, t]),
+                "subset_positions": kept_positions,
+                "subset_points": kept_points,
+                "center": center,
+                "partial_cost": float(scores[j, t]),
+            })
+            center_sets[r] = center_sets[r].add(center)
+    outcomes = []
+    for center_set, trace in zip(center_sets, traces):
+        centers = _fill_distinct_centers(points, list(center_set.centers), cfg.k)
+        cost = float(CenterSet(points, measure, centers).total_potential) \
+            if len(centers) > center_set.size else center_set.total_potential
+        outcomes.append(_Restart(cost, centers, trace, trials * len(trace), len(trace)))
+    return outcomes
 
 
 def _log_restart(r, cfg, outcome):
@@ -626,10 +668,22 @@ def _log_restart(r, cfg, outcome):
              outcome.nodes_expanded)
 
 
-def _single_restart(points, ids, measure, cfg, stream):
+def _chunks(cfg, n):
+    """Restart indices 0..R-1 in the chunks that run together: one restart
+    each for ``Exhaustive``, else as many as fit ``_CHUNK_ENTRIES`` (n x R
+    entries each), at least one."""
     if isinstance(cfg.subset_strategy, Exhaustive):
-        return _exhaustive_restart(points, ids, measure, cfg, stream)
-    return _greedy_restart(points, measure, cfg, stream)
+        size = 1
+    else:
+        size = max(1, _CHUNK_ENTRIES // (n * cfg.subset_strategy.trials))
+    return [range(lo, min(lo + size, cfg.restarts)) for lo in range(0, cfg.restarts, size)]
+
+
+def _run_chunk(points, ids, measure, cfg, streams):
+    """Outcomes of the restarts on ``streams``, in order."""
+    if isinstance(cfg.subset_strategy, Exhaustive):
+        return [_exhaustive_restart(points, ids, measure, cfg, stream) for stream in streams]
+    return _greedy_restarts(points, measure, cfg, streams)
 
 
 def _prepare(data, measure, config, restarts=None):
@@ -679,7 +733,10 @@ def find_k_median(data, measure, config, rng, threads=None):
 
     Restart r runs on ``rng.derive(r)``; the winner is the (cost, restart)
     lexicographic minimum, so results are reproducible and adding restarts
-    can only improve the returned cost.
+    can only improve the returned cost.  Restarts run in chunks (see
+    :func:`_chunks`), and ``threads`` workers run chunks side by side, which
+    changes no result: where all restarts fit one chunk, there is nothing to
+    run side by side.
     """
     points, cfg, ids = _prepare(data, measure, config)
     t0 = time.perf_counter()
@@ -691,14 +748,16 @@ def find_k_median(data, measure, config, rng, threads=None):
                      nodes_expanded=0, iterations=0, trace=[])
         return _result(points, measure, centers, meta)
 
-    def one(r):
-        return r, _single_restart(points, ids, measure, cfg, rng.derive(r))
+    def run(chunk):
+        return _run_chunk(points, ids, measure, cfg, [rng.derive(r) for r in chunk])
 
+    chunks = _chunks(cfg, points.shape[0])
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            outcomes = list(pool.map(one, range(cfg.restarts)))
+            done = list(pool.map(run, chunks))
     else:
-        outcomes = [one(r) for r in range(cfg.restarts)]
+        done = [run(chunk) for chunk in chunks]
+    outcomes = list(enumerate(itertools.chain.from_iterable(done)))
 
     for r, outcome in outcomes:
         _log_restart(r, cfg, outcome)
@@ -716,10 +775,14 @@ def find_k_means(data, config, rng, threads=None):
 
 
 def run_one_restart(data, measure, config, rng):
-    """Execute the k-iteration inner loop once, with a full per-iteration trace."""
+    """Execute the k-iteration inner loop once, with a full per-iteration trace.
+
+    This is a chunk of one restart, on ``rng`` itself; restart r of
+    :func:`find_k_median` equals it on ``rng.derive(r)`` bit for bit.
+    """
     points, cfg, ids = _prepare(data, measure, config, restarts=1)
     t0 = time.perf_counter()
-    outcome = _single_restart(points, ids, measure, cfg, rng)
+    outcome, = _run_chunk(points, ids, measure, cfg, [rng])
     _log_restart(0, cfg, outcome)
     meta = _meta(rng, cfg, t0, restarts=1, subsets_examined=outcome.subsets_examined,
                  nodes_expanded=outcome.nodes_expanded, iterations=cfg.k, trace=outcome.trace)

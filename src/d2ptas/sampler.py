@@ -59,6 +59,13 @@ def _counter_uniforms(ids, count):
     return (_splitmix64_array(keys) >> np.uint64(11)).astype(float) * 2.0 ** -53
 
 
+def _derived_ids(parent_ids, indices):
+    """``derive(i).stream_id`` of each parent id and each i of ``indices``, as a
+    (len(parent_ids), len(indices)) uint64 table."""
+    base = _splitmix64_array(parent_ids)[:, None]
+    return _splitmix64_array(base + np.asarray(indices, dtype=np.uint64))
+
+
 def _uniform_indices(uniforms, n):
     """``floor(u * n)`` for each uniform u of the 2^53-grid in [0, 1): an index in [0, n).
 
@@ -106,8 +113,7 @@ class RngStream:
 
     def derived_ids(self, indices):
         """``derive(i).stream_id`` for every i of ``indices``, as one uint64 array."""
-        base = _splitmix64_array(self.stream_id)
-        return _splitmix64_array(base + np.asarray(indices, dtype=np.uint64))
+        return _derived_ids([self.stream_id], indices)[0]
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

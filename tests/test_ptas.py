@@ -6,6 +6,7 @@ margins so the tests are deterministic, not flaky.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,11 +266,19 @@ class TestFindKMedianContracts:
         np.testing.assert_array_equal(labels, res.assignment)
 
     def test_threads_do_not_change_the_answer(self, sq, planted):
+        """Workers run chunks of restarts side by side; 20 restarts at n = 300
+        make chunks of 8, 8 and 4, so there is work to share."""
         points, _, _ = planted
-        seq = find_k_median(points, sq, desk(3), RngStream(9))
-        par = find_k_median(points, sq, desk(3), RngStream(9), threads=4)
+        cfg = desk(3, restarts=20)
+        assert [len(c) for c in ptas._chunks(cfg.resolved(sq), len(points))] == [8, 8, 4]
+        seq = find_k_median(points, sq, cfg, RngStream(9))
+        par = find_k_median(points, sq, cfg, RngStream(9), threads=4)
         np.testing.assert_array_equal(np.asarray(seq.centers), np.asarray(par.centers))
         assert seq.cost == par.cost
+        untimed = [{k: v for k, v in res.meta.items() if k not in ("seconds", "trace")}
+                   for res in (seq, par)]
+        assert untimed[0] == untimed[1]
+        TestLockStepRestarts.assert_same_trace(seq.meta["trace"], par.meta["trace"])
 
     def test_more_restarts_never_hurt(self, sq, planted):
         """Restart r always consumes rng.derive(r), so a larger restart budget
@@ -446,27 +455,125 @@ class TestGreedyScoring:
         centers = run_one_restart(points, sq, cfg, RngStream(44)).centers
         assert (CenterSet(points, sq, centers).potentials == 0.0).any()
 
-    @pytest.mark.parametrize("name", ["sqeuclid", "kl"])
-    def test_a_restart_holds_one_scoring_table(self, name):
-        """At desk_large's shape (n = 4000, d = 16, k = 10, R = 50) one restart's
-        traced peak stays below two n x R float64 tables (3.2 MB)."""
-        gen = np.random.default_rng(11)
-        n, d, k, trials = 4000, 16, 10, 50
-        if name == "kl":
-            measure, points = KullbackLeibler(), 0.1 + 0.8 * gen.random((n, d))
-        else:
-            centers = gen.uniform(0.0, 100.0, size=(k, d))
-            measure = SquaredEuclidean()
-            points = np.repeat(centers, n // k, axis=0) + gen.standard_normal((n, d))
-        cfg = desk(k, restarts=1, subset_strategy=RandomTrials(trials))
+    @staticmethod
+    def traced_peak(solve):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            run_one_restart(points, measure, cfg, RngStream(3))
-            peak = tracemalloc.get_traced_memory()[1]
+            solve()
+            return tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak - start < 2 * n * trials * 8
+
+    @staticmethod
+    def blobs(name, n, d, k, seed):
+        gen = np.random.default_rng(seed)
+        if name == "kl":
+            return KullbackLeibler(), 0.1 + 0.8 * gen.random((n, d))
+        centers = gen.uniform(0.0, 100.0, size=(k, d))
+        return SquaredEuclidean(), np.repeat(centers, n // k, axis=0) + gen.standard_normal((n, d))
+
+    @pytest.mark.parametrize("name", ["sqeuclid", "kl"])
+    def test_a_restart_holds_one_scoring_table(self, name):
+        """At desk_large's shape (n = 4000, d = 16, k = 10, R = 50) the traced
+        peak stays below two n x R float64 tables (3.2 MB): for one restart,
+        and for 8 restarts, which run as chunks of one restart each."""
+        n, d, k, trials = 4000, 16, 10, 50
+        measure, points = self.blobs(name, n, d, k, 11)
+        cfg = desk(k, restarts=1, subset_strategy=RandomTrials(trials))
+        assert ptas._chunks(cfg.resolved(measure), n) == [range(0, 1)]
+        assert self.traced_peak(
+            lambda: run_one_restart(points, measure, cfg, RngStream(3))) < 2 * n * trials * 8
+        cfg = replace(cfg, restarts=8)
+        assert len(ptas._chunks(cfg.resolved(measure), n)) == 8
+        assert self.traced_peak(
+            lambda: find_k_median(points, measure, cfg, RngStream(3))) < 2 * n * trials * 8
+
+    @pytest.mark.parametrize("name", ["sqeuclid", "kl"])
+    def test_a_chunk_of_restarts_holds_one_scoring_table(self, name):
+        """At n = 300 the 8 desk restarts run as one chunk, whose traced peak
+        stays below two tables of the chunk budget (2 MiB)."""
+        n, d, k = 300, 2, 3
+        measure, points = self.blobs(name, n, d, k, 12)
+        cfg = desk(k)
+        assert ptas._chunks(cfg.resolved(measure), n) == [range(0, 8)]
+        assert self.traced_peak(
+            lambda: find_k_median(points, measure, cfg, RngStream(4))) < 2 * ptas._CHUNK_ENTRIES * 8
+
+
+class TestLockStepRestarts:
+    """A chunk of greedy restarts runs in lock step, and each restart in it
+    keeps the bits of the same restart run on its own."""
+
+    @staticmethod
+    def assert_same_trace(mine, theirs):
+        assert len(mine) == len(theirs)
+        for a, b in zip(mine, theirs):
+            assert a.keys() == b.keys()
+            for key in a:
+                x, y = np.asarray(a[key]), np.asarray(b[key])
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), key
+
+    def assert_lone_restarts(self, points, measure, config, rng, restarts):
+        points, cfg, ids = _prepare(points, measure, config)
+        streams = [rng.derive(r) for r in range(restarts)]
+        outcomes = ptas._greedy_restarts(points, measure, cfg, streams)
+        assert len(outcomes) == restarts
+        for outcome, stream in zip(outcomes, streams):
+            lone = run_one_restart(points, measure, config, stream)
+            assert np.asarray(outcome.centers).tobytes() == lone.centers.tobytes()
+            assert outcome.subsets_examined == lone.meta["subsets_examined"]
+            assert outcome.nodes_expanded == lone.meta["nodes_expanded"]
+            self.assert_same_trace(outcome.trace, lone.meta["trace"])
+            alone, = ptas._greedy_restarts(points, measure, cfg, [stream])
+            assert np.float64(outcome.cost).tobytes() == np.float64(alone.cost).tobytes()
+        return outcomes
+
+    @pytest.mark.parametrize("trials", [50, 1])
+    def test_each_restart_is_a_lone_restart_on_kl_data(self, planted, trials):
+        kl = KullbackLeibler()
+        points = planted[0]
+        points = 0.1 + 0.8 * (points - points.min(axis=0)) / np.ptp(points, axis=0)
+        cfg = desk(3, subset_strategy=RandomTrials(trials))
+        self.assert_lone_restarts(points, kl, cfg, RngStream(47), 8)
+
+    @pytest.mark.parametrize("trials", [50, 1])
+    def test_each_restart_is_a_lone_restart_on_a_grid_with_signed_zeros(self, sq, gen, trials):
+        signs = gen.choice([1.0, -1.0], size=(200, 1))
+        points = gen.integers(-1, 2, size=(200, 2)) * 0.5 * signs
+        cfg = desk(3, subset_strategy=RandomTrials(trials))
+        outcomes = self.assert_lone_restarts(points, sq, cfg, RngStream(48), 8)
+        assert any((CenterSet(points, sq, o.centers).potentials == 0.0).any() for o in outcomes)
+
+    @pytest.mark.parametrize("trials", [4, 1])
+    def test_covered_restarts_leave_the_batch(self, sq, trials):
+        """Four values 0, 1e-170, 2e-170 and 1, five copies each: the tiny gaps
+        square to 0, so a restart that centers one patch on each side covers
+        every point exactly after two of its k = 3 iterations and stops, while
+        the batch goes on with the restarts that do not."""
+        points = np.repeat([0.0, 1e-170, 2e-170, 1.0], 5)[:, None]
+        cfg = PtasConfig(k=3, epsilon=0.5, sample_size_N=12, subset_size_M=4,
+                         subset_strategy=RandomTrials(trials))
+        outcomes = self.assert_lone_restarts(points, sq, cfg, RngStream(51), 8)
+        lengths = [len(o.trace) for o in outcomes]
+        assert 2 in lengths and 3 in lengths
+        assert all(o.trace[-1]["partial_cost"] == 0.0 for o in outcomes if len(o.trace) == 2)
+
+    def test_fewer_restarts_are_a_prefix(self, planted, sq):
+        points = planted[0]
+        _, cfg, _ = _prepare(points, sq, desk(3))
+        rng = RngStream(52)
+        eight = ptas._greedy_restarts(points, sq, cfg, [rng.derive(r) for r in range(8)])
+        three = ptas._greedy_restarts(points, sq, cfg, [rng.derive(r) for r in range(3)])
+        for a, b in zip(three, eight):
+            assert np.asarray(a.centers).tobytes() == np.asarray(b.centers).tobytes()
+            assert np.float64(a.cost).tobytes() == np.float64(b.cost).tobytes()
+            self.assert_same_trace(a.trace, b.trace)
+
+    def test_exhaustive_restarts_run_one_per_chunk(self, sq):
+        cfg = PtasConfig(k=2, epsilon=0.5, sample_size_N=6, subset_size_M=2, restarts=3,
+                         subset_strategy=Exhaustive()).resolved(sq)
+        assert ptas._chunks(cfg, 12) == [range(0, 1), range(1, 2), range(2, 3)]
 
 
 class TestCoverageTraceProperty:
