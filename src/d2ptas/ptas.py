@@ -18,10 +18,11 @@ game:
 Everything is deterministic given an :class:`~d2ptas.sampler.RngStream`:
 restart r uses ``rng.derive(r)``, iteration/trial streams are derived below
 that, so extending restarts or trials never reshuffles earlier draws.  D²
-samples, k-means++ seeds and the exhaustive tree draw from each stream's
-seeded generator; a ``RandomTrials`` anchor is instead a counter-based uniform
-of its trial's stream id (see :func:`_greedy_restarts`), computed for all
-trials of an iteration in one vectorised step.
+samples and k-means++ seeds draw from each stream's seeded generator.  A
+``RandomTrials`` anchor is instead a counter-based uniform of its trial's
+stream id (see :func:`_greedy_restarts`), computed for all trials of an
+iteration in one vectorised step, and so is every draw of the exhaustive
+tree, under a key that brings in the seed (see :class:`_TreeSearch`).
 
 Restarts share no state, so ``RandomTrials`` restarts run in chunks, in lock
 step: each iteration draws, sorts and scores for the whole chunk at once,
@@ -43,8 +44,8 @@ import numpy as np
 
 from .divergences import SquaredEuclidean, as_points, assign
 from .errors import ConfigError, InsufficientPoints
-from .sampler import (CenterSet, _counter_uniforms, _derived_ids, _uniform_indices, d2_law,
-                      d2_sample, weighted_draw)
+from .sampler import (CenterSet, _counter_key, _counter_uniforms, _derived_ids,
+                      _uniform_indices, d2_law, d2_sample, weighted_draw)
 
 __all__ = [
     "Exhaustive",
@@ -241,21 +242,33 @@ class _Restart:
         self.nodes_expanded = nodes_expanded
 
 
+# Draws are deduplicated a block of rows at a time, at most about this many
+# draws or one row per block, which bounds the block's key and position
+# temporaries.  The paper preset draws N = 819 200 points per node, and each
+# temporary over a whole batch of 15 siblings' draws would take 98 MB.
+_DEDUPE_ENTRIES = 1 << 16
+
+
 def _distinct_sample_points(ids, rows):
     """Per row of a (B, N) stack of draws, the indices of its distinct point
     values, first occurrence first.
 
     ``ids`` maps each point to its distinct-value id (see :func:`_prepare`).
     """
-    (count, size), width = rows.shape, int(ids.max()) + 1
-    # flat position of the first occurrence of each (row, value), in draw order
-    first = np.full(count * width, rows.size)
-    np.minimum.at(first, (ids[rows] + width * np.arange(count)[:, None]).reshape(-1),
-                  np.arange(rows.size))
-    first = np.sort(first[first < rows.size])
-    flat = rows.reshape(-1)[first]
-    ends = np.searchsorted(first, size * np.arange(1, count + 1)).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    width, step, pools = int(ids.max()) + 1, max(1, _DEDUPE_ENTRIES // rows.shape[1]), []
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        count, size = block.shape
+        # flat position of the first occurrence of each (row, value), in draw order
+        first = np.full(count * width, block.size)
+        keys = ids[block]
+        keys += width * np.arange(count)[:, None]
+        np.minimum.at(first, keys.reshape(-1), np.arange(block.size))
+        first = np.sort(first[first < block.size])
+        flat = block.reshape(-1)[first]
+        ends = np.searchsorted(first, size * np.arange(1, count + 1)).tolist()
+        pools += [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    return pools
 
 
 def _distinct_rows(rows, base):
@@ -403,24 +416,31 @@ class _Siblings:
 
 
 class _TreeSearch:
-    """Depth-first enumeration over per-iteration candidate subsets.
+    """Depth-first enumeration over per-iteration candidate subsets, for the
+    restart on ``stream``.
 
-    Node streams follow the branch path (child s gets ``stream.derive(1+s)``,
-    the node's own draw uses ``stream.derive(0)``), so the winning path can be
-    replayed exactly to reconstruct its trace.
+    Node streams follow the branch path: the root is ``stream``, child s of a
+    node gets ``derive(1 + s)`` of it and the node's own draw uses
+    ``derive(0)``.  Nodes carry only their stream ids, as uint64 arrays from
+    :func:`~d2ptas.sampler._derived_ids`; no ``RngStream`` is built for a node.
+    A node's N draws invert its D² law at the counter uniforms of its draw id
+    s under the restart's key K (:func:`~d2ptas.sampler._counter_key`): the
+    j-th is the top 53 bits of ``splitmix64(splitmix64(s ^ K) + j)`` times
+    2^-53.  Each value is a function of (seed, path, j) alone, so the winning
+    path can be replayed exactly to reconstruct its trace.
 
     All children of a node are expanded as one batch (see :meth:`_expand`):
-    one stacked draw, one pool dedupe, one ``rowwise`` table over the distinct
-    subsets of every child's pool, and one pass over the points that sums all
-    children's candidate costs.  Leaves then reduce by segment min.  The
-    stream layout is unchanged from a node-by-node search, and so is every bit
+    one table of counter uniforms and one stacked draw, one pool dedupe, one
+    ``rowwise`` table over the distinct subsets of every child's pool, and one
+    pass over the points that sums all children's candidate costs.  Leaves
+    then reduce by segment min.  The stream layout is unchanged from a node-by-node search, and so is every bit
     of the result: each child's numbers are computed as a lone node would
     compute them, children are visited in order, and a child cut off by the
     zero-cost short-circuit counts for nothing, though its batch may have
     expanded it.  The root and the replay are batches of one.
     """
 
-    def __init__(self, points, ids, measure, k, sample_size, subset_size):
+    def __init__(self, points, ids, measure, k, sample_size, subset_size, stream):
         self.points = points
         self.ids = ids
         self.measure = measure
@@ -433,9 +453,12 @@ class _TreeSearch:
         self.nodes_expanded = 0
         most = _menu_size(sample_size, subset_size, int(ids.max()) + 1)
         self._node_entries = points.shape[0] * points.shape[1] * most
+        self.root = np.array([stream.stream_id], dtype=np.uint64)
+        self.key = _counter_key(stream)
 
-    def _expand(self, potentials, streams):
-        """Draw, dedupe and score the sibling nodes on ``streams`` as one batch.
+    def _expand(self, potentials, node_ids):
+        """Draw, dedupe and score the sibling nodes with stream ids ``node_ids``
+        as one batch.
 
         ``potentials`` holds the siblings' potentials as columns, +inf at
         the root.  Each sibling gets the bits a lone node would get: its
@@ -444,8 +467,8 @@ class _TreeSearch:
         (see :class:`_Siblings`).
         """
         n, d = self.points.shape
-        samples = weighted_draw(d2_law(potentials), [s.derive(0) for s in streams],
-                                self.sample_size)
+        samples = weighted_draw(d2_law(potentials), _counter_uniforms(
+            _derived_ids(node_ids, [0])[:, 0], self.sample_size, self.key))
         pools = _distinct_sample_points(self.ids, samples)
         sizes = np.array([len(pool) for pool in pools])
         distinct_sizes, size_index = np.unique(sizes, return_inverse=True)
@@ -474,23 +497,23 @@ class _TreeSearch:
         table = self.measure.rowwise(self.points[:, None, :], means[None, :, :])
         return _Siblings(samples, pools, starts, which, means, table, potentials)
 
-    def run(self, stream):
+    def run(self):
         # the root's potentials are +inf, the cost to no center
-        self._search(np.full((self.points.shape[0], 1), np.inf), [stream], [()])
+        self._search(np.full((self.points.shape[0], 1), np.inf), self.root, [()])
         return self.best_cost, self.best_path
 
-    def _search(self, potentials, streams, paths):
+    def _search(self, potentials, node_ids, paths):
         """Visit sibling nodes in order, expanding them in chunks of siblings."""
         step = max(1, _BATCH_ENTRIES // self._node_entries)
-        for lo in range(0, len(streams), step):
+        for lo in range(0, len(node_ids), step):
             if self.best_cost == 0.0:
                 return
             chunk = slice(lo, lo + step)
-            node = self._expand(potentials[:, chunk], streams[chunk])
+            node = self._expand(potentials[:, chunk], node_ids[chunk])
             if len(paths[0]) == self.k - 1:
                 self._score_leaves(node, paths[chunk])
                 continue
-            for j, (stream, path) in enumerate(zip(streams[chunk], paths[chunk])):
+            for j, (node_id, path) in enumerate(zip(node_ids[chunk, None], paths[chunk])):
                 if self.best_cost == 0.0:
                     return
                 a, b = node.starts[j], node.starts[j + 1]
@@ -500,7 +523,7 @@ class _TreeSearch:
                 stop = int(zeros[0]) if zeros.size else int(b - a)
                 if stop:
                     self._search(node.potentials(np.arange(a, a + stop)),
-                                 [stream.derive(1 + c) for c in range(stop)],
+                                 _derived_ids(node_id, 1 + np.arange(stop))[0],
                                  [path + (c,) for c in range(stop)])
                 if stop < b - a and 0.0 < self.best_cost:
                     # every point is covered already; deeper centers cannot matter
@@ -523,12 +546,13 @@ class _TreeSearch:
             b = int(np.argmin(node.costs[a:node.starts[j + 1]]))
             self.best_cost, self.best_path = float(node.costs[a + b]), paths[j] + (b,)
 
-    def replay(self, stream, path):
+    def replay(self, path):
         """Recompute the winning branch and emit its per-iteration trace."""
         trace, centers = [], []
         potentials = np.full((self.points.shape[0], 1), np.inf)
+        node_id = self.root
         for depth, b in enumerate(path):
-            node = self._expand(potentials, [stream])
+            node = self._expand(potentials, node_id)
             pool_idx = node.pools[0]
             combo = _combo_by_rank(_combo_groups(len(pool_idx), self.subset_size), b)
             potentials = node.potentials(np.array([b]))
@@ -543,14 +567,15 @@ class _TreeSearch:
                 "partial_cost": float(potentials[:, 0].sum()),
             })
             centers.append(center)
-            stream = stream.derive(1 + b)
+            node_id = _derived_ids(node_id, [1 + b])[0]
         return centers, trace
 
 
 def _exhaustive_restart(points, ids, measure, cfg, stream):
-    search = _TreeSearch(points, ids, measure, cfg.k, cfg.sample_size_N, cfg.subset_size_M)
-    cost, path = search.run(stream)
-    centers, trace = search.replay(stream, path)
+    search = _TreeSearch(points, ids, measure, cfg.k, cfg.sample_size_N, cfg.subset_size_M,
+                         stream)
+    cost, path = search.run()
+    centers, trace = search.replay(path)
     centers = _fill_distinct_centers(points, centers, cfg.k)
     return _Restart(cost, centers, trace, search.subsets_examined, search.nodes_expanded)
 
@@ -611,8 +636,9 @@ def _greedy_restarts(points, measure, cfg, streams):
         it_streams = [streams[r].derive(i) for r in live]
         potentials = np.array([center_sets[r].potentials for r in live]).T        # (n, A)
         totals = np.array([center_sets[r].total_potential for r in live])
-        samples = weighted_draw(d2_law(potentials, totals), [s.derive(0) for s in it_streams],
-                                sample_size)                                     # (A, N)
+        samples = weighted_draw(d2_law(potentials, totals),
+                                [s.derive(0).generator.random(sample_size)
+                                 for s in it_streams])                            # (A, N)
         trial_ids = _derived_ids([s.stream_id for s in it_streams], 1 + np.arange(trials))
         anchors = _uniform_indices(_counter_uniforms(trial_ids.reshape(-1), 1)[:, 0],
                                    sample_size).reshape(trial_ids.shape)         # (A, R)

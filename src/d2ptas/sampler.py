@@ -34,29 +34,66 @@ def _splitmix64(x):
     return (x ^ (x >> 31)) & _MASK64
 
 
-def _splitmix64_array(x):
-    """:func:`_splitmix64` of every word of ``x``, as a uint64 array of at least one dimension.
+def _splitmix64_in_place(x, spare):
+    """splitmix64's output function on the uint64 array ``x``, in place: word
+    ``w + 0x9E3779B97F4A7C15`` becomes ``splitmix64(w)``.
 
+    ``spare`` is a uint64 array of ``x``'s shape whose contents are lost.
     Arithmetic on uint64 arrays wraps modulo 2^64 silently; on numpy uint64
     scalars it warns, so nothing here is ever reduced to a scalar.
     """
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= np.right_shift(x, np.uint64(shift), out=spare)
+        x *= np.uint64(multiplier)
+    x ^= np.right_shift(x, np.uint64(31), out=spare)
+
+
+def _splitmix64_array(x):
+    """:func:`_splitmix64` of every word of ``x``, as a uint64 array of at least one dimension."""
     x = np.array(x, dtype=np.uint64, ndmin=1) + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    _splitmix64_in_place(x, np.empty_like(x))
+    return x
 
 
-def _counter_uniforms(ids, count):
-    """The first ``count`` counter-based uniforms of each stream id, as a (len(ids), count) table.
+# Counter uniforms are computed a block of at most this many table entries at
+# a time, in two uint64 buffers that stay in cache (64 KiB each).  Mixing a
+# whole (B, count) table at once runs each of the mixer's dozen steps over
+# fresh whole-table temporaries: at the paper preset's count = 819 200 that
+# took about 4x as long as these blocks.
+_UNIFORM_BLOCK = 1 << 13
+
+
+def _counter_uniforms(ids, count, key=0):
+    """The first ``count`` counter-based uniforms of each stream id under the
+    64-bit ``key``, as a (len(ids), count) table.
 
     The j-th uniform of the stream with id s is the top 53 bits of
-    ``splitmix64(splitmix64(s) + j)`` times 2^-53, the 53-bit construction of
-    numpy's ``random()``, so it lies in [0, 1).  Each value is a pure function
-    of (s, j): a longer table extends a shorter one, and no generator state is
-    built or shared.
+    ``splitmix64(splitmix64(s ^ key) + j)`` times 2^-53, the 53-bit
+    construction of numpy's ``random()``, so it lies in [0, 1).  Each value is
+    a pure function of (key, s, j): a longer table extends a shorter one, and
+    no generator state is built or shared.  Key 0 leaves the ids as they are.
     """
-    keys = _splitmix64_array(ids)[:, None] + np.arange(int(count), dtype=np.uint64)
-    return (_splitmix64_array(keys) >> np.uint64(11)).astype(float) * 2.0 ** -53
+    # the second splitmix64's first step, adding the constant, done once per id
+    base = _splitmix64_array(np.asarray(ids, dtype=np.uint64) ^ np.uint64(key))
+    base += np.uint64(0x9E3779B97F4A7C15)
+    count = int(count)
+    out = np.empty((len(base), count))
+    if not out.size:
+        return out
+    width = min(count, _UNIFORM_BLOCK)
+    height = max(1, _UNIFORM_BLOCK // width)
+    counters = np.arange(width, dtype=np.uint64)
+    words, spares = np.empty((2, min(height, len(base)), width), dtype=np.uint64)
+    for r in range(0, len(base), height):
+        rows = base[r:r + height, None]
+        for c in range(0, count, width):
+            x, t = words[:len(rows), :count - c], spares[:len(rows), :count - c]
+            np.add(rows + np.uint64(c), counters[:x.shape[1]], out=x)
+            _splitmix64_in_place(x, t)
+            # below 2^53 after the shift, where int64 converts to float exactly and faster
+            np.right_shift(x, np.uint64(11), out=x)
+            np.multiply(x.view(np.int64), 2.0 ** -53, out=out[r:r + len(rows), c:c + x.shape[1]])
+    return out
 
 
 def _derived_ids(parent_ids, indices):
@@ -64,6 +101,16 @@ def _derived_ids(parent_ids, indices):
     (len(parent_ids), len(indices)) uint64 table."""
     base = _splitmix64_array(parent_ids)[:, None]
     return _splitmix64_array(base + np.asarray(indices, dtype=np.uint64))
+
+
+def _counter_key(stream):
+    """The key that brings ``stream``'s seed into counter uniforms: the first
+    64-bit output of the PCG64 seeded by (seed, stream_id).
+
+    It is taken from a fresh stream, so ``stream``'s own generator is never
+    advanced or built.
+    """
+    return RngStream(stream.seed, stream.stream_id).generator.bit_generator.random_raw()
 
 
 def _uniform_indices(uniforms, n):
@@ -85,12 +132,13 @@ class RngStream:
     ever created -- which is what makes "extend the experiment" reproducible.
 
     A stream draws in one of two ways.  ``generator`` is a PCG64 seeded by
-    (seed, stream_id); D² samples, k-means++ seeds and the exhaustive tree use
-    it.  Hot paths that need one value from each of many sibling streams skip
-    the generator: :meth:`derived_ids` gives the siblings' ids as one array
-    and :func:`_counter_uniforms` their uniforms, each a pure function of
-    (id, counter), so no state is built per stream.  ``RandomTrials`` anchors
-    are drawn this way.
+    (seed, stream_id); D² samples and k-means++ seeds use it.  Hot paths that
+    need values from each of many sibling streams skip the generator:
+    :func:`_derived_ids` gives the siblings' ids as one array and
+    :func:`_counter_uniforms` their uniforms, each a pure function of (key,
+    id, counter), so no state is built per stream.  ``RandomTrials`` anchors
+    are drawn this way with key 0, and the exhaustive tree's nodes under the
+    key :func:`_counter_key` of their restart stream, which brings in the seed.
     """
 
     def __init__(self, seed, stream_id=0):
@@ -110,10 +158,6 @@ class RngStream:
         """Child stream ``index`` of this stream (fresh generator state)."""
         child = _splitmix64((_splitmix64(self.stream_id) + int(index)) & _MASK64)
         return RngStream(self.seed, child)
-
-    def derived_ids(self, indices):
-        """``derive(i).stream_id`` for every i of ``indices``, as one uint64 array."""
-        return _derived_ids([self.stream_id], indices)[0]
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -200,16 +244,17 @@ def d2_law(potentials, totals=None):
                     potentials / np.where(uniform, 1.0, totals))
 
 
-def weighted_draw(probs, rng, count):
-    """``count`` categorical draws from explicit probabilities.
+def weighted_draw(probs, uniforms):
+    """Categorical draws from explicit probabilities, one per uniform.
 
-    ``probs`` is either one probability vector drawn with the stream ``rng``,
-    or an (n, B) table whose column b is drawn with the stream ``rng[b]``; the
-    batch returns a (B, count) array whose row b is bitwise the 1-D draw of
-    column b with that stream.  Each column's cumulative sum runs in order
-    over that column alone, whatever the table's memory layout, and each
-    stream gives the same ``count`` uniforms as in the 1-D call, so batching
-    changes neither bits nor stream use.
+    ``probs`` is either one probability vector, drawn with the (count,)
+    ``uniforms``, or an (n, B) table whose column b is drawn with row b of the
+    (B, count) ``uniforms``; the batch returns a (B, count) array whose row b
+    is bitwise the 1-D draw of column b with that row.  Each column's
+    cumulative sum runs in order over that column alone, whatever the table's
+    memory layout, so batching changes no bits.  The uniforms lie in [0, 1):
+    PCG64 ``random()`` rows for D² samples and k-means++, counter uniforms
+    (:func:`_counter_uniforms`) for the exhaustive tree.
 
     The cumulative distribution is inverted over the support only: entries
     that are not positive add nothing to it, and from the last positive entry
@@ -217,7 +262,11 @@ def weighted_draw(probs, rng, count):
     at float boundaries.
     """
     probs = np.asarray(probs, dtype=float)
-    rows, streams = (probs[None, :], [rng]) if probs.ndim == 1 else (probs.T, rng)
+    uniforms = np.asarray(uniforms, dtype=float)
+    if uniforms.ndim != probs.ndim or uniforms.shape[:-1] != probs.shape[1:]:
+        raise ValueError(f"uniforms of shape {uniforms.shape} do not fit probabilities "
+                         f"of shape {probs.shape}")
+    rows, draws = (probs[None, :], uniforms[None, :]) if probs.ndim == 1 else (probs.T, uniforms)
     support = rows > 0.0  # NaN is not support either
     # adding +0.0 leaves a running sum unchanged, so on the support this is
     # the cumulative sum of the positive entries alone
@@ -225,20 +274,22 @@ def weighted_draw(probs, rng, count):
     if not (cum[:, -1] > 0.0).all():
         raise ValueError("a distribution has no positive probability")
     last = rows.shape[1] - np.argmax(support[:, ::-1], axis=1)  # one past it
-    out = np.empty((len(streams), int(count)), dtype=np.intp)
-    for b, stream in enumerate(streams):
-        cum[b, last[b] - 1:] = 1.0  # kill accumulated rounding so u in [0, 1) always lands
-        out[b] = np.searchsorted(cum[b], stream.generator.random(count), side="right")
+    # kill accumulated rounding so u in [0, 1) always lands
+    cum[np.arange(rows.shape[1]) >= last[:, None] - 1] = 1.0
+    out = np.empty(draws.shape, dtype=np.intp)
+    for row, u, drawn in zip(cum, draws, out):
+        drawn[...] = row.searchsorted(u, "right")
     return out[0] if probs.ndim == 1 else out
 
 
 def d2_sample(center_set, rng, count):
-    """``count`` independent point-index draws (with replacement)."""
+    """``count`` independent point-index draws (with replacement), from the
+    PCG64 generator of the stream ``rng``."""
     count = int(count)
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count}")
     probs, _ = center_set.distribution()
-    return weighted_draw(probs, rng, count)
+    return weighted_draw(probs, rng.generator.random(count))
 
 
 def empirical_distribution_check(center_set, rng, trials, tolerance=None):

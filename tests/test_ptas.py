@@ -138,6 +138,30 @@ class TestTinyExhaustive:
         # partial costs shrink as centers accumulate
         assert trace[1]["partial_cost"] <= trace[0]["partial_cost"]
 
+    def test_key_leaves_the_callers_stream_alone(self, sq, gen):
+        """The tree's key comes from a fresh generator of the stream's (seed,
+        id): two runs on one stream object, one on a stream whose generator
+        was already advanced, and one on a fresh stream are bit-identical."""
+        pts = gen.standard_normal((9, 1))
+        stream, used = RngStream(7, 12), RngStream(7, 12)
+        used.generator.random(5)
+        runs = [run_one_restart(pts, sq, desk(2, **self.CFG), s)
+                for s in (stream, stream, used, RngStream(7, 12))]
+        assert stream._gen is None
+        for res in runs[:-1]:
+            assert res.cost == runs[-1].cost
+            np.testing.assert_array_equal(res.centers, runs[-1].centers)
+            for mine, theirs in zip(res.meta["trace"], runs[-1].meta["trace"], strict=True):
+                np.testing.assert_array_equal(mine["sample"], theirs["sample"])
+                assert mine["subset_rank"] == theirs["subset_rank"]
+
+    def test_the_seed_enters_the_tree_draws(self, sq, gen):
+        """Equal stream ids under two seeds draw different root samples."""
+        pts = gen.standard_normal((12, 1))
+        samples = [run_one_restart(pts, sq, desk(2, **self.CFG), RngStream(seed, 5))
+                   .meta["trace"][0]["sample"] for seed in (1, 2)]
+        assert not np.array_equal(*samples)
+
     def test_zero_cost_branch_short_circuits(self, sq):
         """n = k distinct points inside a single restart: every point becomes
         a center and the enumeration stops at cost zero."""

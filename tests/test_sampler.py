@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from d2ptas import ConfigError, Mahalanobis, SquaredEuclidean
+from d2ptas import sampler
 from d2ptas.sampler import (
     CenterSet,
     RngStream,
+    _counter_key,
     _counter_uniforms,
+    _derived_ids,
     _splitmix64,
     _splitmix64_array,
     _uniform_indices,
@@ -50,30 +53,52 @@ class TestRngStream:
         assert child.stream_id != s.stream_id
 
 
+MASK64 = 2 ** 64 - 1
+
+
+def scalar_uniform(s, j, key=0):
+    """The documented counter uniform, in plain Python integers."""
+    return (_splitmix64((_splitmix64(s ^ key) + j) & MASK64) >> 11) * 2.0 ** -53
+
+
 class TestCounterDraws:
-    """Counter-based uniforms: the j-th uniform of stream id s is the top 53
-    bits of splitmix64(splitmix64(s) + j) times 2^-53."""
+    """Counter-based uniforms: the j-th uniform of stream id s under key K is
+    the top 53 bits of splitmix64(splitmix64(s ^ K) + j) times 2^-53."""
 
     def test_vectorised_mixer_is_the_scalar_mixer(self, gen):
         ids = [0, 2 ** 64 - 1] + gen.integers(0, 2 ** 64, size=1000, dtype=np.uint64).tolist()
         assert _splitmix64_array(ids).tolist() == [_splitmix64(i) for i in ids]
 
     def test_derived_ids_are_the_derived_stream_ids(self):
-        for stream in (RngStream(3), RngStream(3).derive(5), RngStream(0, 2 ** 64 - 1)):
-            ids = stream.derived_ids(1 + np.arange(50))
-            assert ids.dtype == np.uint64
-            assert ids.tolist() == [stream.derive(1 + t).stream_id for t in range(50)]
+        streams = (RngStream(3), RngStream(3).derive(5), RngStream(0, 2 ** 64 - 1))
+        ids = _derived_ids([s.stream_id for s in streams], 1 + np.arange(50))
+        assert ids.dtype == np.uint64 and ids.shape == (3, 50)
+        for stream, row in zip(streams, ids):
+            assert row.tolist() == [stream.derive(1 + t).stream_id for t in range(50)]
 
     def test_uniforms_follow_the_documented_formula(self, gen):
         ids = [0, 2 ** 64 - 1] + gen.integers(0, 2 ** 64, size=20, dtype=np.uint64).tolist()
-        table = _counter_uniforms(ids, 4)
-        expected = [[(_splitmix64((_splitmix64(s) + j) & (2 ** 64 - 1)) >> 11) * 2.0 ** -53
-                     for j in range(4)] for s in ids]
-        assert table.tolist() == expected
-        assert ((0.0 <= table) & (table < 1.0)).all()
+        for key in (0, 1, 2 ** 63, 2 ** 64 - 1):
+            table = _counter_uniforms(ids, 4, key)
+            assert table.tolist() == [[scalar_uniform(s, j, key) for j in range(4)] for s in ids]
+            assert ((0.0 <= table) & (table < 1.0)).all()
+        assert _counter_uniforms(ids, 4).tolist() == _counter_uniforms(ids, 4, 0).tolist()
+
+    @pytest.mark.parametrize("block", [1, 5, 64, 1 << 13])
+    @pytest.mark.parametrize("count", [1, 7, 64, 300])
+    def test_blocks_do_not_change_the_table(self, monkeypatch, block, count):
+        """Blocks of one value, of parts of a row and of several whole rows."""
+        ids = _derived_ids([11], np.arange(9))[0]
+        want = [[scalar_uniform(int(s), j, 2 ** 64 - 1) for j in range(count)] for s in ids]
+        monkeypatch.setattr(sampler, "_UNIFORM_BLOCK", block)
+        assert _counter_uniforms(ids, count, 2 ** 64 - 1).tolist() == want
+
+    def test_empty_tables(self):
+        assert _counter_uniforms([], 5).shape == (0, 5)
+        assert _counter_uniforms([3, 4], 0).shape == (2, 0)
 
     def test_more_uniforms_extend_fewer(self):
-        ids = RngStream(9).derived_ids(np.arange(30))
+        ids = _derived_ids([RngStream(9).stream_id], np.arange(30))[0]
         np.testing.assert_array_equal(_counter_uniforms(ids, 7)[:, :3], _counter_uniforms(ids, 3))
         np.testing.assert_array_equal(_counter_uniforms(ids[:10], 3), _counter_uniforms(ids, 3)[:10])
 
@@ -86,12 +111,28 @@ class TestCounterDraws:
         """L-infinity distance of the index frequencies from 1/n over 10^5
         sibling streams, within 5 binomial standard deviations."""
         trials = 100_000
-        ids = RngStream(1).derive(4).derived_ids(1 + np.arange(trials))
+        ids = _derived_ids([RngStream(1).derive(4).stream_id], 1 + np.arange(trials))[0]
         indices = _uniform_indices(_counter_uniforms(ids, 1)[:, 0], n)
         freq = np.bincount(indices, minlength=n) / trials
         assert freq.shape == (n,)
         p = 1.0 / n
         assert np.abs(freq - p).max() <= 5.0 * np.sqrt(p * (1.0 - p) / trials)
+
+    def test_key_is_the_first_output_of_the_seeded_generator(self):
+        for seed, stream_id in ((1, 0), (2, 0), (1, 2 ** 64 - 1)):
+            stream = RngStream(seed, stream_id)
+            pcg = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream_id,)))
+            assert _counter_key(stream) == pcg.random_raw()
+            assert stream._gen is None  # the caller's stream builds no generator
+        assert _counter_key(RngStream(1, 5)) != _counter_key(RngStream(2, 5))
+
+    def test_used_stream_keeps_its_key_and_its_draws(self):
+        stream = RngStream(8, 3)
+        first = stream.generator.random(4)
+        assert _counter_key(stream) == _counter_key(RngStream(8, 3))
+        np.testing.assert_array_equal(stream.generator.random(4),
+                                      RngStream(8, 3).generator.random(8)[4:])
+        assert not np.array_equal(first, stream.generator.random(4))
 
 
 class TestCenterSet:
@@ -215,29 +256,44 @@ class TestD2Law:
         assert cs.total_potential == np.inf
         probs, zero_potential = cs.distribution()
         assert np.all(probs == 1.0 / 9) and zero_potential is False
-        np.testing.assert_array_equal(d2_sample(cs, RngStream(4), 500),
-                                      weighted_draw(np.full(9, 1.0 / 9), RngStream(4), 500))
+        np.testing.assert_array_equal(
+            d2_sample(cs, RngStream(4), 500),
+            weighted_draw(np.full(9, 1.0 / 9), RngStream(4).generator.random(500)))
 
 
 class TestWeightedDraw:
+    """Draws invert the cumulative law over the support at the given uniforms."""
+
     def test_deterministic_given_stream(self):
         probs = np.array([0.2, 0.3, 0.5])
-        a = weighted_draw(probs, RngStream(5), 100)
-        b = weighted_draw(probs, RngStream(5), 100)
+        a = weighted_draw(probs, RngStream(5).generator.random(100))
+        b = weighted_draw(probs, RngStream(5).generator.random(100))
         np.testing.assert_array_equal(a, b)
 
     def test_zero_probability_never_drawn(self):
         probs = np.array([0.0, 0.5, 0.0, 0.5])
-        draws = weighted_draw(probs, RngStream(6), 20000)
+        draws = weighted_draw(probs, RngStream(6).generator.random(20000))
         assert set(np.unique(draws)) <= {1, 3}
 
     def test_degenerate_distribution(self):
-        draws = weighted_draw(np.array([1.0, 0.0, 0.0]), RngStream(7), 500)
+        draws = weighted_draw(np.array([1.0, 0.0, 0.0]), RngStream(7).generator.random(500))
         assert np.all(draws == 0)
 
+    def test_uniform_boundaries(self):
+        """u = 0 lands on the first positive entry, past leading zeros, and the
+        largest uniform, 1 - 2^-53, on the last one, before trailing zeros,
+        even where rounding leaves the cumulative sum short of 1."""
+        u = np.array([0.0, 1.0 - 2.0 ** -53])
+        assert weighted_draw(np.array([0.0, 0.0, 0.25, 0.75, 0.0]), u).tolist() == [2, 3]
+        short = np.full(10, 0.1)  # its cumulative sum ends at 0.9999999999999999
+        assert np.cumsum(short)[-1] <= 1.0 - 2.0 ** -53
+        assert weighted_draw(short, u).tolist() == [0, 9]
+        table = np.array([[0.0, 0.5], [0.0, 0.5], [1.0, 0.0]])
+        assert weighted_draw(table, np.tile(u, (2, 1))).tolist() == [[2, 2], [0, 1]]
+
     def test_batch_rows_are_the_one_dimensional_draws(self):
-        """Row b of a batched draw is bitwise the 1-D draw of column b on stream b,
-        and both are the inversion over the support alone."""
+        """Row b of a batched draw is bitwise the 1-D draw of column b with
+        uniform row b, and both are the inversion over the support alone."""
         gen = RngStream(11).generator
         n, count = 12, 400
         probs = gen.random((n, 5)) * 10.0 ** gen.integers(-12, 1, size=(n, 5))
@@ -245,22 +301,31 @@ class TestWeightedDraw:
         probs[1:4, 3] = 0.0
         probs[:-2, 4] = 0.0  # one positive entry
         probs /= probs.sum(axis=0)
-        batch = weighted_draw(probs, [RngStream(12, b) for b in range(5)], count)
+        uniforms = _counter_uniforms(_derived_ids([12], np.arange(5))[0], count, 99)
+        uniforms[:, :2] = [0.0, 1.0 - 2.0 ** -53]
+        batch = weighted_draw(probs, uniforms)
         assert batch.shape == (5, count)
         for b in range(5):
             column = np.ascontiguousarray(probs[:, b])
-            one = weighted_draw(column, RngStream(12, b), count)
+            one = weighted_draw(column, uniforms[b].copy())
             support = np.flatnonzero(column > 0.0)
             cum = np.cumsum(column[support])
             cum[-1] = 1.0
-            u = RngStream(12, b).generator.random(count)
             np.testing.assert_array_equal(batch[b], one)
-            np.testing.assert_array_equal(one, support[np.searchsorted(cum, u, side="right")])
+            np.testing.assert_array_equal(
+                one, support[np.searchsorted(cum, uniforms[b], side="right")])
             assert np.all(column[one] > 0.0)
 
     def test_no_positive_probability_is_an_error(self):
-        with pytest.raises(ValueError):
-            weighted_draw(np.array([[0.5, 0.0], [0.5, 0.0]]), [RngStream(1), RngStream(2)], 3)
+        with pytest.raises(ValueError, match="no positive probability"):
+            weighted_draw(np.array([[0.5, 0.0], [0.5, 0.0]]), np.full((2, 3), 0.5))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 3), (3, 2)])
+    def test_uniforms_must_fit_the_probabilities(self, shape):
+        """A (3,) vector takes a (count,) row; a (3, 2) table takes (2, count)."""
+        probs = np.full(3, 1.0 / 3) if len(shape) == 2 else np.full((3, 2), 1.0 / 3)
+        with pytest.raises(ValueError, match="do not fit"):
+            weighted_draw(probs, np.zeros(shape))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -270,7 +335,7 @@ class TestWeightedDraw:
         if weights.sum() == 0:
             weights[0] = 1.0
         probs = weights / weights.sum()
-        draws = weighted_draw(probs, RngStream(seed), 200)
+        draws = weighted_draw(probs, RngStream(seed).generator.random(200))
         assert np.all(probs[draws] > 0)
 
 

@@ -2,8 +2,10 @@
 
 ``_TreeSearch`` expands all children of a node as one batch.  The reference
 below expands one node at a time: each node draws, dedupes and scores on its
-own, and the tree is walked depth first.  Both must agree bit for bit, in the
-best cost and path, in the counters and in the whole ``find_k_median`` output.
+own, and the tree is walked depth first.  It computes node stream ids, the
+restart key and each node's counter uniforms in plain Python integers, from
+their documented formulas.  Both must agree bit for bit, in the best cost and
+path, in the counters and in the whole ``find_k_median`` output.
 """
 
 import numpy as np
@@ -21,30 +23,49 @@ from d2ptas import (
 from d2ptas import ptas
 from d2ptas.divergences import Mahalanobis
 from d2ptas.ptas import _combo_by_rank, _combo_groups, _fill_distinct_centers, _prepare
-from d2ptas.sampler import RngStream, weighted_draw
+from d2ptas.sampler import RngStream, _splitmix64, weighted_draw
+
+MASK64 = 2 ** 64 - 1
 
 
-def reference_draw(probs, stream, count):
-    """The 1-D draw over the support only."""
+def derive_id(stream_id, index):
+    """``RngStream.derive(index).stream_id``, in plain Python integers."""
+    return _splitmix64((_splitmix64(stream_id) + index) & MASK64)
+
+
+def reference_key(stream):
+    """The first 64-bit output of the PCG64 seeded by (seed, stream_id)."""
+    return np.random.PCG64(np.random.SeedSequence(
+        stream.seed, spawn_key=(stream.stream_id,))).random_raw()
+
+
+def reference_draw(probs, draw_id, key, count):
+    """The 1-D draw over the support only, at the node's counter uniforms: the
+    top 53 bits of splitmix64(splitmix64(draw_id ^ key) + j) times 2^-53."""
+    base = _splitmix64(draw_id ^ key)
+    uniforms = [(_splitmix64((base + j) & MASK64) >> 11) * 2.0 ** -53 for j in range(count)]
     support = np.flatnonzero(probs > 0.0)
     cum = np.cumsum(probs[support])
     cum[-1] = 1.0
-    return support[np.searchsorted(cum, stream.generator.random(count), side="right")]
+    return support[np.searchsorted(cum, uniforms, side="right")]
 
 
 class ReferenceSearch:
-    """Node-by-node depth-first search over the same stream layout."""
+    """Node-by-node depth-first search over the same stream layout: a node
+    with stream id s draws with the id of its ``derive(0)`` and child b gets
+    the id of ``derive(1 + b)``, under the key of the restart stream."""
 
-    def __init__(self, points, ids, measure, k, sample_size, subset_size):
+    def __init__(self, points, ids, measure, k, sample_size, subset_size, key):
         self.points, self.ids, self.measure = points, ids, measure
         self.k, self.sample_size, self.subset_size = k, sample_size, subset_size
+        self.key = key
         self.best_cost, self.best_path = np.inf, None
         self.subsets_examined = self.nodes_expanded = 0
 
-    def expand(self, potentials, stream):
+    def expand(self, potentials, node_id):
         n = self.points.shape[0]
         probs = np.full(n, 1.0 / n) if potentials is None else potentials / potentials.sum()
-        sample = reference_draw(probs, stream.derive(0), self.sample_size)
+        sample = reference_draw(probs, derive_id(node_id, 0), self.key, self.sample_size)
         _, first = np.unique(self.ids[sample], return_index=True)
         pool = sample[np.sort(first)]
         groups = _combo_groups(len(pool), self.subset_size)
@@ -53,10 +74,10 @@ class ReferenceSearch:
         pots = fresh if potentials is None else np.minimum(potentials[:, None], fresh)
         return sample, pool, groups, cands, pots
 
-    def visit(self, potentials, stream, path):
+    def visit(self, potentials, node_id, path):
         if self.best_cost == 0.0:
             return
-        pots = self.expand(potentials, stream)[-1]
+        pots = self.expand(potentials, node_id)[-1]
         costs = pots.sum(axis=0)
         self.nodes_expanded += 1
         self.subsets_examined += costs.shape[0]
@@ -72,18 +93,18 @@ class ReferenceSearch:
                 if 0.0 < self.best_cost:
                     self.best_cost, self.best_path = 0.0, path + (b,)
                 return
-            self.visit(pots[:, b], stream.derive(1 + b), path + (b,))
+            self.visit(pots[:, b], derive_id(node_id, 1 + b), path + (b,))
 
-    def replay(self, stream, path):
+    def replay(self, node_id, path):
         trace, centers, potentials = [], [], None
         for depth, b in enumerate(path):
-            sample, pool, groups, cands, pots = self.expand(potentials, stream)
+            sample, pool, groups, cands, pots = self.expand(potentials, node_id)
             trace.append({"iteration": depth, "sample": sample, "pool": pool, "subset_rank": b,
                           "subset_points": pool[_combo_by_rank(groups, b)], "center": cands[b],
                           "partial_cost": float(pots[:, b].sum())})
             centers.append(cands[b])
             potentials = pots[:, b]
-            stream = stream.derive(1 + b)
+            node_id = derive_id(node_id, 1 + b)
         return centers, trace
 
 
@@ -92,10 +113,11 @@ def reference_find_k_median(data, measure, cfg, rng):
     points, cfg, ids = _prepare(data, measure, cfg)
     outcomes = []
     for r in range(cfg.restarts):
+        stream = rng.derive(r)
         search = ReferenceSearch(points, ids, measure, cfg.k, cfg.sample_size_N,
-                                 cfg.subset_size_M)
-        search.visit(None, rng.derive(r), ())
-        centers, trace = search.replay(rng.derive(r), search.best_path)
+                                 cfg.subset_size_M, reference_key(stream))
+        search.visit(None, stream.stream_id, ())
+        centers, trace = search.replay(stream.stream_id, search.best_path)
         outcomes.append((search.best_cost, r, _fill_distinct_centers(points, centers, cfg.k),
                          trace, search))
     cost, r, centers, trace, _ = min(outcomes, key=lambda o: (o[0], o[1]))
@@ -112,10 +134,10 @@ def same_bits(a, b):
 def run_both(points, measure, k, N, M, stream):
     points = np.asarray(points, dtype=float)
     _, _, ids = _prepare(points, measure, PtasConfig(k=1, epsilon=0.5))
-    batched = ptas._TreeSearch(points, ids, measure, k, N, M)
-    reference = ReferenceSearch(points, ids, measure, k, N, M)
-    batched.run(stream)
-    reference.visit(None, stream, ())
+    batched = ptas._TreeSearch(points, ids, measure, k, N, M, stream)
+    reference = ReferenceSearch(points, ids, measure, k, N, M, reference_key(stream))
+    batched.run()
+    reference.visit(None, stream.stream_id, ())
     return batched, reference
 
 
@@ -150,24 +172,25 @@ class TestSearchMatchesReference:
         every child in a batch are bitwise those of the node expanded on its own."""
         tables = []
 
-        def recording_draw(probs, rng, count):
+        def recording_draw(probs, uniforms):
             tables.append(probs)
-            return weighted_draw(probs, rng, count)
+            return weighted_draw(probs, uniforms)
 
         monkeypatch.setattr(ptas, "weighted_draw", recording_draw)
         measure = MEASURES[name]
         points = instance(name, RngStream(40, d).generator, 12, d)
         points[5] = points[2]
         _, _, ids = _prepare(points, measure, PtasConfig(k=1, epsilon=0.5))
-        search = ptas._TreeSearch(points, ids, measure, 2, 6, 3)
-        reference = ReferenceSearch(points, ids, measure, 2, 6, 3)
         root = RngStream(49, d)
-        parents = reference.expand(None, root)[-1]
-        streams = [root.derive(1 + b) for b in range(parents.shape[1])]
-        root_node = search._expand(np.full((12, 1), np.inf), [root])
-        batch = search._expand(root_node.potentials(np.arange(len(streams))), streams)
-        for b, stream in enumerate(streams):
-            sample, pool, _, cands, pots = reference.expand(parents[:, b], stream)
+        search = ptas._TreeSearch(points, ids, measure, 2, 6, 3, root)
+        reference = ReferenceSearch(points, ids, measure, 2, 6, 3, reference_key(root))
+        parents = reference.expand(None, root.stream_id)[-1]
+        children = [derive_id(root.stream_id, 1 + b) for b in range(parents.shape[1])]
+        root_node = search._expand(np.full((12, 1), np.inf), search.root)
+        batch = search._expand(root_node.potentials(np.arange(len(children))),
+                               np.array(children, dtype=np.uint64))
+        for b, child in enumerate(children):
+            sample, pool, _, cands, pots = reference.expand(parents[:, b], child)
             cols = np.arange(batch.starts[b], batch.starts[b + 1])
             assert same_bits(tables[-1][:, b], parents[:, b] / parents[:, b].sum())
             assert same_bits(batch.samples[b], sample)
@@ -235,6 +258,33 @@ class TestSearchMatchesReference:
             batched, reference = run_both(points, sq, 3, 6, M, RngStream(902 + M))
             assert_same_search(batched, reference)
 
+    @pytest.mark.parametrize("entries", [1, 20, 1 << 40])
+    def test_dedupe_blocks_do_not_change_the_result(self, sq, monkeypatch, entries):
+        """Draws deduplicated one row at a time, in blocks of some rows, or at once."""
+        monkeypatch.setattr(ptas, "_DEDUPE_ENTRIES", entries)
+        points = RngStream(51).generator.standard_normal((10, 2))
+        points[4] = points[7]
+        for M in (1, 2):
+            batched, reference = run_both(points, sq, 3, 7, M, RngStream(904 + M))
+            assert_same_search(batched, reference)
+
+    def test_extreme_stream_ids_and_keys(self, sq, monkeypatch):
+        """A root stream id and a key of 2^64 - 1, where every sum wraps."""
+        points = RngStream(52).generator.standard_normal((9, 2))
+        _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
+        for key in (0, 2 ** 64 - 1):
+            monkeypatch.setattr(ptas, "_counter_key", lambda stream, key=key: key)
+            for root in (RngStream(53, 2 ** 64 - 1), RngStream(2 ** 64 - 1, 0)):
+                batched = ptas._TreeSearch(points, ids, sq, 3, 5, 2, root)
+                reference = ReferenceSearch(points, ids, sq, 3, 5, 2, key)
+                batched.run()
+                reference.visit(None, root.stream_id, ())
+                assert_same_search(batched, reference)
+                got = batched.replay(batched.best_path)[1]
+                want = reference.replay(root.stream_id, reference.best_path)[1]
+                for mine, theirs in zip(got, want, strict=True):
+                    assert all(same_bits(mine[f], theirs[f]) for f in mine)
+
     @pytest.mark.parametrize("entries", [1, 40, 1 << 40])
     def test_cost_blocks_do_not_change_the_result(self, sq, monkeypatch, entries):
         """Costs summed one point at a time, in uneven blocks, or in one block."""
@@ -289,7 +339,7 @@ class TestFindKMedianMatchesReference:
                          subset_strategy=Exhaustive())
         got = run_one_restart(points, sq, cfg, RngStream(48))
         _, _, ids = _prepare(points, sq, cfg)
-        reference = ReferenceSearch(points, ids, sq, 3, 5, 2)
-        reference.visit(None, RngStream(48), ())
+        reference = ReferenceSearch(points, ids, sq, 3, 5, 2, reference_key(RngStream(48)))
+        reference.visit(None, RngStream(48).stream_id, ())
         assert got.meta["nodes_expanded"] == reference.nodes_expanded
         assert got.meta["subsets_examined"] == reference.subsets_examined
