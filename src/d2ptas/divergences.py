@@ -136,11 +136,6 @@ def _jsonable(value):
     return value
 
 
-def _generator(rng):
-    """Accept either a numpy Generator or anything exposing ``.generator``."""
-    return getattr(rng, "generator", rng)
-
-
 # ``pairwise`` recomputes in closed form every generator-table entry at or
 # below this share of the terms' magnitude S.  The table's rounding error is
 # about d * u * S (u = 2**-53), so the entries it keeps are within about
@@ -199,36 +194,46 @@ class DivergenceMeasure:
         magnitudes are recomputed by ``rowwise`` on just those pairs, or on
         the whole column where most of it needs that.
 
-        Column j depends only on P and C_j: ``pairwise(P, C[:m])`` is bitwise
-        the first m columns of ``pairwise(P, C)``.
+        ``C`` may also be an (A, m, d) stack of center blocks, which gives the
+        (A, n, m) stack of their tables.  Each block is its own matrix
+        product, so block a is bitwise ``pairwise(P, C[a])``.  Within one
+        product a column's bits can depend on the product's width (past about
+        192 columns with OpenBLAS), so a caller that needs the bits of a
+        narrower table asks for it as its own block.
         """
         P = np.asarray(P, dtype=float)
         C = np.asarray(C, dtype=float)
-        if C.shape[0] == 1:
+        if C.shape[-2] == 1:
             # a 1-column product runs through gemv, whose bits differ from the
             # same column of a wider product; take it from a 2-column one
-            return self.pairwise(P, np.repeat(C, 2, axis=0))[:, :1]
+            return self.pairwise(P, np.repeat(C, 2, axis=-2))[..., :1]
         phi_p, grad_c, phi_c = self.phi(P), self.grad_phi(C), self.phi(C)
-        offset = np.einsum("ij,ij->i", grad_c, C) - phi_c
-        table = P @ grad_c.T
+        offset = np.einsum("...ij,...ij->...i", grad_c, C) - phi_c
+        table = P @ np.swapaxes(grad_c, -1, -2)
         np.subtract(phi_p[:, None], table, out=table)
-        table += offset
+        table += offset[..., None, :]
         # per-column bound on the terms, |P_i . grad_c_j| <= |P_i| |grad_c_j|:
         # which entries of column j get repaired depends on P and C_j only
         scale = (np.abs(phi_p).max(initial=0.0) + np.abs(offset)
                  + np.sqrt(np.einsum("ij,ij->i", P, P).max(initial=0.0)
-                           * np.einsum("ij,ij->i", grad_c, grad_c)))
-        n, m = table.shape
+                           * np.einsum("...ij,...ij->...i", grad_c, grad_c)))
+        shape, (n, m) = table.shape, table.shape[-2:]
+        # a 2-D table is a stack of one block
+        table, centers = table.reshape(-1, n, m), C.reshape(-1, C.shape[-1])
         # flat indices: a 2-D np.nonzero costs ten times more on these masks
-        rows, cols = np.divmod(np.flatnonzero(~(table > _REPAIR_TAU * scale)), m)  # NaN too
-        whole = np.bincount(cols, minlength=m) > _WHOLE_COLUMN_SHARE * n
+        blocks, rows, cols = np.unravel_index(
+            np.flatnonzero(~(table > _REPAIR_TAU * scale.reshape(-1, 1, m))), table.shape)  # NaN too
+        cols += blocks * m  # each entry's center, a row of ``centers``
+        whole = np.bincount(cols, minlength=len(centers)) > _WHOLE_COLUMN_SHARE * n
         if whole.any():
-            table[:, whole] = np.maximum(self.rowwise(P[:, None, :], C[None, whole, :]), 0.0)
+            ids = np.flatnonzero(whole)
+            table[ids // m, :, ids % m] = np.maximum(
+                self.rowwise(P[None, :, :], centers[ids, None, :]), 0.0)
             scattered = ~whole[cols]
             rows, cols = rows[scattered], cols[scattered]
         if rows.size:
-            table[rows, cols] = np.maximum(self.rowwise(P[rows], C[cols]), 0.0)
-        return table
+            table[cols // m, rows, cols % m] = np.maximum(self.rowwise(P[rows], centers[cols]), 0.0)
+        return table.reshape(shape)
 
     def __call__(self, p, q):
         p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -276,9 +281,9 @@ class DivergenceMeasure:
         """Reference quadratic form U for the sandwich mu*D_U <= D <= D_U."""
         raise UnsupportedMeasure(f"{self.name} declares no reference quadratic form")
 
-    def sample_domain(self, rng, shape):
-        """Draw in-domain coordinates for randomized property trials."""
-        gen = _generator(rng)
+    def sample_domain(self, gen, shape):
+        """Draw in-domain coordinates for randomized property trials from the
+        numpy Generator ``gen``."""
         if self.box is not None:
             lo, hi = self.box
             return gen.uniform(lo, hi, size=shape)
@@ -530,23 +535,17 @@ def check_centroid_property(measure, points, c, tolerance=1e-9):
     )
 
 
-def check_mu_similarity(measure, U, samples, tolerance=1e-12):
+def check_mu_similarity(measure, U, P, Q, tolerance=1e-12):
     """Sandwich check mu * D_U <= D <= D_U against the quadratic form U.
 
-    ``samples`` is either a pair of (m, d) arrays or an iterable of (p, q)
-    tuples.  Reports the empirical floor mu_hat = min D/D_U (pairs with
-    D_U = 0 are skipped), counts upper-bound violations, and counts one
-    violation when the measure's declared mu exceeds mu_hat.  The closed
-    form is cross-checked against the generator route and the worst
-    residual recorded.
+    ``P`` and ``Q`` are (m, d) arrays; row i of each makes pair i.  Reports
+    the empirical floor mu_hat = min D/D_U (pairs with D_U = 0 are skipped),
+    counts upper-bound violations, and counts one violation when the
+    measure's declared mu exceeds mu_hat.  The closed form is cross-checked
+    against the generator route and the worst residual recorded.
     """
-    if isinstance(samples, tuple) and len(samples) == 2 and np.asarray(samples[0]).ndim == 2:
-        P = np.asarray(samples[0], dtype=float)
-        Q = np.asarray(samples[1], dtype=float)
-    else:
-        pairs = list(samples)
-        P = np.asarray([p for p, _ in pairs], dtype=float)
-        Q = np.asarray([q for _, q in pairs], dtype=float)
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
     measure.validate_points(P)
     measure.validate_points(Q)
     U = np.asarray(U, dtype=float)
@@ -591,9 +590,9 @@ def check_mu_similarity(measure, U, samples, tolerance=1e-12):
 # ----------------------------------------------------------------------
 
 def random_pairs(measure, dim, count, rng):
-    """Two (count, dim) batches of in-domain points."""
-    P = measure.sample_domain(rng, (count, dim))
-    Q = measure.sample_domain(rng, (count, dim))
+    """Two (count, dim) batches of in-domain points, from the generator of the stream ``rng``."""
+    P = measure.sample_domain(rng.generator, (count, dim))
+    Q = measure.sample_domain(rng.generator, (count, dim))
     return P, Q
 
 
@@ -623,7 +622,7 @@ def symmetry_report(measure, dim, trials, rng, tolerance=1e-12):
 def triangle_report(measure, dim, trials, rng, tolerance=1e-12):
     """Count violations of the relaxed triangle inequality over random triples."""
     P, Q = random_pairs(measure, dim, trials, rng)
-    R = measure.sample_domain(rng, (trials, dim))
+    R = measure.sample_domain(rng.generator, (trials, dim))
     direct = np.asarray(measure.rowwise(P, Q), dtype=float)
     detour = np.asarray(measure.rowwise(P, R), dtype=float) + np.asarray(measure.rowwise(R, Q), dtype=float)
     alpha = measure.alpha
@@ -648,7 +647,7 @@ _CENTROID_DIMS = (1, 6)
 
 def centroid_report(measure, rng, instances=100, tolerance=1e-9):
     """Centroid identity residuals over random instances; worst residual reported."""
-    gen = _generator(rng)
+    gen = rng.generator
     dims = _CENTROID_DIMS if measure.fixed_dim is None else (measure.fixed_dim,) * 2
     worst = 0.0
     violations = 0
@@ -672,4 +671,5 @@ def centroid_report(measure, rng, instances=100, tolerance=1e-9):
 def mu_similarity_report(measure, dim, trials, rng, tolerance=1e-12):
     """check_mu_similarity against the measure's own reference quadratic form."""
     U = measure.similarity_matrix(dim)
-    return check_mu_similarity(measure, U, random_pairs(measure, dim, trials, rng), tolerance=tolerance)
+    return check_mu_similarity(measure, U, *random_pairs(measure, dim, trials, rng),
+                               tolerance=tolerance)

@@ -364,10 +364,10 @@ def _fill_distinct_centers(points, centers, k):
 # batch.  Each sibling's numbers are computed on their own, so results do not
 # depend on it.
 _BATCH_ENTRIES = 1 << 20
-# Candidate costs are summed over blocks of at most about this many entries of
-# points by candidates.  Blocks of 64 KiB reuse freed memory (256 KiB blocks
-# faulted in fresh pages on every batch at n = 12); one point per block would
-# cost ~5 us per point at large n.
+# Candidate costs are summed over blocks of whole rows, at most about this
+# many entries of candidates by points or one row.  Blocks of 64 KiB reuse
+# freed memory (256 KiB blocks faulted in fresh pages on every batch at
+# n = 12).
 _SUM_ENTRIES = 1 << 13
 
 
@@ -377,8 +377,8 @@ class _Siblings:
     Row j of ``samples`` is node j's draw and ``pools[j]`` its distinct sample
     points.  Node j's candidates are entries ``starts[j]:starts[j + 1]`` of
     ``costs``.  Candidate c belongs to node ``owner[c]`` and is the subset
-    mean ``means[which[c]]``, whose divergences are column ``which[c]`` of
-    ``table``; ``parents`` holds the nodes' own potentials as columns.
+    mean ``means[which[c]]``, whose divergences are row ``which[c]`` of
+    ``table``; ``parents`` holds the nodes' own potentials as rows.
     """
 
     __slots__ = ("samples", "pools", "starts", "owner", "which", "means", "table", "parents",
@@ -388,31 +388,19 @@ class _Siblings:
         self.samples = samples
         self.pools = pools
         self.starts = starts
-        counts = np.diff(starts)
-        self.owner = np.repeat(np.arange(len(pools)), counts)
+        self.owner = np.repeat(np.arange(len(pools)), np.diff(starts))
         self.which = which
         self.means = means
         self.table = table
         self.parents = parents
-        # a cost adds its potentials point by point, as the column sum of a
-        # C-ordered table does; the table is built a block of points at a time,
-        # each block's sum starting from the running one
-        cols = np.arange(starts[-1])
-        step = max(1, _SUM_ENTRIES // len(cols))
-        costs = None
-        for lo in range(0, table.shape[0], step):
-            block = self.potentials(cols, slice(lo, lo + step))
-            costs = (block if costs is None else np.vstack((costs, block))).sum(axis=0)
-        lone = starts[:-1][counts == 1]
-        if lone.size:
-            # a node's only candidate sums as a 1-D array, pairwise
-            costs[lone] = np.ascontiguousarray(self.potentials(lone).T).sum(axis=1)
-        self.costs = costs
+        # each cost is the 1-D sum of its own row
+        step = max(1, _SUM_ENTRIES // table.shape[1])
+        self.costs = np.concatenate([self.potentials(np.arange(lo, min(lo + step, starts[-1])))
+                                     .sum(axis=1) for lo in range(0, starts[-1], step)])
 
-    def potentials(self, cols, points=slice(None)):
-        """Potentials of ``points`` after adding candidates ``cols``, one column each."""
-        return np.minimum(self.parents[points, self.owner[cols]],
-                          self.table[points, self.which[cols]], order="C")
+    def potentials(self, cands):
+        """Potentials after adding candidates ``cands``, one row each."""
+        return np.minimum(self.parents[self.owner[cands]], self.table[self.which[cands]])
 
 
 class _TreeSearch:
@@ -430,14 +418,15 @@ class _TreeSearch:
     path can be replayed exactly to reconstruct its trace.
 
     All children of a node are expanded as one batch (see :meth:`_expand`):
-    one table of counter uniforms and one stacked draw, one pool dedupe, one
-    ``rowwise`` table over the distinct subsets of every child's pool, and one
-    pass over the points that sums all children's candidate costs.  Leaves
-    then reduce by segment min.  The stream layout is unchanged from a node-by-node search, and so is every bit
-    of the result: each child's numbers are computed as a lone node would
-    compute them, children are visited in order, and a child cut off by the
-    zero-cost short-circuit counts for nothing, though its batch may have
-    expanded it.  The root and the replay are batches of one.
+    one table of counter uniforms and one stacked draw, one pool dedupe, and
+    one ``rowwise`` table over the distinct subsets of every child's pool.
+    Potentials are rows, one per node or candidate, and a candidate's cost is
+    the sum of its own row.  Leaves then reduce by segment min.  The stream
+    layout is unchanged from a node-by-node search, and so is every bit of the
+    result: each child's numbers are its own rows, children are visited in
+    order, and a child cut off by the zero-cost short-circuit counts for
+    nothing, though its batch may have expanded it.  The root and the replay
+    are batches of one.
     """
 
     def __init__(self, points, ids, measure, k, sample_size, subset_size, stream):
@@ -460,11 +449,10 @@ class _TreeSearch:
         """Draw, dedupe and score the sibling nodes with stream ids ``node_ids``
         as one batch.
 
-        ``potentials`` holds the siblings' potentials as columns, +inf at
-        the root.  Each sibling gets the bits a lone node would get: its
-        :func:`~d2ptas.sampler.d2_law` column is a 1-D law, its subset means
-        sum their points in pool order, and its costs sum as a lone node's do
-        (see :class:`_Siblings`).
+        ``potentials`` holds the siblings' potentials as rows, +inf at the
+        root.  Each sibling gets the bits a lone node would get: its
+        :func:`~d2ptas.sampler.d2_law` row is a 1-D law, and its subset means
+        sum their points in pool order.
         """
         n, d = self.points.shape
         samples = weighted_draw(d2_law(potentials), _counter_uniforms(
@@ -494,12 +482,12 @@ class _TreeSearch:
             rows = np.flatnonzero(lengths == s)
             means[rows] = self.points[subsets[rows, :s] - 1].mean(axis=1)
         # closed form, not pairwise: the search branches on exact zero costs
-        table = self.measure.rowwise(self.points[:, None, :], means[None, :, :])
+        table = self.measure.rowwise(self.points[None, :, :], means[:, None, :])
         return _Siblings(samples, pools, starts, which, means, table, potentials)
 
     def run(self):
         # the root's potentials are +inf, the cost to no center
-        self._search(np.full((self.points.shape[0], 1), np.inf), self.root, [()])
+        self._search(np.full((1, self.points.shape[0]), np.inf), self.root, [()])
         return self.best_cost, self.best_path
 
     def _search(self, potentials, node_ids, paths):
@@ -509,7 +497,7 @@ class _TreeSearch:
             if self.best_cost == 0.0:
                 return
             chunk = slice(lo, lo + step)
-            node = self._expand(potentials[:, chunk], node_ids[chunk])
+            node = self._expand(potentials[chunk], node_ids[chunk])
             if len(paths[0]) == self.k - 1:
                 self._score_leaves(node, paths[chunk])
                 continue
@@ -549,7 +537,7 @@ class _TreeSearch:
     def replay(self, path):
         """Recompute the winning branch and emit its per-iteration trace."""
         trace, centers = [], []
-        potentials = np.full((self.points.shape[0], 1), np.inf)
+        potentials = np.full((1, self.points.shape[0]), np.inf)
         node_id = self.root
         for depth, b in enumerate(path):
             node = self._expand(potentials, node_id)
@@ -564,7 +552,7 @@ class _TreeSearch:
                 "subset_rank": b,
                 "subset_points": pool_idx[combo],
                 "center": center,
-                "partial_cost": float(potentials[:, 0].sum()),
+                "partial_cost": float(potentials[0].sum()),
             })
             centers.append(center)
             node_id = _derived_ids(node_id, [1 + b])[0]
@@ -580,8 +568,8 @@ def _exhaustive_restart(points, ids, measure, cfg, stream):
     return _Restart(cost, centers, trace, search.subsets_examined, search.nodes_expanded)
 
 
-# A chunk of greedy restarts runs in lock step and shares one scoring table of
-# n points by the chunk's trials, at most about this many entries (1 MiB of
+# A chunk of greedy restarts runs in lock step and shares one scoring stack of
+# n points by R trials per restart, at most about this many entries (1 MiB of
 # float64) or one restart's table.  Sharing pays where a restart's table is
 # small and numpy's per-call overhead dominates (desk_small_kl's 8 restarts of
 # 300 x 50 make one chunk); where one restart's table alone is larger
@@ -618,15 +606,14 @@ def _greedy_restarts(points, measure, cfg, streams):
     Trial t scores sum_x min(potential(x), D(x, c_t)).  The A restarts still
     live in an iteration (those whose total potential is not yet 0) share
     one :func:`~d2ptas.sampler.d2_law` table and one draw call, one stable
-    argsort of their sample-to-anchor tables and one (n, A x R) ``pairwise``
-    table, scored in place and dropped before the next iteration builds its
-    own.  Each restart keeps the bits of a lone pass:
-    every column of these tables and every draw depends on its own restart
-    alone, and scores sum as a lone (n, R) table sums.  Each sample's own
+    argsort of their sample-to-anchor tables and one (A, n, R) ``pairwise``
+    stack, scored in place and dropped before the next iteration builds its
+    own.  Each restart keeps the bits of a lone pass: its draw, its law and
+    its scoring table are its own row or block of these.  Each sample's own
     sample-to-anchor table and each ``CenterSet.add`` stay per restart.
     """
     trials, sample_size, m_ = cfg.subset_strategy.trials, cfg.sample_size_N, cfg.subset_size_M
-    n, d = points.shape
+    d = points.shape[1]
     center_sets = [CenterSet.empty(points, measure) for _ in streams]
     traces = [[] for _ in streams]
     for i in range(cfg.k):
@@ -634,7 +621,7 @@ def _greedy_restarts(points, measure, cfg, streams):
         if not live:
             break
         it_streams = [streams[r].derive(i) for r in live]
-        potentials = np.array([center_sets[r].potentials for r in live]).T        # (n, A)
+        potentials = np.array([center_sets[r].potentials for r in live])          # (A, n)
         totals = np.array([center_sets[r].total_potential for r in live])
         samples = weighted_draw(d2_law(potentials, totals),
                                 [s.derive(0).generator.random(sample_size)
@@ -642,7 +629,8 @@ def _greedy_restarts(points, measure, cfg, streams):
         trial_ids = _derived_ids([s.stream_id for s in it_streams], 1 + np.arange(trials))
         anchors = _uniform_indices(_counter_uniforms(trial_ids.reshape(-1), 1)[:, 0],
                                    sample_size).reshape(trial_ids.shape)         # (A, R)
-        # trial a * R + t is column a * R + t of every table below
+        # trial t of live restart a is entry a * R + t: a column of the
+        # sample-to-anchor table, a row of the menus
         to_anchor = np.concatenate([measure.pairwise(sample, sample[a])
                                     for sample, a in zip(points[samples], anchors)], axis=1)
         # copied compact, so that neither the distances nor the full sort
@@ -657,11 +645,9 @@ def _greedy_restarts(points, measure, cfg, streams):
         # second live table the allocator releases and re-faults its pages on
         # every iteration.  The potentials stay the first operand, so the
         # scores keep the bits of np.minimum(potentials, table).
-        table = measure.pairwise(points, cands).reshape(n, len(live), trials)
+        table = measure.pairwise(points, cands.reshape(len(live), trials, d))   # (A, n, R)
         np.minimum(potentials[:, :, None], table, out=table)
-        # a one-trial menu sums as a 1-D array, pairwise, as its lone (n, 1) table does
-        scores = (table.sum(axis=0) if trials > 1
-                  else np.ascontiguousarray(table[:, :, 0].T).sum(axis=1)[:, None])  # (A, R)
+        scores = table.sum(axis=1)                                               # (A, R)
         del table
         # the kept trials' rows, copied out so that a trace does not hold a whole menu
         best = np.argmin(scores, axis=1)
@@ -692,6 +678,24 @@ def _log_restart(r, cfg, outcome):
     log.info("restart %d: strategy %s, cost %.10g, subsets %d, nodes %d", r,
              cfg.subset_strategy.describe(), outcome.cost, outcome.subsets_examined,
              outcome.nodes_expanded)
+
+
+def _fold(cfg, done):
+    """(restart, outcome) of the (cost, restart) minimum over the chunks of
+    outcomes ``done`` as they finish, and the summed subset and node counts.
+    Each loser is dropped as it loses, trace and all."""
+    best_r, best, subsets, nodes, r = 0, None, 0, 0, 0
+    # no enumerate: its reused result tuple would keep the last outcome alive
+    # while the next restart runs, and so would the loop variable
+    for outcome in itertools.chain.from_iterable(done):
+        _log_restart(r, cfg, outcome)
+        subsets += outcome.subsets_examined
+        nodes += outcome.nodes_expanded
+        if best is None or outcome.cost < best.cost:
+            best_r, best = r, outcome
+        r += 1
+        del outcome
+    return best_r, best, subsets, nodes
 
 
 def _chunks(cfg, n):
@@ -780,18 +784,12 @@ def find_k_median(data, measure, config, rng, threads=None):
     chunks = _chunks(cfg, points.shape[0])
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            done = list(pool.map(run, chunks))
+            best_r, best, subsets, nodes = _fold(cfg, pool.map(run, chunks))
     else:
-        done = [run(chunk) for chunk in chunks]
-    outcomes = list(enumerate(itertools.chain.from_iterable(done)))
-
-    for r, outcome in outcomes:
-        _log_restart(r, cfg, outcome)
-    best_r, best = min(outcomes, key=lambda pair: (pair[1].cost, pair[0]))
+        best_r, best, subsets, nodes = _fold(cfg, map(run, chunks))
     meta = _meta(rng, cfg, t0, restarts=cfg.restarts, winning_restart=best_r,
-                 subsets_examined=sum(o.subsets_examined for _, o in outcomes),
-                 nodes_expanded=sum(o.nodes_expanded for _, o in outcomes),
-                 iterations=cfg.k, trace=best.trace)
+                 subsets_examined=subsets, nodes_expanded=nodes, iterations=cfg.k,
+                 trace=best.trace)
     return _result(points, measure, best.centers, meta)
 
 

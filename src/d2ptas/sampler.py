@@ -227,20 +227,18 @@ class CenterSet:
 
 
 def d2_law(potentials, totals=None):
-    """The D² sampling law of each column of ``potentials``.
+    """The D² sampling law of each row of ``potentials``.
 
-    Probability is proportional to potential, and uniform where the column
-    total is 0 (every point covered) or +inf (no center yet).  ``potentials``
-    is one vector or an (n, B) table; ``totals`` defaults to each column's
-    sum, taken as a 1-D sum so that column b of a table gets bitwise the law
-    of the vector alone.  No inf/inf or 0/0 is ever evaluated.
+    Probability is proportional to potential, and uniform where the row total
+    is 0 (every point covered) or +inf (no center yet).  ``potentials`` is one
+    vector or a (B, n) stack of rows; ``totals`` defaults to each row's sum.
+    No inf/inf or 0/0 is ever evaluated.
     """
     potentials = np.asarray(potentials, dtype=float)
-    if totals is None:
-        totals = (potentials.sum() if potentials.ndim == 1
-                  else np.ascontiguousarray(potentials.T).sum(axis=1))
+    totals = (potentials.sum(axis=-1, keepdims=True) if totals is None
+              else np.asarray(totals, dtype=float)[..., None])
     uniform = (totals == 0.0) | (totals == np.inf)
-    return np.where(uniform, 1.0 / potentials.shape[0],
+    return np.where(uniform, 1.0 / potentials.shape[-1],
                     potentials / np.where(uniform, 1.0, totals))
 
 
@@ -248,13 +246,11 @@ def weighted_draw(probs, uniforms):
     """Categorical draws from explicit probabilities, one per uniform.
 
     ``probs`` is either one probability vector, drawn with the (count,)
-    ``uniforms``, or an (n, B) table whose column b is drawn with row b of the
-    (B, count) ``uniforms``; the batch returns a (B, count) array whose row b
-    is bitwise the 1-D draw of column b with that row.  Each column's
-    cumulative sum runs in order over that column alone, whatever the table's
-    memory layout, so batching changes no bits.  The uniforms lie in [0, 1):
-    PCG64 ``random()`` rows for D² samples and k-means++, counter uniforms
-    (:func:`_counter_uniforms`) for the exhaustive tree.
+    ``uniforms``, or a (B, n) stack of rows whose row b is drawn with row b
+    of the (B, count) ``uniforms``; each row's draw is the 1-D draw of that
+    row.  The uniforms lie in [0, 1): PCG64 ``random()`` rows for D² samples
+    and k-means++, counter uniforms (:func:`_counter_uniforms`) for the
+    exhaustive tree.
 
     The cumulative distribution is inverted over the support only: entries
     that are not positive add nothing to it, and from the last positive entry
@@ -263,10 +259,10 @@ def weighted_draw(probs, uniforms):
     """
     probs = np.asarray(probs, dtype=float)
     uniforms = np.asarray(uniforms, dtype=float)
-    if uniforms.ndim != probs.ndim or uniforms.shape[:-1] != probs.shape[1:]:
+    if uniforms.ndim != probs.ndim or uniforms.shape[:-1] != probs.shape[:-1]:
         raise ValueError(f"uniforms of shape {uniforms.shape} do not fit probabilities "
                          f"of shape {probs.shape}")
-    rows, draws = (probs[None, :], uniforms[None, :]) if probs.ndim == 1 else (probs.T, uniforms)
+    rows = np.atleast_2d(probs)
     support = rows > 0.0  # NaN is not support either
     # adding +0.0 leaves a running sum unchanged, so on the support this is
     # the cumulative sum of the positive entries alone
@@ -276,10 +272,10 @@ def weighted_draw(probs, uniforms):
     last = rows.shape[1] - np.argmax(support[:, ::-1], axis=1)  # one past it
     # kill accumulated rounding so u in [0, 1) always lands
     cum[np.arange(rows.shape[1]) >= last[:, None] - 1] = 1.0
-    out = np.empty(draws.shape, dtype=np.intp)
-    for row, u, drawn in zip(cum, draws, out):
+    out = np.empty(uniforms.shape, dtype=np.intp)
+    for row, u, drawn in zip(cum, np.atleast_2d(uniforms), np.atleast_2d(out)):
         drawn[...] = row.searchsorted(u, "right")
-    return out[0] if probs.ndim == 1 else out
+    return out
 
 
 def d2_sample(center_set, rng, count):

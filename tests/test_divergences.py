@@ -438,8 +438,8 @@ class TestMuSimilarity:
 
     def test_pair_list_input(self):
         kl = KullbackLeibler(box=(0.1, 0.9))
-        pairs = [((0.2, 0.3), (0.4, 0.5)), ((0.8, 0.8), (0.7, 0.6))]
-        rep = check_mu_similarity(kl, kl.similarity_matrix(2), pairs)
+        P, Q = [(0.2, 0.3), (0.8, 0.8)], [(0.4, 0.5), (0.7, 0.6)]
+        rep = check_mu_similarity(kl, kl.similarity_matrix(2), P, Q)
         assert rep.trials == 2
         assert "generator_residual" in rep.details
         assert rep.details["generator_residual"] <= 1e-12
@@ -447,7 +447,18 @@ class TestMuSimilarity:
     def test_dimension_validation(self):
         kl = KullbackLeibler()
         with pytest.raises(DimensionMismatch):
-            check_mu_similarity(kl, np.eye(3), (np.full((5, 2), 0.5), np.full((5, 2), 0.4)))
+            check_mu_similarity(kl, np.eye(3), np.full((5, 2), 0.5), np.full((5, 2), 0.4))
+
+    def test_exactly_two_pairs(self):
+        """Row i of P and row i of Q make pair i, also for two pairs, which a
+        tuple of two (p, q) pairs once passed as a (P, Q) batch."""
+        kl = KullbackLeibler(box=(0.1, 0.9))
+        U = kl.similarity_matrix(2)
+        P, Q = np.array([[0.2, 0.3], [0.8, 0.8]]), np.array([[0.4, 0.5], [0.7, 0.6]])
+        ratios = [kl(p, q) / ((p - q) @ U @ (p - q)) for p, q in zip(P, Q)]
+        rep = check_mu_similarity(kl, U, P, Q)
+        assert rep.trials == 2
+        assert rep.worst_ratio == pytest.approx(min(ratios), rel=1e-12)
 
 
 class TestPropertyReport:

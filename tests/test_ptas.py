@@ -304,6 +304,23 @@ class TestFindKMedianContracts:
         assert untimed[0] == untimed[1]
         TestLockStepRestarts.assert_same_trace(seq.meta["trace"], par.meta["trace"])
 
+    def test_only_the_winning_trace_is_kept(self, sq, four_point_line):
+        """Each exhaustive trace entry holds its N-point sample.  The winner is
+        folded as restarts finish, so the traced peak grows by less than one
+        trace as restarts go from 2 to 8; the counters still cover every restart."""
+        def run(restarts):
+            cfg = PtasConfig(k=2, epsilon=0.5, sample_size_N=50_000, subset_size_M=2,
+                             restarts=restarts, subset_strategy=Exhaustive())
+            return find_k_median(four_point_line, sq, cfg, RngStream(5))
+
+        run(1)  # caches filled once, outside the measurements
+        peak = TestGreedyScoring.traced_peak
+        trace = sum(np.asarray(v).nbytes for e in run(2).meta["trace"] for v in e.values())
+        assert trace > 2 * 50_000 * 8
+        assert peak(lambda: run(8)) - peak(lambda: run(2)) < trace
+        counts = [run(r).meta["nodes_expanded"] for r in (1, 8)]
+        assert counts[1] == 8 * counts[0]
+
     def test_more_restarts_never_hurt(self, sq, planted):
         """Restart r always consumes rng.derive(r), so a larger restart budget
         explores a superset of the same restarts."""
@@ -417,8 +434,8 @@ class TestAnchoredTrialsDiscipline:
             run_one_restart(points, recorder, desk(3, subset_strategy=RandomTrials(trials)),
                             RngStream(34))
             menus[trials] = recorder.menus[0]
-        assert menus[25].shape == (25, 2) and menus[50].shape == (50, 2)
-        np.testing.assert_array_equal(menus[25], menus[50][:25])
+        assert menus[25].shape == (1, 25, 2) and menus[50].shape == (1, 50, 2)
+        np.testing.assert_array_equal(menus[25], menus[50][:, :25])
 
     def test_largest_uniform_anchors_the_last_sample_position(self, sq, planted, monkeypatch):
         monkeypatch.setattr(ptas, "_counter_uniforms",
@@ -582,6 +599,15 @@ class TestLockStepRestarts:
         lengths = [len(o.trace) for o in outcomes]
         assert 2 in lengths and 3 in lengths
         assert all(o.trace[-1]["partial_cost"] == 0.0 for o in outcomes if len(o.trace) == 2)
+
+    def test_each_restart_is_a_lone_restart_in_a_204_column_chunk(self, planted, sq):
+        """Four restarts of 51 trials on 300 points make one chunk of 204
+        candidates.  Past about 192 columns a product's columns can take other
+        bits than the same columns of a narrower one, so each restart is
+        scored in its own product."""
+        cfg = desk(3, restarts=4, subset_strategy=RandomTrials(51))
+        assert ptas._chunks(cfg.resolved(sq), len(planted[0])) == [range(0, 4)]
+        self.assert_lone_restarts(planted[0], sq, cfg, RngStream(55), 4)
 
     def test_fewer_restarts_are_a_prefix(self, planted, sq):
         points = planted[0]

@@ -219,7 +219,7 @@ class TestD2Distribution:
 
 class TestD2Law:
     """One law for every caller: proportional to potential, uniform where the
-    column total is 0 or +inf, and never an inf/inf or 0/0 on the way."""
+    row total is 0 or +inf, and never an inf/inf or 0/0 on the way."""
 
     @pytest.fixture(autouse=True)
     def no_invalid_arithmetic(self):
@@ -232,23 +232,24 @@ class TestD2Law:
         np.testing.assert_array_equal(d2_law(p), p / p.sum())
 
     def test_infinite_and_zero_columns_are_exactly_uniform(self):
-        table = np.zeros((7, 3))
-        table[:, 0] = np.inf
-        table[:, 2] = 1.5
+        table = np.zeros((3, 7))
+        table[0] = np.inf
+        table[2] = 1.5
         law = d2_law(table)
-        assert np.all(law[:, :2] == 1.0 / 7)
-        assert np.all(law[:, 2] == 1.5 / 10.5)
+        assert np.all(law[:2] == 1.0 / 7)
+        assert np.all(law[2] == 1.5 / 10.5)
         assert np.all(d2_law(np.full(7, np.inf)) == 1.0 / 7)
         assert np.all(d2_law(np.zeros(7)) == 1.0 / 7)
 
     def test_table_columns_are_the_one_dimensional_laws(self, gen):
-        table = gen.random((20, 6)) * 10.0 ** gen.integers(-12, 3, size=(20, 6))
-        table[:, 1] = np.inf
-        table[:, 4] = 0.0
-        table[::3, 5] = 0.0
+        """Row b of a stacked law is the law of row b alone."""
+        table = gen.random((6, 20)) * 10.0 ** gen.integers(-12, 3, size=(6, 20))
+        table[1] = np.inf
+        table[4] = 0.0
+        table[5, ::3] = 0.0
         law = d2_law(table)
-        for b in range(table.shape[1]):
-            np.testing.assert_array_equal(law[:, b], d2_law(np.ascontiguousarray(table[:, b])))
+        for b in range(table.shape[0]):
+            np.testing.assert_array_equal(law[b], d2_law(table[b].copy()))
 
     def test_empty_center_set_keeps_the_uniform_first_draw(self, sq, gen):
         pts = gen.standard_normal((9, 2))
@@ -288,25 +289,25 @@ class TestWeightedDraw:
         short = np.full(10, 0.1)  # its cumulative sum ends at 0.9999999999999999
         assert np.cumsum(short)[-1] <= 1.0 - 2.0 ** -53
         assert weighted_draw(short, u).tolist() == [0, 9]
-        table = np.array([[0.0, 0.5], [0.0, 0.5], [1.0, 0.0]])
+        table = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
         assert weighted_draw(table, np.tile(u, (2, 1))).tolist() == [[2, 2], [0, 1]]
 
     def test_batch_rows_are_the_one_dimensional_draws(self):
-        """Row b of a batched draw is bitwise the 1-D draw of column b with
+        """Row b of a batched draw is bitwise the 1-D draw of row b with
         uniform row b, and both are the inversion over the support alone."""
         gen = RngStream(11).generator
         n, count = 12, 400
-        probs = gen.random((n, 5)) * 10.0 ** gen.integers(-12, 1, size=(n, 5))
-        probs[[0, 5, 6, n - 1]] = 0.0  # zero at the start, in the middle and at the end
-        probs[1:4, 3] = 0.0
-        probs[:-2, 4] = 0.0  # one positive entry
-        probs /= probs.sum(axis=0)
+        probs = gen.random((5, n)) * 10.0 ** gen.integers(-12, 1, size=(5, n))
+        probs[:, [0, 5, 6, n - 1]] = 0.0  # zero at the start, in the middle and at the end
+        probs[3, 1:4] = 0.0
+        probs[4, :-2] = 0.0  # one positive entry
+        probs /= probs.sum(axis=1, keepdims=True)
         uniforms = _counter_uniforms(_derived_ids([12], np.arange(5))[0], count, 99)
         uniforms[:, :2] = [0.0, 1.0 - 2.0 ** -53]
         batch = weighted_draw(probs, uniforms)
         assert batch.shape == (5, count)
         for b in range(5):
-            column = np.ascontiguousarray(probs[:, b])
+            column = probs[b].copy()
             one = weighted_draw(column, uniforms[b].copy())
             support = np.flatnonzero(column > 0.0)
             cum = np.cumsum(column[support])
@@ -318,12 +319,12 @@ class TestWeightedDraw:
 
     def test_no_positive_probability_is_an_error(self):
         with pytest.raises(ValueError, match="no positive probability"):
-            weighted_draw(np.array([[0.5, 0.0], [0.5, 0.0]]), np.full((2, 3), 0.5))
+            weighted_draw(np.array([[0.5, 0.5], [0.0, 0.0]]), np.full((2, 3), 0.5))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 3), (3, 2)])
     def test_uniforms_must_fit_the_probabilities(self, shape):
-        """A (3,) vector takes a (count,) row; a (3, 2) table takes (2, count)."""
-        probs = np.full(3, 1.0 / 3) if len(shape) == 2 else np.full((3, 2), 1.0 / 3)
+        """A (3,) vector takes a (count,) row; a (2, 3) table takes (2, count)."""
+        probs = np.full(3, 1.0 / 3) if len(shape) == 2 else np.full((2, 3), 1.0 / 3)
         with pytest.raises(ValueError, match="do not fit"):
             weighted_draw(probs, np.zeros(shape))
 

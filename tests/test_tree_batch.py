@@ -50,6 +50,11 @@ def reference_draw(probs, draw_id, key, count):
     return support[np.searchsorted(cum, uniforms, side="right")]
 
 
+def row_sums(table):
+    """Each row's sum, taken as the sum of that row alone."""
+    return np.array([row.sum() for row in table])
+
+
 class ReferenceSearch:
     """Node-by-node depth-first search over the same stream layout: a node
     with stream id s draws with the id of its ``derive(0)`` and child b gets
@@ -70,15 +75,15 @@ class ReferenceSearch:
         pool = sample[np.sort(first)]
         groups = _combo_groups(len(pool), self.subset_size)
         cands = np.concatenate([self.points[pool][g].mean(axis=1) for g in groups], axis=0)
-        fresh = self.measure.rowwise(self.points[:, None, :], cands[None, :, :])
-        pots = fresh if potentials is None else np.minimum(potentials[:, None], fresh)
-        return sample, pool, groups, cands, pots
+        fresh = self.measure.rowwise(self.points[None, :, :], cands[:, None, :])
+        pots = fresh if potentials is None else np.minimum(potentials[None, :], fresh)
+        return sample, pool, groups, cands, pots  # potentials after each candidate, as rows
 
     def visit(self, potentials, node_id, path):
         if self.best_cost == 0.0:
             return
         pots = self.expand(potentials, node_id)[-1]
-        costs = pots.sum(axis=0)
+        costs = row_sums(pots)
         self.nodes_expanded += 1
         self.subsets_examined += costs.shape[0]
         if len(path) == self.k - 1:
@@ -93,7 +98,7 @@ class ReferenceSearch:
                 if 0.0 < self.best_cost:
                     self.best_cost, self.best_path = 0.0, path + (b,)
                 return
-            self.visit(pots[:, b], derive_id(node_id, 1 + b), path + (b,))
+            self.visit(pots[b], derive_id(node_id, 1 + b), path + (b,))
 
     def replay(self, node_id, path):
         trace, centers, potentials = [], [], None
@@ -101,9 +106,9 @@ class ReferenceSearch:
             sample, pool, groups, cands, pots = self.expand(potentials, node_id)
             trace.append({"iteration": depth, "sample": sample, "pool": pool, "subset_rank": b,
                           "subset_points": pool[_combo_by_rank(groups, b)], "center": cands[b],
-                          "partial_cost": float(pots[:, b].sum())})
+                          "partial_cost": float(pots[b].sum())})
             centers.append(cands[b])
-            potentials = pots[:, b]
+            potentials = pots[b]
             node_id = derive_id(node_id, 1 + b)
         return centers, trace
 
@@ -185,19 +190,19 @@ class TestSearchMatchesReference:
         search = ptas._TreeSearch(points, ids, measure, 2, 6, 3, root)
         reference = ReferenceSearch(points, ids, measure, 2, 6, 3, reference_key(root))
         parents = reference.expand(None, root.stream_id)[-1]
-        children = [derive_id(root.stream_id, 1 + b) for b in range(parents.shape[1])]
-        root_node = search._expand(np.full((12, 1), np.inf), search.root)
+        children = [derive_id(root.stream_id, 1 + b) for b in range(len(parents))]
+        root_node = search._expand(np.full((1, 12), np.inf), search.root)
         batch = search._expand(root_node.potentials(np.arange(len(children))),
                                np.array(children, dtype=np.uint64))
         for b, child in enumerate(children):
-            sample, pool, _, cands, pots = reference.expand(parents[:, b], child)
-            cols = np.arange(batch.starts[b], batch.starts[b + 1])
-            assert same_bits(tables[-1][:, b], parents[:, b] / parents[:, b].sum())
+            sample, pool, _, cands, pots = reference.expand(parents[b], child)
+            cands_b = np.arange(batch.starts[b], batch.starts[b + 1])
+            assert same_bits(tables[-1][b], parents[b] / parents[b].sum())
             assert same_bits(batch.samples[b], sample)
             assert same_bits(batch.pools[b], pool)
-            assert same_bits(batch.means[batch.which[cols]], cands)
-            assert same_bits(batch.potentials(cols), pots)
-            assert same_bits(batch.costs[cols], pots.sum(axis=0))
+            assert same_bits(batch.means[batch.which[cands_b]], cands)
+            assert same_bits(batch.potentials(cands_b), pots)
+            assert same_bits(batch.costs[cands_b], row_sums(pots))
 
     @pytest.mark.parametrize("name", list(MEASURES))
     @pytest.mark.parametrize("M", [1, 2, 3])
@@ -287,7 +292,8 @@ class TestSearchMatchesReference:
 
     @pytest.mark.parametrize("entries", [1, 40, 1 << 40])
     def test_cost_blocks_do_not_change_the_result(self, sq, monkeypatch, entries):
-        """Costs summed one point at a time, in uneven blocks, or in one block."""
+        """Costs summed one candidate row at a time, in uneven blocks of rows,
+        or in one block."""
         monkeypatch.setattr(ptas, "_SUM_ENTRIES", entries)
         points = RngStream(49).generator.standard_normal((13, 2))
         for M in (1, 2, 3):
