@@ -29,6 +29,9 @@ step: each iteration draws, sorts and scores for the whole chunk at once,
 and every restart keeps the bits it would get on its own.  A chunk holds as
 many restarts as fit one scoring table of ``_CHUNK_ENTRIES`` entries, at
 least one; an ``Exhaustive`` restart is a chunk of one, with its own tree.
+That tree is searched a frontier of same-depth nodes at a time: a batch
+holds the children of several parents, and every node still gets the bits
+of a lone node, in the order and with the counts of a depth-first search.
 """
 
 import itertools
@@ -244,8 +247,8 @@ class _Restart:
 
 # Draws are deduplicated a block of rows at a time, at most about this many
 # draws or one row per block, which bounds the block's key and position
-# temporaries.  The paper preset draws N = 819 200 points per node, and each
-# temporary over a whole batch of 15 siblings' draws would take 98 MB.
+# temporaries.  The paper preset draws N = 819 200 points per node, so each
+# such temporary takes 6.5 MB per row.
 _DEDUPE_ENTRIES = 1 << 16
 
 
@@ -359,10 +362,14 @@ def _fill_distinct_centers(points, centers, k):
     return out
 
 
-# Sibling nodes are expanded in chunks of at most about this many entries of
-# points by candidates by coordinates, which bounds every temporary of a
-# batch.  Each sibling's numbers are computed on their own, so results do not
-# depend on it.
+# A frontier of tree nodes is expanded in chunks of at most this many entries,
+# or one node.  A node counts its N uniforms and N draws, and per candidate
+# its members, ids, owner and cost, its divergences to the n points with
+# their coordinates and its child's n potentials; so the budget bounds every
+# temporary of a batch.  At exact_small's shape (n = 12, N = 239, M = 2, 78
+# candidates) 2^20 entries make chunks of 227-382 nodes; 2^19 was slower and
+# 2^21 no faster, with a higher peak.  Each node's numbers are computed on
+# their own, so results do not depend on it.
 _BATCH_ENTRIES = 1 << 20
 # Candidate costs are summed over blocks of whole rows, at most about this
 # many entries of candidates by points or one row.  Blocks of 64 KiB reuse
@@ -371,8 +378,8 @@ _BATCH_ENTRIES = 1 << 20
 _SUM_ENTRIES = 1 << 13
 
 
-class _Siblings:
-    """Sibling tree nodes expanded together by :meth:`_TreeSearch._expand`.
+class _Batch:
+    """Tree nodes of one depth expanded together by :meth:`_TreeSearch._expand`.
 
     Row j of ``samples`` is node j's draw and ``pools[j]`` its distinct sample
     points.  Node j's candidates are entries ``starts[j]:starts[j + 1]`` of
@@ -417,16 +424,19 @@ class _TreeSearch:
     2^-53.  Each value is a function of (seed, path, j) alone, so the winning
     path can be replayed exactly to reconstruct its trace.
 
-    All children of a node are expanded as one batch (see :meth:`_expand`):
-    one table of counter uniforms and one stacked draw, one pool dedupe, and
-    one ``rowwise`` table over the distinct subsets of every child's pool.
-    Potentials are rows, one per node or candidate, and a candidate's cost is
-    the sum of its own row.  Leaves then reduce by segment min.  The stream
-    layout is unchanged from a node-by-node search, and so is every bit of the
-    result: each child's numbers are its own rows, children are visited in
-    order, and a child cut off by the zero-cost short-circuit counts for
-    nothing, though its batch may have expanded it.  The root and the replay
-    are batches of one.
+    The tree is searched a frontier at a time (see :meth:`_search`): the
+    same-depth nodes in path order, in chunks, each chunk expanded as one
+    batch (see :meth:`_expand`) with one table of counter uniforms and one
+    stacked draw, one pool dedupe, and one ``rowwise`` table over the
+    distinct subsets of every node's pool.  A batch holds the children of
+    several parents.  Potentials are rows, one per node or candidate, and a
+    candidate's cost is the sum of its own row.  Leaves then reduce by
+    segment min.  The stream layout is unchanged from a node-by-node search,
+    and so is every bit of the result: each node's numbers are its own rows,
+    leaves are scored in path order, and a node that a depth-first search
+    would cut off by the zero-cost short-circuit gets no children and counts
+    for nothing, though its batch may have expanded it.  The root and the
+    replay are batches of one.
     """
 
     def __init__(self, points, ids, measure, k, sample_size, subset_size, stream):
@@ -440,17 +450,20 @@ class _TreeSearch:
         self.best_path = None
         self.subsets_examined = 0
         self.nodes_expanded = 0
-        most = _menu_size(sample_size, subset_size, int(ids.max()) + 1)
-        self._node_entries = points.shape[0] * points.shape[1] * most
+        (n, d), distinct = points.shape, int(ids.max()) + 1
+        most = _menu_size(sample_size, subset_size, distinct)
+        width = min(subset_size, sample_size, distinct)
+        # what one node adds to a batch, in entries (see _BATCH_ENTRIES)
+        self._node_entries = 2 * sample_size + most * (n * (d + 1) + width + 3)
         self.root = np.array([stream.stream_id], dtype=np.uint64)
         self.key = _counter_key(stream)
 
     def _expand(self, potentials, node_ids):
-        """Draw, dedupe and score the sibling nodes with stream ids ``node_ids``
-        as one batch.
+        """Draw, dedupe and score the nodes with stream ids ``node_ids`` as one
+        batch.
 
-        ``potentials`` holds the siblings' potentials as rows, +inf at the
-        root.  Each sibling gets the bits a lone node would get: its
+        ``potentials`` holds the nodes' potentials as rows, +inf at the
+        root.  Each node gets the bits a lone node would get: its
         :func:`~d2ptas.sampler.d2_law` row is a 1-D law, and its subset means
         sum their points in pool order.
         """
@@ -473,7 +486,7 @@ class _TreeSearch:
                 rows = (col + np.arange(len(combos))).reshape(-1)
                 members[rows, :combos.shape[1]] = pool[:, combos].reshape(len(rows), -1)
                 col = col + len(combos)
-        # siblings share most subsets; equal members in equal order give equal
+        # nodes share most subsets; equal members in equal order give equal
         # bits, so each distinct one is averaged and scored once
         subsets, which = _distinct_rows(members, n + 1)
         means = np.empty((len(subsets), d))
@@ -483,42 +496,57 @@ class _TreeSearch:
             means[rows] = self.points[subsets[rows, :s] - 1].mean(axis=1)
         # closed form, not pairwise: the search branches on exact zero costs
         table = self.measure.rowwise(self.points[None, :, :], means[:, None, :])
-        return _Siblings(samples, pools, starts, which, means, table, potentials)
+        return _Batch(samples, pools, starts, which, means, table, potentials)
 
     def run(self):
-        # the root's potentials are +inf, the cost to no center
-        self._search(np.full((1, self.points.shape[0]), np.inf), self.root, [()])
+        # the root's potentials are +inf, the cost to no center; its path is empty
+        self._search(np.full((1, self.points.shape[0]), np.inf), self.root,
+                     np.empty((1, 0), dtype=np.intp))
         return self.best_cost, self.best_path
 
     def _search(self, potentials, node_ids, paths):
-        """Visit sibling nodes in order, expanding them in chunks of siblings."""
+        """Visit a frontier of same-depth nodes in path order, in chunks.
+
+        ``paths`` holds the nodes' branch paths as rows.  Each chunk is
+        expanded as one batch, and the children of all its nodes, in path
+        order, are the next frontier, searched the same way before the next
+        chunk.  Only candidates before the chunk's first zero-cost one get
+        children: its node J is the last whose subtree a depth-first search
+        enters.  The counters then take the nodes that search reaches, every
+        node up to J or up to the one under which the best cost hit 0.
+        """
         step = max(1, _BATCH_ENTRIES // self._node_entries)
         for lo in range(0, len(node_ids), step):
             if self.best_cost == 0.0:
                 return
             chunk = slice(lo, lo + step)
             node = self._expand(potentials[chunk], node_ids[chunk])
-            if len(paths[0]) == self.k - 1:
+            if paths.shape[1] == self.k - 1:
                 self._score_leaves(node, paths[chunk])
                 continue
-            for j, (node_id, path) in enumerate(zip(node_ids[chunk, None], paths[chunk])):
-                if self.best_cost == 0.0:
-                    return
-                a, b = node.starts[j], node.starts[j + 1]
-                self.nodes_expanded += 1
-                self.subsets_examined += int(b - a)
-                zeros = np.flatnonzero(node.costs[a:b] == 0.0)
-                stop = int(zeros[0]) if zeros.size else int(b - a)
-                if stop:
-                    self._search(node.potentials(np.arange(a, a + stop)),
-                                 _derived_ids(node_id, 1 + np.arange(stop))[0],
-                                 [path + (c,) for c in range(stop)])
-                if stop < b - a and 0.0 < self.best_cost:
-                    # every point is covered already; deeper centers cannot matter
-                    self.best_cost, self.best_path = 0.0, path + (stop,)
+            zeros = np.flatnonzero(node.costs == 0.0)
+            # candidate c of the chunk's flat list is child index[c] of node owner[c]
+            cut = int(zeros[0]) if zeros.size else int(node.starts[-1])
+            owner = node.owner[:cut]
+            index = np.arange(cut) - node.starts[owner]
+            if cut:
+                ids = _derived_ids(node_ids[chunk], 1 + np.arange(index.max() + 1))
+                self._search(node.potentials(np.arange(cut)), ids[owner, index],
+                             np.column_stack((paths[chunk][owner], index)))
+            last = int(node.owner[cut]) if zeros.size else len(node.pools) - 1
+            if self.best_cost == 0.0:
+                # the search ended in the subtree of this node
+                here = self.best_path[:paths.shape[1]]
+                last = int(np.flatnonzero((paths[chunk] == here).all(axis=1))[0])
+            self.nodes_expanded += last + 1
+            self.subsets_examined += int(node.starts[last + 1])
+            if zeros.size and 0.0 < self.best_cost:
+                # every point is covered already; deeper centers cannot matter
+                self.best_cost = 0.0
+                self.best_path = tuple(paths[lo + last].tolist()) + (cut - int(node.starts[last]),)
 
     def _score_leaves(self, node, paths):
-        """Visit leaf siblings in order: each offers its first cheapest
+        """Visit leaf nodes in order: each offers its first cheapest
         candidate, the search keeps the first strict improvement and stops once
         the best cost is zero."""
         mins = np.minimum.reduceat(node.costs, node.starts[:-1])
@@ -532,7 +560,8 @@ class _TreeSearch:
         if mins[j] < self.best_cost:
             a = node.starts[j]
             b = int(np.argmin(node.costs[a:node.starts[j + 1]]))
-            self.best_cost, self.best_path = float(node.costs[a + b]), paths[j] + (b,)
+            self.best_cost = float(node.costs[a + b])
+            self.best_path = tuple(paths[j].tolist()) + (b,)
 
     def replay(self, path):
         """Recompute the winning branch and emit its per-iteration trace."""

@@ -5,9 +5,16 @@ evaluated with ``math``) and frozen; tests compare against those constants,
 not against the code under test.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import d2ptas
 
 from d2ptas import (
     DimensionMismatch,
@@ -326,6 +333,41 @@ class TestPairwiseKernel:
         np.testing.assert_allclose(table, closed, rtol=1e-9, atol=0)
         for m in (1, 2, 3, 4):
             np.testing.assert_array_equal(sq.pairwise(P, C[:m]), table[:, :m])
+
+
+    @pytest.mark.parametrize("measure,offset", OFFSET_CASES, ids=OFFSET_IDS)
+    def test_wide_tables_are_their_column_slices(self, measure, offset, gen):
+        """Past 128 centers a table is its slices of 128 columns, each its own
+        product; a one-column remainder is a one-column table, and a table of
+        128 columns is one product."""
+        P = kernel_points(measure, gen, 40, offset)
+        C = kernel_points(measure, gen, 2 * 128 + 1, offset)
+        full = measure.pairwise(P, C)
+        for lo, hi in ((0, 128), (128, 256), (256, 257)):
+            np.testing.assert_array_equal(full[:, lo:hi], measure.pairwise(P, C[lo:hi]))
+        stack = measure.pairwise(P, np.stack([C[:129], C[128:]]))
+        np.testing.assert_array_equal(stack[0], full[:, :129])
+        np.testing.assert_array_equal(stack[1], measure.pairwise(P, C[128:]))
+
+    def test_wide_tables_do_not_depend_on_the_blas_thread_count(self):
+        """20 000 x 8 points against a block of 300 centers: the table hashes
+        the same at one BLAS thread and at two.  One 300-column product does
+        not, with OpenBLAS 0.3.31 on a 2-core x86-64 machine."""
+        script = ("import hashlib, numpy as np; from d2ptas import SquaredEuclidean; "
+                  "g = np.random.default_rng(5); P = g.standard_normal((20000, 8)); "
+                  "C = g.standard_normal((1, 300, 8)); "
+                  "print(hashlib.sha256(SquaredEuclidean().pairwise(P, C).tobytes()).hexdigest())")
+        src = str(Path(d2ptas.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestCentroidAndAssignment:

@@ -1,12 +1,19 @@
 """The batched exhaustive tree against a node-by-node reference search.
 
-``_TreeSearch`` expands all children of a node as one batch.  The reference
-below expands one node at a time: each node draws, dedupes and scores on its
-own, and the tree is walked depth first.  It computes node stream ids, the
+``_TreeSearch`` searches a frontier of same-depth nodes at a time: it
+expands them in chunks, one batch per chunk, and the children of a whole
+chunk, from several parents, form the next frontier.  The reference below
+expands one node at a time: each node draws, dedupes and scores on its own,
+and the tree is walked depth first.  It computes node stream ids, the
 restart key and each node's counter uniforms in plain Python integers, from
 their documented formulas.  Both must agree bit for bit, in the best cost and
-path, in the counters and in the whole ``find_k_median`` output.
+path, in the counters, in the replayed trace and in the whole
+``find_k_median`` output, whatever the chunk size.  A spy on the batches
+checks that they do hold children of several parents, and a search with
+per-parent batches is the baseline of the memory check.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +30,7 @@ from d2ptas import (
 from d2ptas import ptas
 from d2ptas.divergences import Mahalanobis
 from d2ptas.ptas import _combo_by_rank, _combo_groups, _fill_distinct_centers, _prepare
-from d2ptas.sampler import RngStream, _splitmix64, weighted_draw
+from d2ptas.sampler import RngStream, _derived_ids, _splitmix64, weighted_draw
 
 MASK64 = 2 ** 64 - 1
 
@@ -67,9 +74,12 @@ class ReferenceSearch:
         self.best_cost, self.best_path = np.inf, None
         self.subsets_examined = self.nodes_expanded = 0
 
-    def expand(self, potentials, node_id):
+    def law(self, potentials):
         n = self.points.shape[0]
-        probs = np.full(n, 1.0 / n) if potentials is None else potentials / potentials.sum()
+        return np.full(n, 1.0 / n) if potentials is None else potentials / potentials.sum()
+
+    def expand(self, potentials, node_id):
+        probs = self.law(potentials)
         sample = reference_draw(probs, derive_id(node_id, 0), self.key, self.sample_size)
         _, first = np.unique(self.ids[sample], return_index=True)
         pool = sample[np.sort(first)]
@@ -299,6 +309,173 @@ class TestSearchMatchesReference:
         for M in (1, 2, 3):
             batched, reference = run_both(points, sq, 3, 7, M, RngStream(903 + M))
             assert_same_search(batched, reference)
+
+
+class UniformReference(ReferenceSearch):
+    """The reference search under a uniform law, which ignores the potentials."""
+
+    def law(self, potentials):
+        return np.full(self.points.shape[0], 1.0 / self.points.shape[0])
+
+
+def uniform_law(potentials, totals=None):
+    return np.full(np.shape(potentials), 1.0 / np.shape(potentials)[-1])
+
+
+class PerParentSearch(ptas._TreeSearch):
+    """The search with per-parent batches: each batch holds children of one
+    parent, each parent's children searched as their own list."""
+
+    def _search(self, potentials, node_ids, paths):
+        step = max(1, ptas._BATCH_ENTRIES // self._node_entries)
+        for lo in range(0, len(node_ids), step):
+            if self.best_cost == 0.0:
+                return
+            chunk = slice(lo, lo + step)
+            node = self._expand(potentials[chunk], node_ids[chunk])
+            if paths.shape[1] == self.k - 1:
+                self._score_leaves(node, paths[chunk])
+                continue
+            for j, (node_id, path) in enumerate(zip(node_ids[chunk, None], paths[chunk])):
+                if self.best_cost == 0.0:
+                    return
+                a, b = node.starts[j], node.starts[j + 1]
+                self.nodes_expanded += 1
+                self.subsets_examined += int(b - a)
+                zeros = np.flatnonzero(node.costs[a:b] == 0.0)
+                stop = int(zeros[0]) if zeros.size else int(b - a)
+                if stop:
+                    self._search(node.potentials(np.arange(a, a + stop)),
+                                 _derived_ids(node_id, 1 + np.arange(stop))[0],
+                                 np.column_stack((np.repeat(path[None], stop, axis=0),
+                                                  np.arange(stop))))
+                if stop < b - a and 0.0 < self.best_cost:
+                    self.best_cost, self.best_path = 0.0, tuple(path.tolist()) + (stop,)
+
+
+def record_batches(monkeypatch):
+    """Spy on ``_TreeSearch``: the branch paths of the nodes of each ``_expand`` batch."""
+    paths_of, batches = {}, []
+    search, expand = ptas._TreeSearch._search, ptas._TreeSearch._expand
+
+    def spy_search(self, potentials, node_ids, paths):
+        paths_of.update(zip(node_ids.tolist(), map(tuple, paths.tolist())))
+        return search(self, potentials, node_ids, paths)
+
+    def spy_expand(self, potentials, node_ids):
+        batches.append([paths_of.get(i) for i in node_ids.tolist()])
+        return expand(self, potentials, node_ids)
+
+    monkeypatch.setattr(ptas._TreeSearch, "_search", spy_search)
+    monkeypatch.setattr(ptas._TreeSearch, "_expand", spy_expand)
+    return batches
+
+
+def parents(batch):
+    return {path[:-1] for path in batch}
+
+
+def assert_same_replay(batched, reference, stream):
+    got = batched.replay(batched.best_path)[1]
+    want = reference.replay(stream.stream_id, reference.best_path)[1]
+    for mine, theirs in zip(got, want, strict=True):
+        assert mine.keys() == theirs.keys()
+        assert all(same_bits(mine[f], theirs[f]) for f in mine)
+
+
+class TestFrontierBatches:
+    """A chunk's nodes are expanded as one batch, and the children of all of
+    them are the next frontier, searched as one list."""
+
+    @pytest.mark.parametrize("chunk", [3, 40])
+    def test_chunks_that_split_or_merge_parents(self, sq, monkeypatch, chunk):
+        """k = 4 with chunks of 3 nodes, which split one parent's children
+        across batches, and of 40, which merge several parents' children into
+        one batch, at the interior level below the root's children and at the
+        leaves."""
+        points = RngStream(54).generator.standard_normal((10, 2))
+        _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
+        batches = record_batches(monkeypatch)
+        for seed in range(2):
+            stream = RngStream(905, seed)
+            batched = ptas._TreeSearch(points, ids, sq, 4, 4, 2, stream)
+            monkeypatch.setattr(ptas, "_BATCH_ENTRIES", chunk * batched._node_entries)
+            batched.run()
+            tree, batches[:] = list(batches), []
+            reference = ReferenceSearch(points, ids, sq, 4, 4, 2, reference_key(stream))
+            reference.visit(None, stream.stream_id, ())
+            assert_same_search(batched, reference)
+            assert_same_replay(batched, reference, stream)
+            for depth in (2, 3):
+                level = [b for b in tree if len(b[0]) == depth]
+                if chunk == 3:
+                    spread = [sum(p in parents(b) for b in level) for p in parents(sum(level, []))]
+                    assert max(spread) > 1
+                else:
+                    assert max(len(parents(b)) for b in level) > 1
+
+    @pytest.mark.parametrize("values,seed,path", [
+        ((0, 1, 4, 0, 0, 0, 0, 1), 40, (2, 1, 0)),
+        ((0, 1, 4, 1, 0, 4, 4), 1065, (1, 0, 1)),
+    ])
+    def test_zero_cut_under_a_later_parent_of_a_merged_batch(self, sq, monkeypatch, values,
+                                                            seed, path):
+        """Under the D² law the first zero-cost candidate lies on the leftmost
+        path, as each center covers one new value; under a uniform law it can
+        turn up anywhere.  Here its node J = path[:-1] shares a batch with
+        children of an earlier parent, so the frontier must keep the children
+        of nodes up to J only, cut J's at its zero (after one child in the
+        second case) and count the nodes a depth-first search reaches."""
+        monkeypatch.setattr(ptas, "d2_law", uniform_law)
+        monkeypatch.setattr(ptas, "_BATCH_ENTRIES", 1 << 10)
+        points = np.array(values, dtype=float)[:, None]
+        _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
+        batches = record_batches(monkeypatch)
+        stream = RngStream(1000 + seed)
+        batched = ptas._TreeSearch(points, ids, sq, 4, 3, 2, stream)
+        batched.run()
+        assert batched.best_cost == 0.0 and batched.best_path == path
+        batch = next(b for b in batches if path[:-1] in b)
+        assert batch[0][:-1] < path[:-2] and len(parents(batch)) > 2
+        reference = UniformReference(points, ids, sq, 4, 3, 2, reference_key(stream))
+        reference.visit(None, stream.stream_id, ())
+        assert_same_search(batched, reference)
+        assert_same_replay(batched, reference, stream)
+
+    def test_leaf_batches_hold_children_of_several_parents(self, sq, monkeypatch):
+        """At exact_small's shape (n = 12, k = 3, N = 239, M = 2) a leaf batch
+        holds the children of more than one parent."""
+        points = RngStream(55).generator.standard_normal((12, 2))
+        _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
+        batches = record_batches(monkeypatch)
+        ptas._TreeSearch(points, ids, sq, 3, 239, 2, RngStream(906)).run()
+        assert max(len(parents(b)) for b in batches if len(b[0]) == 2) > 1
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_peak_memory_stays_near_per_parent_batches(self, sq, d):
+        """At exact_small's shape a frontier search peaks within one batch
+        budget (8 bytes per entry, 8 MB) of a search with per-parent batches,
+        and finds the same result.  Measured at d = 1 and 3: 4.8 and 4.0 MB
+        against 0.9 and 1.0 MB.  A budget of n * d entries per candidate, which
+        leaves out the nodes' draws, makes chunks of 1120 nodes at d = 1, which
+        peak at 11.9 MB."""
+        points = RngStream(56, d).generator.standard_normal((12, d))
+        _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
+        stream, peaks = RngStream(907, d), []
+        # fill the combination caches before tracing
+        PerParentSearch(points, ids, sq, 3, 239, 2, stream).run()
+        searches = [cls(points, ids, sq, 3, 239, 2, stream)
+                    for cls in (PerParentSearch, ptas._TreeSearch)]
+        for search in searches:
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                search.run()
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert_same_search(*searches)
+        assert peaks[1] <= peaks[0] + 8 * ptas._BATCH_ENTRIES, peaks
 
 
 @pytest.mark.parametrize("base,columns", [(13, 1), (13, 2), (4, 3), (1 << 40, 3)])
