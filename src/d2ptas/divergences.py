@@ -17,15 +17,22 @@ center (Banerjee et al., *Clustering with Bregman Divergences*, JMLR 2005).
 ``rowwise`` defaults to the generator route; the named measures override it
 with their closed forms, which ``bregman_form`` cross-checks independently.
 
-``pairwise`` expands the generator route into one matrix product:
-``D = phi(P)[:, None] - P @ grad_phi(C).T + (<grad_phi(C), C> - phi(C))[None, :]``.
-Where the three terms cancel, the product loses the small value, so every entry
-at or below a fixed small fraction of the terms' magnitude is recomputed with
-``rowwise``.  Identical rows therefore give exactly 0, every entry is finite
-and >= 0, and the other entries agree with the closed form to about
-``d * 1e-9`` relative at worst.  On data far from the origin relative to its
-spread the terms dwarf the distances, most entries need repair, and such
-columns are recomputed whole, at about a tenth more than the closed form.
+``pairwise`` computes the generator route as one matrix product of lifted
+coordinates.  With each point lifted to ``x = [p, phi(p), 1]`` and each center
+to ``y = [-grad_phi(c), 1, <grad_phi(c), c> - phi(c)]``, the generator table
+``phi(P)[:, None] - P @ grad_phi(C).T + (<grad_phi(C), C> - phi(C))[None, :]``
+is ``X @ Y.T``, with no elementwise pass over the table to add its terms.
+The points' side of that product -- ``X`` and the maxima of ``|phi(P)|`` and
+``|P|^2`` that bound the terms -- depends on the points alone, so a caller that
+tables the same points many times builds it once (``_point_side``) and passes
+it to every call.  Where the three terms cancel, the product loses the small
+value, so every entry at or below a fixed small fraction of the terms'
+magnitude is recomputed with ``rowwise``.  Identical rows therefore give
+exactly 0, every entry is finite and >= 0, and the other entries agree with
+the closed form to about ``d * 1e-9`` relative at worst.  On data far from the
+origin relative to its spread the terms dwarf the distances, most entries need
+repair, and such columns are recomputed whole, at about a tenth more than the
+closed form.
 """
 
 from dataclasses import dataclass, field
@@ -192,13 +199,27 @@ class DivergenceMeasure:
         """
         return self.bregman_form(P, Q)
 
-    def pairwise(self, P, C):
+    def _point_side(self, P):
+        """What ``pairwise`` needs of the points alone: the lifted points
+        ``[P, phi(P), 1]``, ``max |phi(P)|`` and ``max |P|^2``.
+
+        A caller that tables the same points many times computes this once and
+        passes it to each ``pairwise`` call.
+        """
+        P = np.asarray(P, dtype=float)
+        phi_p = self.phi(P)
+        lifted = np.concatenate([P, phi_p[:, None], np.ones((P.shape[0], 1))], axis=1)
+        return lifted, np.abs(phi_p).max(initial=0.0), np.einsum("ij,ij->i", P, P).max(initial=0.0)
+
+    def pairwise(self, P, C, point_side=None):
         """(n, m) table of D(P_i, C_j): the generator table plus its repair.
 
-        One matrix product gives the table (see the module docstring) and
-        entries at or below ``_REPAIR_TAU`` times a bound on the terms'
-        magnitudes are recomputed by ``rowwise`` on just those pairs, or on
-        the whole column where most of it needs that.
+        One matrix product of the lifted points and centers gives the table
+        (see the module docstring) and entries at or below ``_REPAIR_TAU``
+        times a bound on the terms' magnitudes are recomputed by ``rowwise``
+        on just those pairs, or on the whole column where most of it needs
+        that.  ``point_side`` is ``_point_side(P)``, computed here when not
+        given.
 
         ``C`` may also be an (A, m, d) stack of center blocks, which gives the
         (A, n, m) stack of their tables.  Each block is its own matrix
@@ -211,27 +232,28 @@ class DivergenceMeasure:
         """
         P = np.asarray(P, dtype=float)
         C = np.asarray(C, dtype=float)
+        if point_side is None:
+            point_side = self._point_side(P)
         m = C.shape[-2]
         if m > _PRODUCT_COLUMNS:
             table = np.empty(C.shape[:-2] + (P.shape[0], m))
             for lo in range(0, m, _PRODUCT_COLUMNS):
                 cols = slice(lo, lo + _PRODUCT_COLUMNS)
-                table[..., cols] = self.pairwise(P, C[..., cols, :])
+                table[..., cols] = self.pairwise(P, C[..., cols, :], point_side)
             return table
         if m == 1:
             # a 1-column product runs through gemv, whose bits differ from the
             # same column of a wider product; take it from a 2-column one
-            return self.pairwise(P, np.repeat(C, 2, axis=-2))[..., :1]
-        phi_p, grad_c, phi_c = self.phi(P), self.grad_phi(C), self.phi(C)
-        offset = np.einsum("...ij,...ij->...i", grad_c, C) - phi_c
-        table = P @ np.swapaxes(grad_c, -1, -2)
-        np.subtract(phi_p[:, None], table, out=table)
-        table += offset[..., None, :]
+            return self.pairwise(P, np.repeat(C, 2, axis=-2), point_side)[..., :1]
+        lifted, phi_max, sq_max = point_side
+        grad_c = self.grad_phi(C)
+        offset = np.einsum("...ij,...ij->...i", grad_c, C) - self.phi(C)
+        table = lifted @ np.swapaxes(np.concatenate(
+            [-grad_c, np.ones(offset.shape + (1,)), offset[..., None]], axis=-1), -1, -2)
         # per-column bound on the terms, |P_i . grad_c_j| <= |P_i| |grad_c_j|:
         # which entries of column j get repaired depends on P and C_j only
-        scale = (np.abs(phi_p).max(initial=0.0) + np.abs(offset)
-                 + np.sqrt(np.einsum("ij,ij->i", P, P).max(initial=0.0)
-                           * np.einsum("...ij,...ij->...i", grad_c, grad_c)))
+        scale = (phi_max + np.abs(offset)
+                 + np.sqrt(sq_max * np.einsum("...ij,...ij->...i", grad_c, grad_c)))
         shape, (n, m) = table.shape, table.shape[-2:]
         # a 2-D table is a stack of one block
         table, centers = table.reshape(-1, n, m), C.reshape(-1, C.shape[-1])

@@ -639,10 +639,14 @@ def _greedy_restarts(points, measure, cfg, streams):
     stack, scored in place and dropped before the next iteration builds its
     own.  Each restart keeps the bits of a lone pass: its draw, its law and
     its scoring table are its own row or block of these.  Each sample's own
-    sample-to-anchor table and each ``CenterSet.add`` stay per restart.
+    sample-to-anchor table and each ``CenterSet.add`` stay per restart.  The
+    points' side of every scoring table (their lifted copy and maxima, see
+    :meth:`~d2ptas.divergences.DivergenceMeasure.pairwise`) is computed once
+    for the chunk.
     """
     trials, sample_size, m_ = cfg.subset_strategy.trials, cfg.sample_size_N, cfg.subset_size_M
     d = points.shape[1]
+    point_side = measure._point_side(points)
     center_sets = [CenterSet.empty(points, measure) for _ in streams]
     traces = [[] for _ in streams]
     for i in range(cfg.k):
@@ -674,7 +678,8 @@ def _greedy_restarts(points, measure, cfg, streams):
         # second live table the allocator releases and re-faults its pages on
         # every iteration.  The potentials stay the first operand, so the
         # scores keep the bits of np.minimum(potentials, table).
-        table = measure.pairwise(points, cands.reshape(len(live), trials, d))   # (A, n, R)
+        table = measure.pairwise(points, cands.reshape(len(live), trials, d),
+                                 point_side=point_side)                          # (A, n, R)
         np.minimum(potentials[:, :, None], table, out=table)
         scores = table.sum(axis=1)                                               # (A, R)
         del table

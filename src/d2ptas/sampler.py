@@ -201,7 +201,11 @@ class CenterSet:
             raise DimensionMismatch(f"center has shape {c.shape}, points are {self.points.shape[1]}-dimensional")
         self.measure.validate_points(c)
         fresh = np.minimum(self.potentials, self.measure.rowwise(self.points, c[None, :]))
-        return CenterSet(self.points, self.measure, self.centers + [c], fresh)
+        # built around ``__init__``, whose as_points would check all n points again
+        child = object.__new__(CenterSet)
+        child.points, child.measure, child.centers = self.points, self.measure, self.centers + [c]
+        child.potentials, child.total_potential = fresh, float(fresh.sum())
+        return child
 
     def recomputed_potentials(self):
         """From-scratch potentials, for validating the incremental cache.

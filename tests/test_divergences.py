@@ -233,6 +233,13 @@ KERNEL_IDS = ["sqeuclid", "mahalanobis", "kl", "itakura-saito", "sqnorm-bregman"
 OFFSET_CASES = [(m, 0.0) for m in KERNEL_MEASURES] + [
     (KERNEL_MEASURES[0], 1e6), (KERNEL_MEASURES[1], 1e6), (KERNEL_MEASURES[4], 1e6)]
 OFFSET_IDS = KERNEL_IDS + ["sqeuclid-offset", "mahalanobis-offset", "sqnorm-bregman-offset"]
+# (measure, dimension, offset): at offset 1e6 whole columns take the closed form
+MAHALANOBIS_1 = Mahalanobis([[2.5]])
+LIFT_CASES = ([(m, 3, 0.0) for m in KERNEL_MEASURES] + [(MAHALANOBIS_1, 1, 0.0)]
+              + [(m, m.fixed_dim or 3, 1e6) for m in (KERNEL_MEASURES[0], KERNEL_MEASURES[1],
+                                                       KERNEL_MEASURES[4], MAHALANOBIS_1)])
+LIFT_IDS = KERNEL_IDS + ["mahalanobis-1x1", "sqeuclid-offset", "mahalanobis-offset",
+                         "sqnorm-bregman-offset", "mahalanobis-1x1-offset"]
 
 
 class TestGenericBregman:
@@ -368,6 +375,23 @@ class TestPairwiseKernel:
             assert done.returncode == 0, done.stderr
             digests.append(done.stdout.strip())
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("measure,dim,offset", LIFT_CASES, ids=LIFT_IDS)
+    def test_a_reused_point_side_gives_the_same_bits(self, measure, dim, offset, gen):
+        """``pairwise`` with the points' side computed once is bitwise
+        ``pairwise(P, C)``: a 2-D table, a stack of blocks, one column and
+        more than 128; copied rows are exactly 0 and no entry is negative."""
+        P = measure.sample_domain(gen, (300, dim)) + offset
+        side = measure._point_side(P)
+        idx = gen.permutation(300)[:140]
+        fresh = measure.sample_domain(gen, (2, 6, dim)) + offset
+        for C, copied in ((P[idx[:9]], idx[:9]), (fresh, None), (P[idx[:1]], idx[:1]),
+                          (P[idx], idx), (fresh[:, :1], None)):
+            table = measure.pairwise(P, C, point_side=side)
+            np.testing.assert_array_equal(table, measure.pairwise(P, C))
+            assert np.all(table >= 0.0)
+            if copied is not None:
+                assert np.all(table[copied, np.arange(len(copied))] == 0.0)
 
 
 class TestCentroidAndAssignment:

@@ -423,10 +423,10 @@ class TestAnchoredTrialsDiscipline:
                 super().__init__()
                 self.menus = []
 
-            def pairwise(self, P, C):
+            def pairwise(self, P, C, point_side=None):
                 if len(P) == len(points):  # the candidate scoring table
                     self.menus.append(np.array(C))
-                return super().pairwise(P, C)
+                return super().pairwise(P, C, point_side)
 
         menus = {}
         for trials in (25, 50):
@@ -540,6 +540,29 @@ class TestGreedyScoring:
         assert ptas._chunks(cfg.resolved(measure), n) == [range(0, 8)]
         assert self.traced_peak(
             lambda: find_k_median(points, measure, cfg, RngStream(4))) < 2 * ptas._CHUNK_ENTRIES * 8
+
+    def test_the_point_side_is_built_once_per_chunk(self, planted):
+        """Every scoring table of a chunk reuses one lifted copy of the points:
+        ``phi`` runs on the n points once per chunk (plus once for the final
+        ``assign``), not once per iteration."""
+        points = np.concatenate([planted[0]] * 4)[:1000]
+
+        class PhiCounter(SquaredEuclidean):
+            def __init__(self):
+                self.calls = 0
+
+            def phi(self, X):
+                if np.shape(X) == points.shape:
+                    self.calls += 1
+                return super().phi(X)
+
+        counter, cfg = PhiCounter(), desk(3, restarts=3)
+        chunks = ptas._chunks(cfg.resolved(counter), len(points))
+        assert [len(c) for c in chunks] == [2, 1]
+        result = find_k_median(points, counter, cfg, RngStream(9))
+        assert counter.calls == len(chunks) + 1
+        plain = find_k_median(points, SquaredEuclidean(), cfg, RngStream(9))
+        assert result.centers.tobytes() == plain.centers.tobytes()
 
 
 class TestLockStepRestarts:

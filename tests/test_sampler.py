@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from d2ptas import ConfigError, Mahalanobis, SquaredEuclidean
+from d2ptas import ConfigError, DomainError, KullbackLeibler, Mahalanobis, SquaredEuclidean
 from d2ptas import sampler
 from d2ptas.sampler import (
     CenterSet,
@@ -178,6 +178,23 @@ class TestCenterSet:
             cs = cs.add(gen.standard_normal(2))
             assert cs.total_potential <= prev
             prev = cs.total_potential
+
+    def test_add_checks_the_new_center_only(self, sq, gen, monkeypatch):
+        """``add`` does not re-check the n points, which were checked when the
+        set was built; the new center is still checked."""
+        pts = gen.standard_normal((30, 2))
+        cs = CenterSet(pts, sq, [pts[0]])
+        seen = []
+        monkeypatch.setattr(sampler, "as_points", lambda data: seen.append(data))
+        grown = cs.add(pts[1]).add(pts[2])
+        assert seen == [] and grown.points is cs.points
+        np.testing.assert_array_equal(grown.potentials, grown.recomputed_potentials())
+        assert grown.total_potential == float(grown.potentials.sum())
+        monkeypatch.undo()
+        with pytest.raises(DomainError):
+            CenterSet.empty(0.5 + 0.1 * gen.random((5, 2)), KullbackLeibler()).add([0.5, -0.1])
+        with pytest.raises(DomainError):
+            cs.add([np.nan, 0.0])
 
     def test_add_is_functional_not_in_place(self, sq, four_point_line):
         base = CenterSet.empty(four_point_line, sq)
