@@ -31,7 +31,7 @@ many restarts as fit one scoring table of ``_CHUNK_ENTRIES`` entries, at
 least one; an ``Exhaustive`` restart is a chunk of one, with its own tree.
 That tree is searched a frontier of same-depth nodes at a time: a batch
 holds the children of several parents, and every node still gets the bits
-of a lone node, in the order and with the counts of a depth-first search.
+of a lone node, in the order of a depth-first search.
 """
 
 import itertools
@@ -316,8 +316,8 @@ def _check_tree_size(cfg, distinct, restarts):
     subsets: ``restarts`` trees of k levels, each node offering up to
     :func:`_menu_size` candidates.
 
-    With at most k distinct values no search is needed: ``find_k_median``
-    places a center on each, and a lone tree stops at its first zero-cost leaf.
+    With at most k distinct values no search is needed: both entry points
+    place a center on each value without one (:func:`_one_center_per_value`).
     """
     if distinct <= cfg.k:
         return
@@ -342,24 +342,6 @@ def _combo_by_rank(groups, rank):
             return combos[rank]
         rank -= len(combos)
     raise IndexError("subset rank out of range")
-
-
-def _fill_distinct_centers(points, centers, k):
-    """Pad a center list to k entries, preferring unused distinct data points."""
-    have = {tuple(np.asarray(c).tolist()) for c in centers}  # value equality, as np.unique
-    out = list(centers)
-    for row in points:
-        if len(out) == k:
-            break
-        key = tuple(row.tolist())
-        if key not in have:
-            have.add(key)
-            out.append(row.copy())
-    idx = 0
-    while len(out) < k:  # fewer distinct values than k: duplicates are all that's left
-        out.append(points[idx % len(points)].copy())
-        idx += 1
-    return out
 
 
 # A frontier of tree nodes is expanded in chunks of at most this many entries,
@@ -433,9 +415,8 @@ class _TreeSearch:
     candidate's cost is the sum of its own row.  Leaves then reduce by
     segment min.  The stream layout is unchanged from a node-by-node search,
     and so is every bit of the result: each node's numbers are its own rows,
-    leaves are scored in path order, and a node that a depth-first search
-    would cut off by the zero-cost short-circuit gets no children and counts
-    for nothing, though its batch may have expanded it.  The root and the
+    and leaves are scored in path order.  Every node is expanded and counted,
+    and every candidate of an interior node gets a child.  The root and the
     replay are batches of one.
     """
 
@@ -494,7 +475,8 @@ class _TreeSearch:
         for s in np.unique(lengths):
             rows = np.flatnonzero(lengths == s)
             means[rows] = self.points[subsets[rows, :s] - 1].mean(axis=1)
-        # closed form, not pairwise: the search branches on exact zero costs
+        # closed form, not pairwise: a pairwise column's bits depend on its
+        # product's width, so a node's costs would depend on its siblings
         table = self.measure.rowwise(self.points[None, :, :], means[:, None, :])
         return _Batch(samples, pools, starts, which, means, table, potentials)
 
@@ -510,53 +492,30 @@ class _TreeSearch:
         ``paths`` holds the nodes' branch paths as rows.  Each chunk is
         expanded as one batch, and the children of all its nodes, in path
         order, are the next frontier, searched the same way before the next
-        chunk.  Only candidates before the chunk's first zero-cost one get
-        children: its node J is the last whose subtree a depth-first search
-        enters.  The counters then take the nodes that search reaches, every
-        node up to J or up to the one under which the best cost hit 0.
+        chunk.
         """
         step = max(1, _BATCH_ENTRIES // self._node_entries)
         for lo in range(0, len(node_ids), step):
-            if self.best_cost == 0.0:
-                return
             chunk = slice(lo, lo + step)
             node = self._expand(potentials[chunk], node_ids[chunk])
+            self.nodes_expanded += len(node.pools)
+            self.subsets_examined += int(node.starts[-1])
             if paths.shape[1] == self.k - 1:
                 self._score_leaves(node, paths[chunk])
                 continue
-            zeros = np.flatnonzero(node.costs == 0.0)
             # candidate c of the chunk's flat list is child index[c] of node owner[c]
-            cut = int(zeros[0]) if zeros.size else int(node.starts[-1])
-            owner = node.owner[:cut]
-            index = np.arange(cut) - node.starts[owner]
-            if cut:
-                ids = _derived_ids(node_ids[chunk], 1 + np.arange(index.max() + 1))
-                self._search(node.potentials(np.arange(cut)), ids[owner, index],
-                             np.column_stack((paths[chunk][owner], index)))
-            last = int(node.owner[cut]) if zeros.size else len(node.pools) - 1
-            if self.best_cost == 0.0:
-                # the search ended in the subtree of this node
-                here = self.best_path[:paths.shape[1]]
-                last = int(np.flatnonzero((paths[chunk] == here).all(axis=1))[0])
-            self.nodes_expanded += last + 1
-            self.subsets_examined += int(node.starts[last + 1])
-            if zeros.size and 0.0 < self.best_cost:
-                # every point is covered already; deeper centers cannot matter
-                self.best_cost = 0.0
-                self.best_path = tuple(paths[lo + last].tolist()) + (cut - int(node.starts[last]),)
+            cands = np.arange(node.starts[-1])
+            index = cands - node.starts[node.owner]
+            ids = _derived_ids(node_ids[chunk], 1 + np.arange(index.max() + 1))
+            self._search(node.potentials(cands), ids[node.owner, index],
+                         np.column_stack((paths[chunk][node.owner], index)))
 
     def _score_leaves(self, node, paths):
         """Visit leaf nodes in order: each offers its first cheapest
-        candidate, the search keeps the first strict improvement and stops once
-        the best cost is zero."""
+        candidate, and the search keeps the first strict improvement."""
         mins = np.minimum.reduceat(node.costs, node.starts[:-1])
         mins[np.isnan(mins)] = np.inf  # a leaf with a NaN cost offers NaN, which never wins
-        running = np.minimum.accumulate(np.concatenate(([self.best_cost], mins)))[1:]
-        zero = np.flatnonzero(running == 0.0)
-        stop = int(zero[0]) + 1 if zero.size else len(paths)
-        self.nodes_expanded += stop
-        self.subsets_examined += int(node.starts[stop] - node.starts[0])
-        j = int(np.argmin(mins[:stop]))
+        j = int(np.argmin(mins))
         if mins[j] < self.best_cost:
             a = node.starts[j]
             b = int(np.argmin(node.costs[a:node.starts[j + 1]]))
@@ -593,7 +552,6 @@ def _exhaustive_restart(points, ids, measure, cfg, stream):
                          stream)
     cost, path = search.run()
     centers, trace = search.replay(path)
-    centers = _fill_distinct_centers(points, centers, cfg.k)
     return _Restart(cost, centers, trace, search.subsets_examined, search.nodes_expanded)
 
 
@@ -632,13 +590,13 @@ def _greedy_restarts(points, measure, cfg, streams):
     and the largest u still gives N - 1
     (:func:`~d2ptas.sampler._uniform_indices`).
 
-    Trial t scores sum_x min(potential(x), D(x, c_t)).  The A restarts still
-    live in an iteration (those whose total potential is not yet 0) share
-    one :func:`~d2ptas.sampler.d2_law` table and one draw call, one stable
-    argsort of their sample-to-anchor tables and one (A, n, R) ``pairwise``
-    stack, scored in place and dropped before the next iteration builds its
-    own.  Each restart keeps the bits of a lone pass: its draw, its law and
-    its scoring table are its own row or block of these.  Each sample's own
+    Trial t scores sum_x min(potential(x), D(x, c_t)).  The A restarts of
+    the chunk share, per iteration, one :func:`~d2ptas.sampler.d2_law` table
+    and one draw call, one stable argsort of their sample-to-anchor tables
+    and one (A, n, R) ``pairwise`` stack, scored in place and dropped before
+    the next iteration builds its own.  Every restart runs all k iterations.
+    Each restart keeps the bits of a lone pass: its draw, its law and its
+    scoring table are its own row or block of these.  Each sample's own
     sample-to-anchor table and each ``CenterSet.add`` stay per restart.  The
     points' side of every scoring table (their lifted copy and maxima, see
     :meth:`~d2ptas.divergences.DivergenceMeasure.pairwise`) is computed once
@@ -650,19 +608,16 @@ def _greedy_restarts(points, measure, cfg, streams):
     center_sets = [CenterSet.empty(points, measure) for _ in streams]
     traces = [[] for _ in streams]
     for i in range(cfg.k):
-        live = [r for r, cs in enumerate(center_sets) if cs.total_potential != 0.0]
-        if not live:
-            break
-        it_streams = [streams[r].derive(i) for r in live]
-        potentials = np.array([center_sets[r].potentials for r in live])          # (A, n)
-        totals = np.array([center_sets[r].total_potential for r in live])
+        it_streams = [stream.derive(i) for stream in streams]
+        potentials = np.array([cs.potentials for cs in center_sets])             # (A, n)
+        totals = np.array([cs.total_potential for cs in center_sets])
         samples = weighted_draw(d2_law(potentials, totals),
                                 [s.derive(0).generator.random(sample_size)
                                  for s in it_streams])                            # (A, N)
         trial_ids = _derived_ids([s.stream_id for s in it_streams], 1 + np.arange(trials))
         anchors = _uniform_indices(_counter_uniforms(trial_ids.reshape(-1), 1)[:, 0],
                                    sample_size).reshape(trial_ids.shape)         # (A, R)
-        # trial t of live restart a is entry a * R + t: a column of the
+        # trial t of restart a is entry a * R + t: a column of the
         # sample-to-anchor table, a row of the menus
         to_anchor = np.concatenate([measure.pairwise(sample, sample[a])
                                     for sample, a in zip(points[samples], anchors)], axis=1)
@@ -671,14 +626,14 @@ def _greedy_restarts(points, measure, cfg, streams):
         order = np.argsort(to_anchor, axis=0, kind="stable")
         positions = order[:m_].T.copy()                                          # (A * R, M)
         del to_anchor, order
-        rows = np.arange(len(live))
+        rows = np.arange(len(streams))
         members = samples[np.repeat(rows, trials)[:, None], positions]          # (A * R, M)
         cands = points[members].mean(axis=1)                                     # (A * R, d)
         # Score in place and drop the table before the next iteration: with a
         # second live table the allocator releases and re-faults its pages on
         # every iteration.  The potentials stay the first operand, so the
         # scores keep the bits of np.minimum(potentials, table).
-        table = measure.pairwise(points, cands.reshape(len(live), trials, d),
+        table = measure.pairwise(points, cands.reshape(len(streams), trials, d),
                                  point_side=point_side)                          # (A, n, R)
         np.minimum(potentials[:, :, None], table, out=table)
         scores = table.sum(axis=1)                                               # (A, R)
@@ -686,9 +641,9 @@ def _greedy_restarts(points, measure, cfg, streams):
         # the kept trials' rows, copied out so that a trace does not hold a whole menu
         best = np.argmin(scores, axis=1)
         kept = rows * trials + best
-        for j, (r, t, kept_positions, kept_points, center) in enumerate(
-                zip(live, best.tolist(), positions[kept], members[kept], cands[kept])):
-            traces[r].append({
+        for j, (t, kept_positions, kept_points, center) in enumerate(
+                zip(best.tolist(), positions[kept], members[kept], cands[kept])):
+            traces[j].append({
                 "iteration": i,
                 "sample": samples[j],
                 "trial": t,
@@ -698,14 +653,9 @@ def _greedy_restarts(points, measure, cfg, streams):
                 "center": center,
                 "partial_cost": float(scores[j, t]),
             })
-            center_sets[r] = center_sets[r].add(center)
-    outcomes = []
-    for center_set, trace in zip(center_sets, traces):
-        centers = _fill_distinct_centers(points, list(center_set.centers), cfg.k)
-        cost = float(CenterSet(points, measure, centers).total_potential) \
-            if len(centers) > center_set.size else center_set.total_potential
-        outcomes.append(_Restart(cost, centers, trace, trials * len(trace), len(trace)))
-    return outcomes
+            center_sets[j] = center_sets[j].add(center)
+    return [_Restart(cs.total_potential, list(cs.centers), trace, trials * cfg.k, cfg.k)
+            for cs, trace in zip(center_sets, traces)]
 
 
 def _log_restart(r, cfg, outcome):
@@ -788,6 +738,17 @@ def _meta(rng, cfg, t0, **fields):
     }
 
 
+def _one_center_per_value(points, ids, measure, cfg, rng, t0, **fields):
+    """The answer on at most k distinct values, which needs no search: a
+    center on each value's first point in data order, then on the leading
+    points again until there are k, an empty trace and zero counters."""
+    first = np.sort(np.unique(ids, return_index=True)[1])
+    centers = points[np.concatenate((first, np.arange(cfg.k - len(first))))]
+    meta = _meta(rng, cfg, t0, **fields, subsets_examined=0, nodes_expanded=0, iterations=0,
+                 trace=[])
+    return _result(points, measure, centers, meta)
+
+
 # ----------------------------------------------------------------------
 # public entry points
 # ----------------------------------------------------------------------
@@ -806,11 +767,8 @@ def find_k_median(data, measure, config, rng, threads=None):
     t0 = time.perf_counter()
 
     if ids.max() + 1 <= cfg.k:
-        # every distinct value can host its own center; no search needed
-        centers = _fill_distinct_centers(points, [], cfg.k)
-        meta = _meta(rng, cfg, t0, restarts=0, winning_restart=0, subsets_examined=0,
-                     nodes_expanded=0, iterations=0, trace=[])
-        return _result(points, measure, centers, meta)
+        return _one_center_per_value(points, ids, measure, cfg, rng, t0, restarts=0,
+                                     winning_restart=0)
 
     def run(chunk):
         return _run_chunk(points, ids, measure, cfg, [rng.derive(r) for r in chunk])
@@ -836,10 +794,15 @@ def run_one_restart(data, measure, config, rng):
     """Execute the k-iteration inner loop once, with a full per-iteration trace.
 
     This is a chunk of one restart, on ``rng`` itself; restart r of
-    :func:`find_k_median` equals it on ``rng.derive(r)`` bit for bit.
+    :func:`find_k_median` equals it on ``rng.derive(r)`` bit for bit.  On at
+    most k distinct values it runs no search and returns what
+    :func:`find_k_median` does: a center on each value, an empty trace and
+    zero counters.
     """
     points, cfg, ids = _prepare(data, measure, config, restarts=1)
     t0 = time.perf_counter()
+    if ids.max() + 1 <= cfg.k:
+        return _one_center_per_value(points, ids, measure, cfg, rng, t0, restarts=0)
     outcome, = _run_chunk(points, ids, measure, cfg, [rng])
     _log_restart(0, cfg, outcome)
     meta = _meta(rng, cfg, t0, restarts=1, subsets_examined=outcome.subsets_examined,

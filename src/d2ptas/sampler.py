@@ -5,8 +5,7 @@ center (the "potential").  The divergence to no center at all is +inf, so an
 empty center set has potential +inf everywhere.  One law, :func:`d2_law`,
 turns potentials into probabilities: proportional to potential, and uniform
 where the total is +inf (no center yet, so the first draw is uniform) or 0
-(every point covered exactly, which callers flag to terminate early instead
-of treating it as an error).
+(every point covered exactly, a valid state rather than an error).
 """
 
 import numpy as np

@@ -162,13 +162,14 @@ class TestTinyExhaustive:
                    .meta["trace"][0]["sample"] for seed in (1, 2)]
         assert not np.array_equal(*samples)
 
-    def test_zero_cost_branch_short_circuits(self, sq):
+    def test_n_equals_k_runs_no_search(self, sq):
         """n = k distinct points inside a single restart: every point becomes
-        a center and the enumeration stops at cost zero."""
+        a center without a search."""
         pts = np.array([[0.0], [2.0], [7.0]])
         res = run_one_restart(pts, sq, desk(3, **self.CFG), RngStream(4))
         assert res.cost == 0.0
-        assert sorted(np.asarray(res.centers).ravel().tolist()) == [0.0, 2.0, 7.0]
+        assert res.centers.tobytes() == pts.tobytes()
+        assert res.meta["trace"] == [] and res.meta["nodes_expanded"] == 0
 
     def test_subsets_examined_counted(self, sq, four_point_line):
         res = find_k_median(four_point_line, sq, desk(2, **self.CFG), RngStream(5))
@@ -345,11 +346,30 @@ class TestFindKMedianContracts:
         """RandomTrials expands one node per iteration: a draw and its scored menu."""
         points, _, _ = planted
         assert find_k_median(points, sq, desk(3), RngStream(10)).meta["nodes_expanded"] == 8 * 3
-        three_values = np.array([[0.0], [0.0], [5.0], [5.0], [9.0]])
-        cfg = desk(4, sample_size_N=10, subset_size_M=1, subset_strategy=RandomTrials(20))
-        res = run_one_restart(three_values, sq, cfg, RngStream(3))
-        assert res.cost == 0.0
-        assert res.meta["nodes_expanded"] == len(res.meta["trace"]) == 3  # stops once covered
+        res = run_one_restart(points, sq, desk(3), RngStream(10))
+        assert res.meta["nodes_expanded"] == len(res.meta["trace"]) == 3
+
+    @pytest.mark.parametrize("strategy", [RandomTrials(20), Exhaustive()],
+                             ids=["random", "exhaustive"])
+    @pytest.mark.parametrize("values,picked", [((0.0, 0.0, 5.0, 5.0, 9.0), [0, 2, 4, 0]),
+                                               ((-0.0, 3.0, 0.0, 3.0, 3.0), [0, 1, 0, 1])],
+                             ids=["three", "two"])
+    def test_at_most_k_values_run_no_search_in_either_entry_point(self, sq, strategy, values,
+                                                                 picked):
+        """On at most k distinct values run_one_restart, like find_k_median,
+        draws nothing: each value's first point is a center, the leading
+        points pad the list to k, the trace is empty and the counters are 0."""
+        points = np.array(values)[:, None]
+        cfg = desk(4, sample_size_N=10, subset_size_M=1, subset_strategy=strategy)
+        lone = run_one_restart(points, sq, cfg, RngStream(3))
+        best = find_k_median(points, sq, cfg, RngStream(3))
+        want = points[picked]
+        for res in (lone, best):
+            assert res.centers.tobytes() == want.tobytes()
+            assert res.cost == 0.0
+            assert res.meta["trace"] == []
+            assert res.meta["subsets_examined"] == res.meta["nodes_expanded"] == 0
+        assert lone.assignment.tolist() == best.assignment.tolist()
 
     def test_desk_quality_on_planted_fixture(self, sq, planted):
         """Pinned regression: the desk preset lands well inside 1.5x of the
@@ -609,19 +629,22 @@ class TestLockStepRestarts:
         outcomes = self.assert_lone_restarts(points, sq, cfg, RngStream(48), 8)
         assert any((CenterSet(points, sq, o.centers).potentials == 0.0).any() for o in outcomes)
 
-    @pytest.mark.parametrize("trials", [4, 1])
-    def test_covered_restarts_leave_the_batch(self, sq, trials):
-        """Four values 0, 1e-170, 2e-170 and 1, five copies each: the tiny gaps
-        square to 0, so a restart that centers one patch on each side covers
-        every point exactly after two of its k = 3 iterations and stops, while
-        the batch goes on with the restarts that do not."""
+    @pytest.mark.parametrize("trials", [4, 1], ids=["random:4", "random:1"])
+    def test_distinct_values_whose_gaps_square_to_zero(self, sq, trials):
+        """Four values 0, 1e-170, 2e-170 and 1, five copies each: more than
+        k = 3 distinct values, so the search runs, but the tiny gaps square to
+        0 and a center on each side covers every point exactly.  Every
+        restart still runs all k iterations, at total 0 under the uniform
+        law, so the returned centers may repeat a value.  The exhaustive tree
+        on this input is checked in ``test_tree_batch``."""
         points = np.repeat([0.0, 1e-170, 2e-170, 1.0], 5)[:, None]
         cfg = PtasConfig(k=3, epsilon=0.5, sample_size_N=12, subset_size_M=4,
                          subset_strategy=RandomTrials(trials))
+        res = find_k_median(points, sq, cfg, RngStream(51))
+        assert res.cost == 0.0 and len(res.centers) == len(res.meta["trace"]) == 3
+        assert res.meta["trace"][1]["partial_cost"] == 0.0  # covered before the last iteration
         outcomes = self.assert_lone_restarts(points, sq, cfg, RngStream(51), 8)
-        lengths = [len(o.trace) for o in outcomes]
-        assert 2 in lengths and 3 in lengths
-        assert all(o.trace[-1]["partial_cost"] == 0.0 for o in outcomes if len(o.trace) == 2)
+        assert all(o.cost == 0.0 and len(o.centers) == len(o.trace) == 3 for o in outcomes)
 
     def test_each_restart_is_a_lone_restart_in_a_204_column_chunk(self, planted, sq):
         """Four restarts of 51 trials on 300 points make one chunk of 204

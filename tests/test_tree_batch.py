@@ -29,7 +29,7 @@ from d2ptas import (
 )
 from d2ptas import ptas
 from d2ptas.divergences import Mahalanobis
-from d2ptas.ptas import _combo_by_rank, _combo_groups, _fill_distinct_centers, _prepare
+from d2ptas.ptas import _combo_by_rank, _combo_groups, _prepare
 from d2ptas.sampler import RngStream, _derived_ids, _splitmix64, weighted_draw
 
 MASK64 = 2 ** 64 - 1
@@ -75,8 +75,12 @@ class ReferenceSearch:
         self.subsets_examined = self.nodes_expanded = 0
 
     def law(self, potentials):
+        """Proportional to potential, uniform at the root and where every
+        point is covered (total 0), as ``d2_law`` documents."""
         n = self.points.shape[0]
-        return np.full(n, 1.0 / n) if potentials is None else potentials / potentials.sum()
+        if potentials is None or potentials.sum() == 0.0:
+            return np.full(n, 1.0 / n)
+        return potentials / potentials.sum()
 
     def expand(self, potentials, node_id):
         probs = self.law(potentials)
@@ -90,8 +94,6 @@ class ReferenceSearch:
         return sample, pool, groups, cands, pots  # potentials after each candidate, as rows
 
     def visit(self, potentials, node_id, path):
-        if self.best_cost == 0.0:
-            return
         pots = self.expand(potentials, node_id)[-1]
         costs = row_sums(pots)
         self.nodes_expanded += 1
@@ -102,12 +104,6 @@ class ReferenceSearch:
                 self.best_cost, self.best_path = float(costs[b]), path + (b,)
             return
         for b in range(costs.shape[0]):
-            if self.best_cost == 0.0:
-                return
-            if costs[b] == 0.0:
-                if 0.0 < self.best_cost:
-                    self.best_cost, self.best_path = 0.0, path + (b,)
-                return
             self.visit(pots[b], derive_id(node_id, 1 + b), path + (b,))
 
     def replay(self, node_id, path):
@@ -133,8 +129,7 @@ def reference_find_k_median(data, measure, cfg, rng):
                                  cfg.subset_size_M, reference_key(stream))
         search.visit(None, stream.stream_id, ())
         centers, trace = search.replay(stream.stream_id, search.best_path)
-        outcomes.append((search.best_cost, r, _fill_distinct_centers(points, centers, cfg.k),
-                         trace, search))
+        outcomes.append((search.best_cost, r, centers, trace, search))
     cost, r, centers, trace, _ = min(outcomes, key=lambda o: (o[0], o[1]))
     return {"centers": np.asarray(centers, dtype=float), "winning_restart": r, "trace": trace,
             "subsets_examined": sum(o[4].subsets_examined for o in outcomes),
@@ -241,8 +236,9 @@ class TestSearchMatchesReference:
                 assert_same_search(batched, reference)
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_zero_cost_short_circuit(self, sq, k):
-        """Two distinct values: a zero cost stops the search, at a leaf or inside."""
+    def test_search_runs_on_past_a_zero_total(self, sq, k):
+        """Two distinct values: the search reaches cost 0 at a leaf or inside
+        the tree, and every node below a zero total draws from the uniform law."""
         points = np.array([[1.0], [1.0], [4.0], [4.0], [4.0], [1.0]])
         for seed in range(6):
             batched, reference = run_both(points, sq, k, 5, 2, RngStream(800 + seed))
@@ -311,17 +307,6 @@ class TestSearchMatchesReference:
             assert_same_search(batched, reference)
 
 
-class UniformReference(ReferenceSearch):
-    """The reference search under a uniform law, which ignores the potentials."""
-
-    def law(self, potentials):
-        return np.full(self.points.shape[0], 1.0 / self.points.shape[0])
-
-
-def uniform_law(potentials, totals=None):
-    return np.full(np.shape(potentials), 1.0 / np.shape(potentials)[-1])
-
-
 class PerParentSearch(ptas._TreeSearch):
     """The search with per-parent batches: each batch holds children of one
     parent, each parent's children searched as their own list."""
@@ -329,28 +314,21 @@ class PerParentSearch(ptas._TreeSearch):
     def _search(self, potentials, node_ids, paths):
         step = max(1, ptas._BATCH_ENTRIES // self._node_entries)
         for lo in range(0, len(node_ids), step):
-            if self.best_cost == 0.0:
-                return
             chunk = slice(lo, lo + step)
             node = self._expand(potentials[chunk], node_ids[chunk])
             if paths.shape[1] == self.k - 1:
+                self.nodes_expanded += len(node.pools)
+                self.subsets_examined += int(node.starts[-1])
                 self._score_leaves(node, paths[chunk])
                 continue
             for j, (node_id, path) in enumerate(zip(node_ids[chunk, None], paths[chunk])):
-                if self.best_cost == 0.0:
-                    return
                 a, b = node.starts[j], node.starts[j + 1]
                 self.nodes_expanded += 1
                 self.subsets_examined += int(b - a)
-                zeros = np.flatnonzero(node.costs[a:b] == 0.0)
-                stop = int(zeros[0]) if zeros.size else int(b - a)
-                if stop:
-                    self._search(node.potentials(np.arange(a, a + stop)),
-                                 _derived_ids(node_id, 1 + np.arange(stop))[0],
-                                 np.column_stack((np.repeat(path[None], stop, axis=0),
-                                                  np.arange(stop))))
-                if stop < b - a and 0.0 < self.best_cost:
-                    self.best_cost, self.best_path = 0.0, tuple(path.tolist()) + (stop,)
+                self._search(node.potentials(np.arange(a, b)),
+                             _derived_ids(node_id, 1 + np.arange(b - a))[0],
+                             np.column_stack((np.repeat(path[None], b - a, axis=0),
+                                              np.arange(b - a))))
 
 
 def record_batches(monkeypatch):
@@ -414,34 +392,6 @@ class TestFrontierBatches:
                 else:
                     assert max(len(parents(b)) for b in level) > 1
 
-    @pytest.mark.parametrize("values,seed,path", [
-        ((0, 1, 4, 0, 0, 0, 0, 1), 40, (2, 1, 0)),
-        ((0, 1, 4, 1, 0, 4, 4), 1065, (1, 0, 1)),
-    ])
-    def test_zero_cut_under_a_later_parent_of_a_merged_batch(self, sq, monkeypatch, values,
-                                                            seed, path):
-        """Under the D² law the first zero-cost candidate lies on the leftmost
-        path, as each center covers one new value; under a uniform law it can
-        turn up anywhere.  Here its node J = path[:-1] shares a batch with
-        children of an earlier parent, so the frontier must keep the children
-        of nodes up to J only, cut J's at its zero (after one child in the
-        second case) and count the nodes a depth-first search reaches."""
-        monkeypatch.setattr(ptas, "d2_law", uniform_law)
-        monkeypatch.setattr(ptas, "_BATCH_ENTRIES", 1 << 10)
-        points = np.array(values, dtype=float)[:, None]
-        _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
-        batches = record_batches(monkeypatch)
-        stream = RngStream(1000 + seed)
-        batched = ptas._TreeSearch(points, ids, sq, 4, 3, 2, stream)
-        batched.run()
-        assert batched.best_cost == 0.0 and batched.best_path == path
-        batch = next(b for b in batches if path[:-1] in b)
-        assert batch[0][:-1] < path[:-2] and len(parents(batch)) > 2
-        reference = UniformReference(points, ids, sq, 4, 3, 2, reference_key(stream))
-        reference.visit(None, stream.stream_id, ())
-        assert_same_search(batched, reference)
-        assert_same_replay(batched, reference, stream)
-
     def test_leaf_batches_hold_children_of_several_parents(self, sq, monkeypatch):
         """At exact_small's shape (n = 12, k = 3, N = 239, M = 2) a leaf batch
         holds the children of more than one parent."""
@@ -500,21 +450,37 @@ class TestFindKMedianMatchesReference:
         ("sqeuclid", 6, 1, 4, 4, 1),
     ]
 
-    @pytest.mark.parametrize("name,n,d,k,N,M", CASES)
-    def test_whole_output(self, name, n, d, k, N, M):
-        measure = MEASURES[name]
-        points = instance(name, RngStream(45, n).generator, n, d)
-        points[1] = points[0]  # a duplicate
-        cfg = PtasConfig(k=k, epsilon=0.5, sample_size_N=N, subset_size_M=M, restarts=3,
-                         subset_strategy=Exhaustive())
-        got = find_k_median(points, measure, cfg, RngStream(46))
-        want = reference_find_k_median(points, measure, cfg, RngStream(46))
+    @staticmethod
+    def assert_whole_output(points, measure, cfg, rng):
+        got = find_k_median(points, measure, cfg, rng)
+        want = reference_find_k_median(points, measure, cfg, rng)
         assert same_bits(got.centers, want["centers"])
         for key in ("winning_restart", "subsets_examined", "nodes_expanded"):
             assert got.meta[key] == want[key]
         for mine, theirs in zip(got.meta["trace"], want["trace"], strict=True):
             assert mine.keys() == theirs.keys()
             assert all(same_bits(mine[key], theirs[key]) for key in mine)
+        return got
+
+    @pytest.mark.parametrize("name,n,d,k,N,M", CASES)
+    def test_whole_output(self, name, n, d, k, N, M):
+        points = instance(name, RngStream(45, n).generator, n, d)
+        points[1] = points[0]  # a duplicate
+        cfg = PtasConfig(k=k, epsilon=0.5, sample_size_N=N, subset_size_M=M, restarts=3,
+                         subset_strategy=Exhaustive())
+        self.assert_whole_output(points, MEASURES[name], cfg, RngStream(46))
+
+    def test_distinct_values_whose_gaps_square_to_zero(self, sq):
+        """Four values 0, 1e-170, 2e-170 and 1, five copies each, k = 3: the
+        tiny gaps square to 0, so the winning path reaches cost 0 after two
+        centers, and its third iteration draws from the uniform law and may
+        repeat a value.  The whole output still matches the reference."""
+        points = np.repeat([0.0, 1e-170, 2e-170, 1.0], 5)[:, None]
+        cfg = PtasConfig(k=3, epsilon=0.5, sample_size_N=12, subset_size_M=4,
+                         subset_strategy=Exhaustive())
+        got = self.assert_whole_output(points, sq, cfg, RngStream(51))
+        assert got.cost == 0.0 and len(got.centers) == len(got.meta["trace"]) == 3
+        assert got.meta["trace"][1]["partial_cost"] == 0.0
 
     def test_run_one_restart_counts_the_reference_nodes(self, sq):
         points = RngStream(47).generator.standard_normal((8, 2))
