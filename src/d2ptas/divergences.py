@@ -6,7 +6,8 @@ Every measure is the Bregman divergence
 small interface: validated scalar evaluation (``measure(p, q)``), the
 divergence evaluated elementwise over broadcast coordinate arrays
 (``rowwise``), the (n, m) table of every point against every center
-(``pairwise``), and the structural constants
+(``pairwise``, also for stacks of point and center blocks), and the
+structural constants
 
 * ``mu``    -- similarity floor against a reference quadratic form
 * ``alpha`` -- triangle relaxation D(p,q) <= alpha * (D(p,r) + D(r,q)); 2/mu
@@ -25,14 +26,15 @@ is ``X @ Y.T``, with no elementwise pass over the table to add its terms.
 The points' side of that product -- ``X`` and the maxima of ``|phi(P)|`` and
 ``|P|^2`` that bound the terms -- depends on the points alone, so a caller that
 tables the same points many times builds it once (``_point_side``) and passes
-it to every call.  Where the three terms cancel, the product loses the small
-value, so every entry at or below a fixed small fraction of the terms'
-magnitude is recomputed with ``rowwise``.  Identical rows therefore give
-exactly 0, every entry is finite and >= 0, and the other entries agree with
-the closed form to about ``d * 1e-9`` relative at worst.  On data far from the
-origin relative to its spread the terms dwarf the distances, most entries need
-repair, and such columns are recomputed whole, at about a tenth more than the
-closed form.
+it to every call.  A stack of point blocks has its side per block, so each
+block's table is the table of that block alone.  Where the three terms
+cancel, the product loses the small value, so every entry at or below a fixed
+small fraction of the terms' magnitude is recomputed with ``rowwise``.
+Identical rows therefore give exactly 0, every entry is finite and >= 0, and
+the other entries agree with the closed form to about ``d * 1e-9`` relative
+at worst.  On data far from the origin relative to its spread the terms
+dwarf the distances, most entries need repair, and such columns are
+recomputed whole, at about a tenth more than the closed form.
 """
 
 from dataclasses import dataclass, field
@@ -203,13 +205,16 @@ class DivergenceMeasure:
         """What ``pairwise`` needs of the points alone: the lifted points
         ``[P, phi(P), 1]``, ``max |phi(P)|`` and ``max |P|^2``.
 
-        A caller that tables the same points many times computes this once and
-        passes it to each ``pairwise`` call.
+        ``P`` may be an (A, n, d) stack of point blocks; the maxima are then
+        per block, each with a trailing axis of one.  A caller that tables
+        the same points many times computes this once and passes it to each
+        ``pairwise`` call.
         """
         P = np.asarray(P, dtype=float)
         phi_p = self.phi(P)
-        lifted = np.concatenate([P, phi_p[:, None], np.ones((P.shape[0], 1))], axis=1)
-        return lifted, np.abs(phi_p).max(initial=0.0), np.einsum("ij,ij->i", P, P).max(initial=0.0)
+        lifted = np.concatenate([P, phi_p[..., None], np.ones(P.shape[:-1] + (1,))], axis=-1)
+        return (lifted, np.abs(phi_p).max(axis=-1, initial=0.0, keepdims=True),
+                np.einsum("...ij,...ij->...i", P, P).max(axis=-1, initial=0.0, keepdims=True))
 
     def pairwise(self, P, C, point_side=None):
         """(n, m) table of D(P_i, C_j): the generator table plus its repair.
@@ -222,21 +227,26 @@ class DivergenceMeasure:
         given.
 
         ``C`` may also be an (A, m, d) stack of center blocks, which gives the
-        (A, n, m) stack of their tables.  Each block is its own matrix
-        product, so block a is bitwise ``pairwise(P, C[a])``.  A block wider
-        than ``_PRODUCT_COLUMNS`` centers is computed in slices of that many,
-        each its own product, because a wider product's bits can depend on
-        the BLAS thread count.  Within one product a column's bits can depend
-        on the product's width, so a caller that needs the bits of a narrower
-        table asks for it as its own block.
+        (A, n, m) stack of their tables, against the points ``P`` or, with
+        ``P`` an (A, n, d) stack of point blocks, against block a of them.
+        Each block is its own matrix product with its own bound, so block a
+        is bitwise ``pairwise(P, C[a])``, or ``pairwise(P[a], C[a])``.  A
+        block wider than ``_PRODUCT_COLUMNS`` centers is computed in slices
+        of that many, each its own product, because a wider product's bits
+        can depend on the BLAS thread count.  Within one product a column's
+        bits can depend on the product's width, so a caller that needs the
+        bits of a narrower table asks for it as its own block.
         """
         P = np.asarray(P, dtype=float)
         C = np.asarray(C, dtype=float)
+        if P.ndim > 2 and P.shape[:-2] != C.shape[:-2]:
+            raise DimensionMismatch(f"point blocks {P.shape[:-2]} do not match "
+                                    f"center blocks {C.shape[:-2]}")
         if point_side is None:
             point_side = self._point_side(P)
-        m = C.shape[-2]
+        n, m = P.shape[-2], C.shape[-2]
         if m > _PRODUCT_COLUMNS:
-            table = np.empty(C.shape[:-2] + (P.shape[0], m))
+            table = np.empty(C.shape[:-2] + (n, m))
             for lo in range(0, m, _PRODUCT_COLUMNS):
                 cols = slice(lo, lo + _PRODUCT_COLUMNS)
                 table[..., cols] = self.pairwise(P, C[..., cols, :], point_side)
@@ -251,10 +261,10 @@ class DivergenceMeasure:
         table = lifted @ np.swapaxes(np.concatenate(
             [-grad_c, np.ones(offset.shape + (1,)), offset[..., None]], axis=-1), -1, -2)
         # per-column bound on the terms, |P_i . grad_c_j| <= |P_i| |grad_c_j|:
-        # which entries of column j get repaired depends on P and C_j only
+        # which entries of column j get repaired depends on its block of P and C_j only
         scale = (phi_max + np.abs(offset)
                  + np.sqrt(sq_max * np.einsum("...ij,...ij->...i", grad_c, grad_c)))
-        shape, (n, m) = table.shape, table.shape[-2:]
+        shape = table.shape
         # a 2-D table is a stack of one block
         table, centers = table.reshape(-1, n, m), C.reshape(-1, C.shape[-1])
         # flat indices: a 2-D np.nonzero costs ten times more on these masks
@@ -262,14 +272,18 @@ class DivergenceMeasure:
             np.flatnonzero(~(table > _REPAIR_TAU * scale.reshape(-1, 1, m))), table.shape)  # NaN too
         cols += blocks * m  # each entry's center, a row of ``centers``
         whole = np.bincount(cols, minlength=len(centers)) > _WHOLE_COLUMN_SHARE * n
+        # block b's points: block b of a stack, or P itself for every block
+        own = P.ndim > 2
+        stack = P.reshape(-1, n, P.shape[-1]) if own else P[None]
         if whole.any():
             ids = np.flatnonzero(whole)
             table[ids // m, :, ids % m] = np.maximum(
-                self.rowwise(P[None, :, :], centers[ids, None, :]), 0.0)
+                self.rowwise(stack[ids // m] if own else stack, centers[ids, None, :]), 0.0)
             scattered = ~whole[cols]
             rows, cols = rows[scattered], cols[scattered]
         if rows.size:
-            table[cols // m, rows, cols % m] = np.maximum(self.rowwise(P[rows], centers[cols]), 0.0)
+            table[cols // m, rows, cols % m] = np.maximum(
+                self.rowwise(stack[cols // m if own else 0, rows], centers[cols]), 0.0)
         return table.reshape(shape)
 
     def __call__(self, p, q):

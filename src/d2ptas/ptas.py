@@ -25,13 +25,14 @@ iteration in one vectorised step, and so is every draw of the exhaustive
 tree, under a key that brings in the seed (see :class:`_TreeSearch`).
 
 Restarts share no state, so ``RandomTrials`` restarts run in chunks, in lock
-step: each iteration draws, sorts and scores for the whole chunk at once,
-and every restart keeps the bits it would get on its own.  A chunk holds as
-many restarts as fit one scoring table of ``_CHUNK_ENTRIES`` entries, at
-least one; an ``Exhaustive`` restart is a chunk of one, with its own tree.
-That tree is searched a frontier of same-depth nodes at a time: a batch
-holds the children of several parents, and every node still gets the bits
-of a lone node, in the order of a depth-first search.
+step: each iteration draws, builds its anchored patches and scores for the
+whole chunk at once, and every restart keeps the bits it would get on its
+own.  A chunk holds as many restarts as fit one scoring table of
+``_CHUNK_ENTRIES`` entries, at least one; an ``Exhaustive`` restart is a
+chunk of one, with its own tree.  That tree is searched a frontier of
+same-depth nodes at a time: a batch holds the children of several parents,
+and every node still gets the bits of a lone node, in the order of a
+depth-first search.
 """
 
 import itertools
@@ -555,6 +556,33 @@ def _exhaustive_restart(points, ids, measure, cfg, stream):
     return _Restart(cost, centers, trace, search.subsets_examined, search.nodes_expanded)
 
 
+def _smallest_positions(table, m):
+    """Per row (last axis) of ``table``, exactly ``np.argsort(row, kind="stable")[:m]``,
+    for 1 <= m <= the row length, without sorting the whole row.
+
+    ``argpartition`` finds a set of m smallest entries.  Where an entry equal
+    to the m-th value lies outside that set, the set may hold the wrong one of
+    those ties, so such rows take every entry ordered before the m-th value
+    and then its ties by lowest position.  Order is the sort's: NaN after
+    every number and tied with NaN, ``-0.0`` tied with ``0.0``.
+    """
+    part = np.argpartition(table, m - 1, axis=-1)
+    chosen = np.sort(part[..., :m], axis=-1)
+    kth = np.take_along_axis(table, part[..., m - 1:m], axis=-1)
+    # a NaN m-th value ties with every NaN entry: redo those rows too
+    redo = ((table <= kth).sum(axis=-1) > m) | np.isnan(kth[..., 0])
+    if redo.any():
+        rows, cut = table[redo], kth[redo]
+        nan_cut = np.isnan(cut)
+        before = (rows < cut) | (nan_cut & ~np.isnan(rows))
+        ties = (rows == cut) | (nan_cut & np.isnan(rows))
+        take = before | (ties & (np.cumsum(ties, axis=-1)
+                                 <= m - before.sum(axis=-1, keepdims=True)))
+        chosen[redo] = np.nonzero(take)[1].reshape(-1, m)
+    values = np.take_along_axis(table, chosen, axis=-1)
+    return np.take_along_axis(chosen, np.argsort(values, axis=-1, kind="stable"), axis=-1)
+
+
 # A chunk of greedy restarts runs in lock step and shares one scoring stack of
 # n points by R trials per restart, at most about this many entries (1 MiB of
 # float64) or one restart's table.  Sharing pays where a restart's table is
@@ -592,13 +620,16 @@ def _greedy_restarts(points, measure, cfg, streams):
 
     Trial t scores sum_x min(potential(x), D(x, c_t)).  The A restarts of
     the chunk share, per iteration, one :func:`~d2ptas.sampler.d2_law` table
-    and one draw call, one stable argsort of their sample-to-anchor tables
-    and one (A, n, R) ``pairwise`` stack, scored in place and dropped before
-    the next iteration builds its own.  Every restart runs all k iterations.
-    Each restart keeps the bits of a lone pass: its draw, its law and its
-    scoring table are its own row or block of these.  Each sample's own
-    sample-to-anchor table and each ``CenterSet.add`` stay per restart.  The
-    points' side of every scoring table (their lifted copy and maxima, see
+    and one draw call, one (A, N, R) ``pairwise`` stack of each sample
+    against its anchors, one top-M selection over it
+    (:func:`_smallest_positions`, exactly the first M of a stable argsort)
+    and one (A, n, R) ``pairwise`` stack of the points against the
+    candidates, scored in place.  Each table is dropped before the next one
+    is built.  Every restart runs all k iterations.  Each restart keeps the
+    bits of a lone pass: its draw, its law, its sample-to-anchor table and
+    its scoring table are its own row or block of these, and only each
+    ``CenterSet.add`` stays per restart.  The points' side of every scoring
+    table (their lifted copy and maxima, see
     :meth:`~d2ptas.divergences.DivergenceMeasure.pairwise`) is computed once
     for the chunk.
     """
@@ -617,15 +648,12 @@ def _greedy_restarts(points, measure, cfg, streams):
         trial_ids = _derived_ids([s.stream_id for s in it_streams], 1 + np.arange(trials))
         anchors = _uniform_indices(_counter_uniforms(trial_ids.reshape(-1), 1)[:, 0],
                                    sample_size).reshape(trial_ids.shape)         # (A, R)
-        # trial t of restart a is entry a * R + t: a column of the
-        # sample-to-anchor table, a row of the menus
-        to_anchor = np.concatenate([measure.pairwise(sample, sample[a])
-                                    for sample, a in zip(points[samples], anchors)], axis=1)
-        # copied compact, so that neither the distances nor the full sort
-        # order is alive beside the scoring table
-        order = np.argsort(to_anchor, axis=0, kind="stable")
-        positions = order[:m_].T.copy()                                          # (A * R, M)
-        del to_anchor, order
+        # block a of the sample-to-anchor stack is restart a's sample against
+        # its anchors; trial t of restart a is row a * R + t of the menus
+        to_anchor = measure.pairwise(points[samples],
+                                     points[np.take_along_axis(samples, anchors, axis=1)])
+        positions = _smallest_positions(np.swapaxes(to_anchor, 1, 2), m_).reshape(-1, m_)
+        del to_anchor                                                            # (A * R, M)
         rows = np.arange(len(streams))
         members = samples[np.repeat(rows, trials)[:, None], positions]          # (A * R, M)
         cands = points[members].mean(axis=1)                                     # (A * R, d)

@@ -394,6 +394,30 @@ class TestPairwiseKernel:
                 assert np.all(table[copied, np.arange(len(copied))] == 0.0)
 
 
+    @pytest.mark.parametrize("measure,dim,offset", LIFT_CASES, ids=LIFT_IDS)
+    def test_a_stack_of_point_blocks_is_its_blocks(self, measure, dim, offset, gen):
+        """Block a of ``pairwise(P, C)`` for (A, n, d) points and (A, m, d)
+        centers is bitwise ``pairwise(P[a], C[a])``: m = 1, m over 128, and a
+        block 1e6 from the origin, whose columns are recomputed whole, beside
+        an ordinary one.  The points' side keeps each block's own maxima."""
+        P = measure.sample_domain(gen, (3, 60, dim)) + offset
+        if measure.domain == "unrestricted":
+            P[1] += 1e6
+        for C in (P[:, :9], P[:, 20:21], measure.sample_domain(gen, (3, 130, dim)) + offset,
+                  np.concatenate([P[:, :5], P[:, :5]], axis=1)):
+            stack = measure.pairwise(P, C)
+            assert stack.shape == (3, 60, C.shape[1])
+            for a in range(3):
+                np.testing.assert_array_equal(stack[a], measure.pairwise(P[a], C[a]))
+        lifted, phi_max, sq_max = measure._point_side(P)
+        for a in range(3):
+            own = measure._point_side(P[a])
+            np.testing.assert_array_equal(lifted[a], own[0])
+            assert (phi_max[a].tobytes(), sq_max[a].tobytes()) == (own[1].tobytes(),
+                                                                  own[2].tobytes())
+        with pytest.raises(DimensionMismatch):
+            measure.pairwise(P, C[:2])
+
 class TestCentroidAndAssignment:
     @pytest.mark.parametrize("measure,offset", OFFSET_CASES, ids=OFFSET_IDS)
     def test_costs_are_the_closed_form_of_the_labels(self, measure, offset, gen):

@@ -672,6 +672,103 @@ class TestLockStepRestarts:
         assert ptas._chunks(cfg, 12) == [range(0, 1), range(1, 2), range(2, 3)]
 
 
+class TestAnchoredPatches:
+    """A chunk builds its restarts' anchored patches from one stacked
+    sample-to-anchor table and an exact top-M selection; every patch is the
+    mirror's, one ``pairwise`` per restart and a stable argsort."""
+
+    @staticmethod
+    def mirror_patches(points, measure, cfg, stream, centers):
+        """Per iteration of the restart on ``stream`` that keeps ``centers``:
+        its sample, its anchors, its (R, M) patch positions and its (N, R)
+        sample-to-anchor table, built as ``mirror_restart`` builds them."""
+        trials, size, m_ = cfg.subset_strategy.trials, cfg.sample_size_N, cfg.subset_size_M
+        center_set = CenterSet.empty(points, measure)
+        patches = []
+        for i, center in enumerate(centers):
+            it = stream.derive(i)
+            sample = points[d2_sample(center_set, it.derive(0), size)]
+            anchors = np.array([int((_splitmix64(_splitmix64(it.derive(1 + t).stream_id)) >> 11)
+                                    * 2.0 ** -53 * size) for t in range(trials)])
+            to_anchor = measure.pairwise(sample, sample[anchors])
+            positions = np.argsort(to_anchor, axis=0, kind="stable")[:m_].T
+            patches.append((sample, anchors, positions, to_anchor))
+            center_set = center_set.add(center)
+        return patches
+
+    def assert_chunk_is_the_mirror(self, points, measure, seed, monkeypatch):
+        """Run the desk preset's 8 restarts (one chunk) through ``find_k_median``
+        and check every restart against the mirror on ``rng.derive(r)``;
+        returns how many trials had a tie across the M-th nearest position."""
+        cfg = desk(3).resolved(measure)
+        chunks, greedy = [], ptas._greedy_restarts
+
+        def recorded(*args):
+            chunks.append(greedy(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(ptas, "_greedy_restarts", recorded)
+        rng = RngStream(seed)
+        best = find_k_median(points, measure, cfg, rng)
+        assert [len(chunk) for chunk in chunks] == [8]
+        m_, ties = cfg.subset_size_M, 0
+        for r, outcome in enumerate(chunks[0]):
+            stream = rng.derive(r)
+            mirror, _ = TestAnchoredTrialsDiscipline.mirror_restart(points, measure, cfg, stream,
+                                                                    cfg.subset_strategy.trials)
+            assert np.asarray(outcome.centers).tobytes() == mirror.tobytes()
+            patches = self.mirror_patches(points, measure, cfg, stream, mirror)
+            for entry, (sample, anchors, positions, to_anchor) in zip(outcome.trace, patches):
+                t = entry["trial"]
+                np.testing.assert_array_equal(points[entry["sample"]], sample)
+                assert entry["anchor"] == anchors[t]
+                kept = entry["subset_positions"]
+                assert (kept.dtype, kept.tobytes()) == (positions.dtype, positions[t].tobytes())
+                ordered = np.sort(to_anchor, axis=0)
+                ties += int(np.count_nonzero(ordered[m_ - 1] == ordered[m_]))
+        TestLockStepRestarts.assert_same_trace(
+            best.meta["trace"], chunks[0][best.meta["winning_restart"]].trace)
+        return ties
+
+    def test_each_restart_is_the_mirror_on_kl_data(self, planted, monkeypatch):
+        points = planted[0]
+        points = 0.1 + 0.8 * (points - points.min(axis=0)) / np.ptp(points, axis=0)
+        self.assert_chunk_is_the_mirror(points, KullbackLeibler(), 61, monkeypatch)
+
+    def test_each_restart_is_the_mirror_on_duplicate_heavy_data(self, sq, planted,
+                                                                monkeypatch):
+        """Points rounded to one decimal: equal distances straddle the M-th
+        nearest position, where the selection must pick ties by position."""
+        points = np.round(planted[0], 1)
+        assert self.assert_chunk_is_the_mirror(points, sq, 62, monkeypatch) > 0
+
+    @staticmethod
+    def assert_stable_prefix(table, m):
+        got, want = ptas._smallest_positions(table, m), np.argsort(table, axis=-1,
+                                                                   kind="stable")[..., :m]
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100])
+    def test_selection_is_the_stable_sort_prefix(self, gen, n):
+        """Integer-valued entries (many ties), NaN entries, rows with fewer
+        than M numbers, and -0.0 beside 0.0, for M = 1, 2, N // 2 and N."""
+        for _ in range(40):
+            table = gen.integers(0, 4, size=(30, n)).astype(float)
+            table[gen.random(table.shape) < 0.2] = np.nan
+            table[gen.random(len(table)) < 0.2] = np.nan  # whole rows
+            table[(table == 0.0) & (gen.random(table.shape) < 0.5)] = -0.0
+            for m in sorted({1, min(2, n), max(1, n // 2), n}):
+                self.assert_stable_prefix(table, m)
+
+    def test_selection_on_a_stack_of_distance_columns(self, gen):
+        """The engine's shape: an (A, N, R) table viewed as (A, R, N) rows,
+        with the duplicate draws of a D² sample."""
+        stack = np.round(gen.random((8, 100, 50)), 2)
+        stack[:, 50:] = stack[:, :50]
+        for m in (1, 10, 100):
+            self.assert_stable_prefix(np.swapaxes(stack, 1, 2), m)
+
+
 class TestCoverageTraceProperty:
     def test_covering_restarts_exist_and_imply_the_bound(self, sq, planted):
         """With cluster-sized anchored subsets, some restarts pick one center
