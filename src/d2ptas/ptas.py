@@ -24,15 +24,15 @@ stream id (see :func:`_greedy_restarts`), computed for all trials of an
 iteration in one vectorised step, and so is every draw of the exhaustive
 tree, under a key that brings in the seed (see :class:`_TreeSearch`).
 
-Restarts share no state, so ``RandomTrials`` restarts run in chunks, in lock
-step: each iteration draws, builds its anchored patches and scores for the
-whole chunk at once, and every restart keeps the bits it would get on its
-own.  A chunk holds as many restarts as fit one scoring table of
-``_CHUNK_ENTRIES`` entries, at least one; an ``Exhaustive`` restart is a
-chunk of one, with its own tree.  That tree is searched a frontier of
-same-depth nodes at a time: a batch holds the children of several parents,
-and every node still gets the bits of a lone node, in the order of a
-depth-first search.
+Restarts share no state, so each restart is a row of a batch, and every
+restart keeps the bits it would get on its own.  ``RandomTrials`` restarts
+run in chunks, in lock step: each iteration draws, builds its anchored
+patches and scores for the whole chunk at once.  A chunk holds as many
+restarts as fit one scoring table of ``_CHUNK_ENTRIES`` entries, at least
+one.  All ``Exhaustive`` restarts are one chunk: one tree whose roots are the
+restarts, searched a frontier of same-depth nodes at a time.  A batch holds
+the children of several parents and restarts, and every node still gets the
+bits of a lone node, in the order of a depth-first search of its restart.
 """
 
 import itertools
@@ -395,63 +395,67 @@ class _Batch:
 
 class _TreeSearch:
     """Depth-first enumeration over per-iteration candidate subsets, for the
-    restart on ``stream``.
+    restarts on ``streams``, all in one tree whose roots are the restarts.
 
-    Node streams follow the branch path: the root is ``stream``, child s of a
-    node gets ``derive(1 + s)`` of it and the node's own draw uses
+    Node streams follow the branch path: root r is ``streams[r]``, child s of
+    a node gets ``derive(1 + s)`` of it and the node's own draw uses
     ``derive(0)``.  Nodes carry only their stream ids, as uint64 arrays from
     :func:`~d2ptas.sampler._derived_ids`; no ``RngStream`` is built for a node.
     A node's N draws invert its D² law at the counter uniforms of its draw id
-    s under the restart's key K (:func:`~d2ptas.sampler._counter_key`): the
-    j-th is the top 53 bits of ``splitmix64(splitmix64(s ^ K) + j)`` times
-    2^-53.  Each value is a function of (seed, path, j) alone, so the winning
-    path can be replayed exactly to reconstruct its trace.
+    s under its restart's key K (:func:`~d2ptas.sampler._counter_key`), one
+    key per row: the j-th is the top 53 bits of
+    ``splitmix64(splitmix64(s ^ K) + j)`` times 2^-53.  Each value is a
+    function of (seed, path, j) alone, so the winning path can be replayed
+    exactly to reconstruct its trace.
 
     The tree is searched a frontier at a time (see :meth:`_search`): the
-    same-depth nodes in path order, in chunks, each chunk expanded as one
-    batch (see :meth:`_expand`) with one table of counter uniforms and one
-    stacked draw, one pool dedupe, and one ``rowwise`` table over the
+    same-depth nodes in (restart, path) order, in chunks, each chunk expanded
+    as one batch (see :meth:`_expand`) with one table of counter uniforms and
+    one stacked draw, one pool dedupe, and one ``rowwise`` table over the
     distinct subsets of every node's pool.  A batch holds the children of
-    several parents.  Potentials are rows, one per node or candidate, and a
+    several parents, and of several restarts.  Each path starts with its
+    restart index.  Potentials are rows, one per node or candidate, and a
     candidate's cost is the sum of its own row.  Leaves then reduce by
-    segment min.  The stream layout is unchanged from a node-by-node search,
-    and so is every bit of the result: each node's numbers are its own rows,
-    and leaves are scored in path order.  Every node is expanded and counted,
-    and every candidate of an interior node gets a child.  The root and the
-    replay are batches of one.
+    segment min.  The stream layout is unchanged from a node-by-node search
+    of each restart on its own, and so is every bit of the result: each
+    node's numbers are its own rows, and leaves are scored in path order.
+    Every node is expanded and counted by its restart, and every candidate of
+    an interior node gets a child.  Only the winning restart's path is
+    replayed, as batches of one, so no other restart builds a trace.
     """
 
-    def __init__(self, points, ids, measure, k, sample_size, subset_size, stream):
+    def __init__(self, points, ids, measure, k, sample_size, subset_size, streams):
         self.points = points
         self.ids = ids
         self.measure = measure
         self.k = k
         self.sample_size = sample_size
         self.subset_size = subset_size
-        self.best_cost = np.inf
-        self.best_path = None
-        self.subsets_examined = 0
-        self.nodes_expanded = 0
+        self.roots = np.array([stream.stream_id for stream in streams], dtype=np.uint64)
+        self.keys = np.array([_counter_key(stream) for stream in streams], dtype=np.uint64)
+        # per restart: the first cheapest leaf's cost and path, and the counters
+        self.best_cost = np.full(len(streams), np.inf)
+        self.best_path = [None] * len(streams)
+        self.subsets_examined = np.zeros(len(streams), dtype=np.int64)
+        self.nodes_expanded = np.zeros(len(streams), dtype=np.int64)
         (n, d), distinct = points.shape, int(ids.max()) + 1
         most = _menu_size(sample_size, subset_size, distinct)
         width = min(subset_size, sample_size, distinct)
         # what one node adds to a batch, in entries (see _BATCH_ENTRIES)
         self._node_entries = 2 * sample_size + most * (n * (d + 1) + width + 3)
-        self.root = np.array([stream.stream_id], dtype=np.uint64)
-        self.key = _counter_key(stream)
 
-    def _expand(self, potentials, node_ids):
-        """Draw, dedupe and score the nodes with stream ids ``node_ids`` as one
-        batch.
+    def _expand(self, potentials, node_ids, keys):
+        """Draw, dedupe and score the nodes with stream ids ``node_ids`` and
+        restart keys ``keys`` as one batch.
 
-        ``potentials`` holds the nodes' potentials as rows, +inf at the
-        root.  Each node gets the bits a lone node would get: its
+        ``potentials`` holds the nodes' potentials as rows, +inf at a root.
+        Each node gets the bits a lone node would get: its
         :func:`~d2ptas.sampler.d2_law` row is a 1-D law, and its subset means
         sum their points in pool order.
         """
         n, d = self.points.shape
         samples = weighted_draw(d2_law(potentials), _counter_uniforms(
-            _derived_ids(node_ids, [0])[:, 0], self.sample_size, self.key))
+            _derived_ids(node_ids, [0])[:, 0], self.sample_size, keys))
         pools = _distinct_sample_points(self.ids, samples)
         sizes = np.array([len(pool) for pool in pools])
         distinct_sizes, size_index = np.unique(sizes, return_inverse=True)
@@ -482,26 +486,36 @@ class _TreeSearch:
         return _Batch(samples, pools, starts, which, means, table, potentials)
 
     def run(self):
-        # the root's potentials are +inf, the cost to no center; its path is empty
-        self._search(np.full((1, self.points.shape[0]), np.inf), self.root,
-                     np.empty((1, 0), dtype=np.intp))
-        return self.best_cost, self.best_path
+        """One outcome per restart, in order; only the (cost, restart)
+        minimum's carries centers and a trace."""
+        # the roots' potentials are +inf, the cost to no center; each path
+        # holds just its restart index
+        self._search(np.full((len(self.roots), self.points.shape[0]), np.inf), self.roots,
+                     np.arange(len(self.roots))[:, None])
+        outcomes = [_Restart(float(cost), None, None, int(subsets), int(nodes))
+                    for cost, subsets, nodes in zip(self.best_cost, self.subsets_examined,
+                                                    self.nodes_expanded)]
+        win = int(np.argmin(self.best_cost))
+        outcomes[win].centers, outcomes[win].trace = self.replay(self.best_path[win])
+        return outcomes
 
     def _search(self, potentials, node_ids, paths):
-        """Visit a frontier of same-depth nodes in path order, in chunks.
+        """Visit a frontier of same-depth nodes in (restart, path) order, in
+        chunks.
 
-        ``paths`` holds the nodes' branch paths as rows.  Each chunk is
-        expanded as one batch, and the children of all its nodes, in path
-        order, are the next frontier, searched the same way before the next
-        chunk.
+        ``paths`` holds the nodes' restart index and branch path as rows.
+        Each chunk is expanded as one batch, and the children of all its
+        nodes, in path order, are the next frontier, searched the same way
+        before the next chunk.
         """
         step = max(1, _BATCH_ENTRIES // self._node_entries)
         for lo in range(0, len(node_ids), step):
             chunk = slice(lo, lo + step)
-            node = self._expand(potentials[chunk], node_ids[chunk])
-            self.nodes_expanded += len(node.pools)
-            self.subsets_examined += int(node.starts[-1])
-            if paths.shape[1] == self.k - 1:
+            restarts = paths[chunk, 0]
+            node = self._expand(potentials[chunk], node_ids[chunk], self.keys[restarts])
+            np.add.at(self.nodes_expanded, restarts, 1)
+            np.add.at(self.subsets_examined, restarts, np.diff(node.starts))
+            if paths.shape[1] == self.k:
                 self._score_leaves(node, paths[chunk])
                 continue
             # candidate c of the chunk's flat list is child index[c] of node owner[c]
@@ -513,23 +527,26 @@ class _TreeSearch:
 
     def _score_leaves(self, node, paths):
         """Visit leaf nodes in order: each offers its first cheapest
-        candidate, and the search keeps the first strict improvement."""
+        candidate, and each restart keeps its first strict improvement."""
         mins = np.minimum.reduceat(node.costs, node.starts[:-1])
         mins[np.isnan(mins)] = np.inf  # a leaf with a NaN cost offers NaN, which never wins
-        j = int(np.argmin(mins))
-        if mins[j] < self.best_cost:
-            a = node.starts[j]
-            b = int(np.argmin(node.costs[a:node.starts[j + 1]]))
-            self.best_cost = float(node.costs[a + b])
-            self.best_path = tuple(paths[j].tolist()) + (b,)
+        for r in np.unique(paths[:, 0]).tolist():
+            leaves = np.flatnonzero(paths[:, 0] == r)
+            j = leaves[np.argmin(mins[leaves])]
+            if mins[j] < self.best_cost[r]:
+                a = node.starts[j]
+                b = int(np.argmin(node.costs[a:node.starts[j + 1]]))
+                self.best_cost[r] = node.costs[a + b]
+                self.best_path[r] = tuple(paths[j].tolist()) + (b,)
 
     def replay(self, path):
-        """Recompute the winning branch and emit its per-iteration trace."""
+        """Recompute a winning path, its restart index first, and emit its
+        per-iteration trace."""
         trace, centers = [], []
         potentials = np.full((1, self.points.shape[0]), np.inf)
-        node_id = self.root
-        for depth, b in enumerate(path):
-            node = self._expand(potentials, node_id)
+        node_id, key = self.roots[[path[0]]], self.keys[[path[0]]]
+        for depth, b in enumerate(path[1:]):
+            node = self._expand(potentials, node_id, key)
             pool_idx = node.pools[0]
             combo = _combo_by_rank(_combo_groups(len(pool_idx), self.subset_size), b)
             potentials = node.potentials(np.array([b]))
@@ -546,14 +563,6 @@ class _TreeSearch:
             centers.append(center)
             node_id = _derived_ids(node_id, [1 + b])[0]
         return centers, trace
-
-
-def _exhaustive_restart(points, ids, measure, cfg, stream):
-    search = _TreeSearch(points, ids, measure, cfg.k, cfg.sample_size_N, cfg.subset_size_M,
-                         stream)
-    cost, path = search.run()
-    centers, trace = search.replay(path)
-    return _Restart(cost, centers, trace, search.subsets_examined, search.nodes_expanded)
 
 
 def _smallest_positions(table, m):
@@ -625,24 +634,25 @@ def _greedy_restarts(points, measure, cfg, streams):
     (:func:`_smallest_positions`, exactly the first M of a stable argsort)
     and one (A, n, R) ``pairwise`` stack of the points against the
     candidates, scored in place.  Each table is dropped before the next one
-    is built.  Every restart runs all k iterations.  Each restart keeps the
-    bits of a lone pass: its draw, its law, its sample-to-anchor table and
-    its scoring table are its own row or block of these, and only each
-    ``CenterSet.add`` stays per restart.  The points' side of every scoring
-    table (their lifted copy and maxima, see
+    is built.  The kept centers then update one (A, n) potentials array in
+    one broadcast closed-form ``rowwise``.  Every restart runs all k
+    iterations.  Each restart keeps the bits of a lone pass: its draw, its
+    law, its sample-to-anchor table, its scoring table and its potentials are
+    its own row or block of these.  A center is a subset mean, which may lie
+    a rounding step outside a closed-box domain, so no center is checked
+    against the domain.  The points' side of every scoring table (their
+    lifted copy and maxima, see
     :meth:`~d2ptas.divergences.DivergenceMeasure.pairwise`) is computed once
     for the chunk.
     """
     trials, sample_size, m_ = cfg.subset_strategy.trials, cfg.sample_size_N, cfg.subset_size_M
     d = points.shape[1]
     point_side = measure._point_side(points)
-    center_sets = [CenterSet.empty(points, measure) for _ in streams]
+    potentials = np.full((len(streams), points.shape[0]), np.inf)               # (A, n)
     traces = [[] for _ in streams]
     for i in range(cfg.k):
         it_streams = [stream.derive(i) for stream in streams]
-        potentials = np.array([cs.potentials for cs in center_sets])             # (A, n)
-        totals = np.array([cs.total_potential for cs in center_sets])
-        samples = weighted_draw(d2_law(potentials, totals),
+        samples = weighted_draw(d2_law(potentials),
                                 [s.derive(0).generator.random(sample_size)
                                  for s in it_streams])                            # (A, N)
         trial_ids = _derived_ids([s.stream_id for s in it_streams], 1 + np.arange(trials))
@@ -681,9 +691,10 @@ def _greedy_restarts(points, measure, cfg, streams):
                 "center": center,
                 "partial_cost": float(scores[j, t]),
             })
-            center_sets[j] = center_sets[j].add(center)
-    return [_Restart(cs.total_potential, list(cs.centers), trace, trials * cfg.k, cfg.k)
-            for cs, trace in zip(center_sets, traces)]
+        # each kept center in closed form, as the reported cost is evaluated
+        potentials = np.minimum(potentials, measure.rowwise(points, cands[kept][:, None, :]))
+    return [_Restart(float(row.sum()), [entry["center"] for entry in trace], trace,
+                     trials * cfg.k, cfg.k) for row, trace in zip(potentials, traces)]
 
 
 def _log_restart(r, cfg, outcome):
@@ -711,20 +722,19 @@ def _fold(cfg, done):
 
 
 def _chunks(cfg, n):
-    """Restart indices 0..R-1 in the chunks that run together: one restart
-    each for ``Exhaustive``, else as many as fit ``_CHUNK_ENTRIES`` (n x R
-    entries each), at least one."""
-    if isinstance(cfg.subset_strategy, Exhaustive):
-        size = 1
-    else:
-        size = max(1, _CHUNK_ENTRIES // (n * cfg.subset_strategy.trials))
+    """Restart indices 0..R-1 in the chunks that run together: all of them
+    for ``Exhaustive``, whose tree batches its nodes by entries itself, else
+    as many as fit ``_CHUNK_ENTRIES`` (n x R entries each), at least one."""
+    size = (cfg.restarts if isinstance(cfg.subset_strategy, Exhaustive)
+            else max(1, _CHUNK_ENTRIES // (n * cfg.subset_strategy.trials)))
     return [range(lo, min(lo + size, cfg.restarts)) for lo in range(0, cfg.restarts, size)]
 
 
 def _run_chunk(points, ids, measure, cfg, streams):
     """Outcomes of the restarts on ``streams``, in order."""
     if isinstance(cfg.subset_strategy, Exhaustive):
-        return [_exhaustive_restart(points, ids, measure, cfg, stream) for stream in streams]
+        return _TreeSearch(points, ids, measure, cfg.k, cfg.sample_size_N, cfg.subset_size_M,
+                           streams).run()
     return _greedy_restarts(points, measure, cfg, streams)
 
 
@@ -788,8 +798,8 @@ def find_k_median(data, measure, config, rng, threads=None):
     lexicographic minimum, so results are reproducible and adding restarts
     can only improve the returned cost.  Restarts run in chunks (see
     :func:`_chunks`), and ``threads`` workers run chunks side by side, which
-    changes no result: where all restarts fit one chunk, there is nothing to
-    run side by side.
+    changes no result: where all restarts fit one chunk, as ``Exhaustive``
+    restarts always do, there is nothing to run side by side.
     """
     points, cfg, ids = _prepare(data, measure, config)
     t0 = time.perf_counter()

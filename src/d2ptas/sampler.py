@@ -64,7 +64,8 @@ _UNIFORM_BLOCK = 1 << 13
 
 def _counter_uniforms(ids, count, key=0):
     """The first ``count`` counter-based uniforms of each stream id under the
-    64-bit ``key``, as a (len(ids), count) table.
+    64-bit ``key``, as a (len(ids), count) table.  ``key`` is one key for
+    every row or an array of one key per row.
 
     The j-th uniform of the stream with id s is the top 53 bits of
     ``splitmix64(splitmix64(s ^ key) + j)`` times 2^-53, the 53-bit
@@ -73,7 +74,7 @@ def _counter_uniforms(ids, count, key=0):
     no generator state is built or shared.  Key 0 leaves the ids as they are.
     """
     # the second splitmix64's first step, adding the constant, done once per id
-    base = _splitmix64_array(np.asarray(ids, dtype=np.uint64) ^ np.uint64(key))
+    base = _splitmix64_array(np.asarray(ids, dtype=np.uint64) ^ np.asarray(key, dtype=np.uint64))
     base += np.uint64(0x9E3779B97F4A7C15)
     count = int(count)
     out = np.empty((len(base), count))
@@ -223,23 +224,22 @@ class CenterSet:
         ``zero_potential`` is set when every point is covered exactly: the
         clustering cost is 0, not an error, and the law is uniform.
         """
-        return d2_law(self.potentials, self.total_potential), self.total_potential == 0.0
+        return d2_law(self.potentials), self.total_potential == 0.0
 
     def __repr__(self):
         return f"CenterSet(size={self.size}, total_potential={self.total_potential:.6g})"
 
 
-def d2_law(potentials, totals=None):
+def d2_law(potentials):
     """The D² sampling law of each row of ``potentials``.
 
     Probability is proportional to potential, and uniform where the row total
     is 0 (every point covered) or +inf (no center yet).  ``potentials`` is one
-    vector or a (B, n) stack of rows; ``totals`` defaults to each row's sum.
+    vector or a (B, n) stack of rows, and each row's total is its own sum.
     No inf/inf or 0/0 is ever evaluated.
     """
     potentials = np.asarray(potentials, dtype=float)
-    totals = (potentials.sum(axis=-1, keepdims=True) if totals is None
-              else np.asarray(totals, dtype=float)[..., None])
+    totals = potentials.sum(axis=-1, keepdims=True)
     uniform = (totals == 0.0) | (totals == np.inf)
     return np.where(uniform, 1.0 / potentials.shape[-1],
                     potentials / np.where(uniform, 1.0, totals))

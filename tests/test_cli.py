@@ -247,16 +247,23 @@ class TestLogging:
             assert main(["oracle", "--input", four_point_file, "--k", "2"]) == 0
             assert main(["cluster", "--input", four_point_file, "--k", "2", "--restarts", "2",
                          "--strategy", "random:4"]) == 0
+            assert main(["cluster", "--input", four_point_file, "--k", "2", "--restarts", "2",
+                         "--strategy", "exhaustive"]) == 0
         events = [(r.name, r.levelno, r.getMessage()) for r in caplog.records
                   if r.name.startswith("d2ptas")]
         assert {level for _, level, _ in events} == {logging.INFO}
         commands = [text for name, _, text in events if name == "d2ptas.cli"]
-        assert [text.split(":")[0] for text in commands] == ["oracle", "cluster"]
+        assert [text.split(":")[0] for text in commands] == ["oracle", "cluster", "cluster"]
         assert all("exit code 0" in text for text in commands)
         restarts = [text for name, _, text in events if name == "d2ptas.ptas"]
-        assert [text.split(":")[0] for text in restarts] == ["restart 0", "restart 1"]
+        assert [text.split(":")[0] for text in restarts] == ["restart 0", "restart 1"] * 2
         assert all("strategy random:4" in text and "subsets 8, nodes 2" in text
-                   for text in restarts)
+                   for text in restarts[:2])
+        # the two exhaustive restarts share one tree and still log their own counts
+        assert restarts[2:] == [
+            "restart 0: strategy exhaustive, cost 1, subsets 192, nodes 16",
+            "restart 1: strategy exhaustive, cost 1, subsets 188, nodes 16",
+        ]
 
     def test_nothing_is_logged_at_the_default_level(self, four_point_file, caplog):
         with caplog.at_level(logging.WARNING, logger="d2ptas"):

@@ -305,10 +305,14 @@ class TestFindKMedianContracts:
         assert untimed[0] == untimed[1]
         TestLockStepRestarts.assert_same_trace(seq.meta["trace"], par.meta["trace"])
 
-    def test_only_the_winning_trace_is_kept(self, sq, four_point_line):
-        """Each exhaustive trace entry holds its N-point sample.  The winner is
-        folded as restarts finish, so the traced peak grows by less than one
-        trace as restarts go from 2 to 8; the counters still cover every restart."""
+    def test_only_the_winning_trace_is_kept(self, sq, four_point_line, monkeypatch):
+        """Each exhaustive trace entry holds its N-point sample.  Only the
+        winning restart replays its path, so the traced peak grows by less
+        than one trace as restarts go from 2 to 8; the counters still cover
+        every restart.  Batches hold one node, so that the restarts' roots do
+        not share one batch of 8 draws."""
+        monkeypatch.setattr(ptas, "_BATCH_ENTRIES", 1)  # below one node's entries
+
         def run(restarts):
             cfg = PtasConfig(k=2, epsilon=0.5, sample_size_N=50_000, subset_size_M=2,
                              restarts=restarts, subset_strategy=Exhaustive())
@@ -370,6 +374,22 @@ class TestFindKMedianContracts:
             assert res.meta["trace"] == []
             assert res.meta["subsets_examined"] == res.meta["nodes_expanded"] == 0
         assert lone.assignment.tolist() == best.assignment.tolist()
+
+    @pytest.mark.parametrize("strategy", [RandomTrials(50), Exhaustive()],
+                             ids=["random", "exhaustive"])
+    def test_a_closed_box_domain_accepts_its_own_boundary_means(self, strategy):
+        """On a domain that is the closed box [0.01, 0.1], the float mean of
+        three 0.1s is 0.10000000000000002, just outside it.  Centers are
+        subset means, which the engine does not check against the domain, so
+        both strategies return a finite cost, the closed form of their
+        centers."""
+        measure = GenericBregman(phi=lambda X: (X * np.log(X) - X).sum(-1), grad_phi=np.log,
+                                 mu=0.05, box=(0.01, 0.1), domain=(0.01, 0.1))
+        points = np.array([0.1] * 20 + [0.01] * 20 + [0.05] * 5)[:, None]
+        cfg = desk(2, sample_size_N=10, subset_size_M=3, restarts=2, subset_strategy=strategy)
+        res = find_k_median(points, measure, cfg, RngStream(1))
+        assert np.isfinite(res.cost)
+        assert res.cost == cluster_cost(measure, points, res.centers)
 
     def test_desk_quality_on_planted_fixture(self, sq, planted):
         """Pinned regression: the desk preset lands well inside 1.5x of the
@@ -666,10 +686,47 @@ class TestLockStepRestarts:
             assert np.float64(a.cost).tobytes() == np.float64(b.cost).tobytes()
             self.assert_same_trace(a.trace, b.trace)
 
-    def test_exhaustive_restarts_run_one_per_chunk(self, sq):
-        cfg = PtasConfig(k=2, epsilon=0.5, sample_size_N=6, subset_size_M=2, restarts=3,
-                         subset_strategy=Exhaustive()).resolved(sq)
-        assert ptas._chunks(cfg, 12) == [range(0, 1), range(1, 2), range(2, 3)]
+    @pytest.mark.parametrize("entries", [1, 1 << 40], ids=["one-node", "large"])
+    def test_each_exhaustive_restart_is_a_lone_restart(self, sq, monkeypatch, entries):
+        """All restarts are one chunk, the roots of one tree.  With batches of
+        one node and with batches that mix restarts, each restart's cost and
+        counters are those of ``run_one_restart`` on ``rng.derive(r)``, and
+        only the winner, whose result is the lone restart's, replays its
+        trace."""
+        monkeypatch.setattr(ptas, "_BATCH_ENTRIES", entries)
+        mixed, expand = [], ptas._TreeSearch._expand
+
+        def spy(self, potentials, node_ids, keys):
+            mixed.append(len(set(keys.tolist())) > 1)
+            return expand(self, potentials, node_ids, keys)
+
+        outcomes, run_chunk = [], ptas._run_chunk
+
+        def recorded(*args):
+            outcomes.append(run_chunk(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(ptas._TreeSearch, "_expand", spy)
+        monkeypatch.setattr(ptas, "_run_chunk", recorded)
+        points = RngStream(60).generator.standard_normal((9, 2))
+        cfg = PtasConfig(k=3, epsilon=0.5, sample_size_N=6, subset_size_M=2, restarts=4,
+                         subset_strategy=Exhaustive())
+        assert ptas._chunks(cfg.resolved(sq), len(points)) == [range(0, 4)]
+        rng = RngStream(61)
+        best = find_k_median(points, sq, cfg, rng)
+        assert any(mixed) == (entries > 1)
+        chunk, = outcomes
+        winner = best.meta["winning_restart"]
+        assert [o.trace is not None for o in chunk] == [r == winner for r in range(4)]
+        for r, outcome in enumerate(chunk):
+            lone = run_one_restart(points, sq, cfg, rng.derive(r))
+            (alone,) = outcomes[-1]
+            assert np.float64(outcome.cost).tobytes() == np.float64(alone.cost).tobytes()
+            assert outcome.subsets_examined == lone.meta["subsets_examined"]
+            assert outcome.nodes_expanded == lone.meta["nodes_expanded"]
+            if r == winner:
+                assert best.centers.tobytes() == lone.centers.tobytes()
+                self.assert_same_trace(best.meta["trace"], lone.meta["trace"])
 
 
 class TestAnchoredPatches:

@@ -83,6 +83,12 @@ class TestCounterDraws:
             assert table.tolist() == [[scalar_uniform(s, j, key) for j in range(4)] for s in ids]
             assert ((0.0 <= table) & (table < 1.0)).all()
         assert _counter_uniforms(ids, 4).tolist() == _counter_uniforms(ids, 4, 0).tolist()
+        # one key per row: row b under keys[b] is that row of the scalar key's table
+        mixed = [0, 2 ** 64 - 1] * 11
+        for keys in ([0] * len(ids), [2 ** 64 - 1] * len(ids), mixed):
+            table = _counter_uniforms(ids, 4, np.array(keys, dtype=np.uint64))
+            for b, key in enumerate(keys):
+                assert table[b].tolist() == _counter_uniforms(ids, 4, key)[b].tolist()
 
     @pytest.mark.parametrize("block", [1, 5, 64, 1 << 13])
     @pytest.mark.parametrize("count", [1, 7, 64, 300])

@@ -144,7 +144,7 @@ def same_bits(a, b):
 def run_both(points, measure, k, N, M, stream):
     points = np.asarray(points, dtype=float)
     _, _, ids = _prepare(points, measure, PtasConfig(k=1, epsilon=0.5))
-    batched = ptas._TreeSearch(points, ids, measure, k, N, M, stream)
+    batched = ptas._TreeSearch(points, ids, measure, k, N, M, [stream])
     reference = ReferenceSearch(points, ids, measure, k, N, M, reference_key(stream))
     batched.run()
     reference.visit(None, stream.stream_id, ())
@@ -152,10 +152,11 @@ def run_both(points, measure, k, N, M, stream):
 
 
 def assert_same_search(batched, reference):
-    assert same_bits(batched.best_cost, reference.best_cost)
-    assert batched.best_path == reference.best_path
-    assert batched.subsets_examined == reference.subsets_examined
-    assert batched.nodes_expanded == reference.nodes_expanded
+    """The lone restart of ``batched``, whose paths start with its index 0."""
+    assert same_bits(batched.best_cost[0], reference.best_cost)
+    assert batched.best_path[0] == (0,) + reference.best_path
+    assert batched.subsets_examined[0] == reference.subsets_examined
+    assert batched.nodes_expanded[0] == reference.nodes_expanded
 
 
 MEASURES = {
@@ -192,13 +193,14 @@ class TestSearchMatchesReference:
         points[5] = points[2]
         _, _, ids = _prepare(points, measure, PtasConfig(k=1, epsilon=0.5))
         root = RngStream(49, d)
-        search = ptas._TreeSearch(points, ids, measure, 2, 6, 3, root)
+        search = ptas._TreeSearch(points, ids, measure, 2, 6, 3, [root])
         reference = ReferenceSearch(points, ids, measure, 2, 6, 3, reference_key(root))
         parents = reference.expand(None, root.stream_id)[-1]
         children = [derive_id(root.stream_id, 1 + b) for b in range(len(parents))]
-        root_node = search._expand(np.full((1, 12), np.inf), search.root)
+        root_node = search._expand(np.full((1, 12), np.inf), search.roots, search.keys)
         batch = search._expand(root_node.potentials(np.arange(len(children))),
-                               np.array(children, dtype=np.uint64))
+                               np.array(children, dtype=np.uint64),
+                               np.repeat(search.keys, len(children)))
         for b, child in enumerate(children):
             sample, pool, _, cands, pots = reference.expand(parents[b], child)
             cands_b = np.arange(batch.starts[b], batch.starts[b + 1])
@@ -286,12 +288,12 @@ class TestSearchMatchesReference:
         for key in (0, 2 ** 64 - 1):
             monkeypatch.setattr(ptas, "_counter_key", lambda stream, key=key: key)
             for root in (RngStream(53, 2 ** 64 - 1), RngStream(2 ** 64 - 1, 0)):
-                batched = ptas._TreeSearch(points, ids, sq, 3, 5, 2, root)
+                batched = ptas._TreeSearch(points, ids, sq, 3, 5, 2, [root])
                 reference = ReferenceSearch(points, ids, sq, 3, 5, 2, key)
                 batched.run()
                 reference.visit(None, root.stream_id, ())
                 assert_same_search(batched, reference)
-                got = batched.replay(batched.best_path)[1]
+                got = batched.replay(batched.best_path[0])[1]
                 want = reference.replay(root.stream_id, reference.best_path)[1]
                 for mine, theirs in zip(got, want, strict=True):
                     assert all(same_bits(mine[f], theirs[f]) for f in mine)
@@ -315,16 +317,17 @@ class PerParentSearch(ptas._TreeSearch):
         step = max(1, ptas._BATCH_ENTRIES // self._node_entries)
         for lo in range(0, len(node_ids), step):
             chunk = slice(lo, lo + step)
-            node = self._expand(potentials[chunk], node_ids[chunk])
-            if paths.shape[1] == self.k - 1:
-                self.nodes_expanded += len(node.pools)
-                self.subsets_examined += int(node.starts[-1])
+            restarts = paths[chunk, 0]
+            node = self._expand(potentials[chunk], node_ids[chunk], self.keys[restarts])
+            if paths.shape[1] == self.k:
+                np.add.at(self.nodes_expanded, restarts, 1)
+                np.add.at(self.subsets_examined, restarts, np.diff(node.starts))
                 self._score_leaves(node, paths[chunk])
                 continue
             for j, (node_id, path) in enumerate(zip(node_ids[chunk, None], paths[chunk])):
                 a, b = node.starts[j], node.starts[j + 1]
-                self.nodes_expanded += 1
-                self.subsets_examined += int(b - a)
+                self.nodes_expanded[path[0]] += 1
+                self.subsets_examined[path[0]] += int(b - a)
                 self._search(node.potentials(np.arange(a, b)),
                              _derived_ids(node_id, 1 + np.arange(b - a))[0],
                              np.column_stack((np.repeat(path[None], b - a, axis=0),
@@ -340,9 +343,9 @@ def record_batches(monkeypatch):
         paths_of.update(zip(node_ids.tolist(), map(tuple, paths.tolist())))
         return search(self, potentials, node_ids, paths)
 
-    def spy_expand(self, potentials, node_ids):
+    def spy_expand(self, potentials, node_ids, keys):
         batches.append([paths_of.get(i) for i in node_ids.tolist()])
-        return expand(self, potentials, node_ids)
+        return expand(self, potentials, node_ids, keys)
 
     monkeypatch.setattr(ptas._TreeSearch, "_search", spy_search)
     monkeypatch.setattr(ptas._TreeSearch, "_expand", spy_expand)
@@ -354,7 +357,7 @@ def parents(batch):
 
 
 def assert_same_replay(batched, reference, stream):
-    got = batched.replay(batched.best_path)[1]
+    got = batched.replay(batched.best_path[0])[1]
     want = reference.replay(stream.stream_id, reference.best_path)[1]
     for mine, theirs in zip(got, want, strict=True):
         assert mine.keys() == theirs.keys()
@@ -376,7 +379,7 @@ class TestFrontierBatches:
         batches = record_batches(monkeypatch)
         for seed in range(2):
             stream = RngStream(905, seed)
-            batched = ptas._TreeSearch(points, ids, sq, 4, 4, 2, stream)
+            batched = ptas._TreeSearch(points, ids, sq, 4, 4, 2, [stream])
             monkeypatch.setattr(ptas, "_BATCH_ENTRIES", chunk * batched._node_entries)
             batched.run()
             tree, batches[:] = list(batches), []
@@ -384,8 +387,8 @@ class TestFrontierBatches:
             reference.visit(None, stream.stream_id, ())
             assert_same_search(batched, reference)
             assert_same_replay(batched, reference, stream)
-            for depth in (2, 3):
-                level = [b for b in tree if len(b[0]) == depth]
+            for depth in (2, 3):  # paths start with the restart index
+                level = [b for b in tree if len(b[0]) == 1 + depth]
                 if chunk == 3:
                     spread = [sum(p in parents(b) for b in level) for p in parents(sum(level, []))]
                     assert max(spread) > 1
@@ -398,8 +401,8 @@ class TestFrontierBatches:
         points = RngStream(55).generator.standard_normal((12, 2))
         _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
         batches = record_batches(monkeypatch)
-        ptas._TreeSearch(points, ids, sq, 3, 239, 2, RngStream(906)).run()
-        assert max(len(parents(b)) for b in batches if len(b[0]) == 2) > 1
+        ptas._TreeSearch(points, ids, sq, 3, 239, 2, [RngStream(906)]).run()
+        assert max(len(parents(b)) for b in batches if len(b[0]) == 3) > 1
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_peak_memory_stays_near_per_parent_batches(self, sq, d):
@@ -413,8 +416,8 @@ class TestFrontierBatches:
         _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
         stream, peaks = RngStream(907, d), []
         # fill the combination caches before tracing
-        PerParentSearch(points, ids, sq, 3, 239, 2, stream).run()
-        searches = [cls(points, ids, sq, 3, 239, 2, stream)
+        PerParentSearch(points, ids, sq, 3, 239, 2, [stream]).run()
+        searches = [cls(points, ids, sq, 3, 239, 2, [stream])
                     for cls in (PerParentSearch, ptas._TreeSearch)]
         for search in searches:
             tracemalloc.start()
@@ -424,7 +427,11 @@ class TestFrontierBatches:
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
             finally:
                 tracemalloc.stop()
-        assert_same_search(*searches)
+        per_parent, frontier = searches
+        assert same_bits(per_parent.best_cost, frontier.best_cost)
+        assert per_parent.best_path == frontier.best_path
+        assert same_bits(per_parent.subsets_examined, frontier.subsets_examined)
+        assert same_bits(per_parent.nodes_expanded, frontier.nodes_expanded)
         assert peaks[1] <= peaks[0] + 8 * ptas._BATCH_ENTRIES, peaks
 
 
