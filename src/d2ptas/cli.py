@@ -236,7 +236,7 @@ def _experiment(spec, measure, points, oracle=None):
     results = {}
 
     t0 = time.perf_counter()
-    ptas_result = find_k_median(points, measure, config, rng.derive(1), threads=spec.get("threads"))
+    ptas_result = find_k_median(points, measure, config, rng.derive(1))
     results["ptas"] = {"cost": ptas_result.cost, "seconds": time.perf_counter() - t0}
 
     t0 = time.perf_counter()
@@ -408,7 +408,7 @@ def _add_algo_flags(sub):
                      help="subset selection: exhaustive | random:R")
     sub.add_argument("--restarts", type=int, default=None, help="independent restarts")
     sub.add_argument("--threads", type=int, default=None,
-                     help="parallel workers over chunks of restarts")
+                     help="accepted and has no effect: all restarts run as one pass")
 
 
 def build_parser():

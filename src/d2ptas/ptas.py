@@ -25,14 +25,16 @@ iteration in one vectorised step, and so is every draw of the exhaustive
 tree, under a key that brings in the seed (see :class:`_TreeSearch`).
 
 Restarts share no state, so each restart is a row of a batch, and every
-restart keeps the bits it would get on its own.  ``RandomTrials`` restarts
-run in chunks, in lock step: each iteration draws, builds its anchored
-patches and scores for the whole chunk at once.  A chunk holds as many
-restarts as fit one scoring table of ``_CHUNK_ENTRIES`` entries, at least
-one.  All ``Exhaustive`` restarts are one chunk: one tree whose roots are the
-restarts, searched a frontier of same-depth nodes at a time.  A batch holds
-the children of several parents and restarts, and every node still gets the
-bits of a lone node, in the order of a depth-first search of its restart.
+restart keeps the bits it would get on its own.  All restarts of a solve run
+as one pass.  ``RandomTrials`` restarts run in lock step: each iteration
+draws, builds its anchored patches and picks its kept trials for all of them
+at once, and only the steps with a row per point and restart (scoring and
+the potentials update) run over groups of restarts that fit
+``_CHUNK_ENTRIES`` table entries, at least one.  ``Exhaustive`` restarts are
+one tree whose roots are the restarts, searched a frontier of same-depth
+nodes at a time.  A batch holds the children of several parents and
+restarts, and every node still gets the bits of a lone node, in the order of
+a depth-first search of its restart.
 """
 
 import itertools
@@ -40,7 +42,6 @@ import logging
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -592,12 +593,13 @@ def _smallest_positions(table, m):
     return np.take_along_axis(chosen, np.argsort(values, axis=-1, kind="stable"), axis=-1)
 
 
-# A chunk of greedy restarts runs in lock step and shares one scoring stack of
-# n points by R trials per restart, at most about this many entries (1 MiB of
-# float64) or one restart's table.  Sharing pays where a restart's table is
-# small and numpy's per-call overhead dominates (desk_small_kl's 8 restarts of
-# 300 x 50 make one chunk); where one restart's table alone is larger
-# (desk_large's 4000 x 50, 1.6 MB), chunks of one restart add no memory.
+# The greedy's steps with a row per point and restart, the (g, n, R) scoring
+# stack and the potentials update, run over groups of g restarts: at most about
+# this many scoring entries (1 MiB of float64) or one restart's table.  Larger
+# groups pay where a restart's table is small and numpy's per-call overhead
+# dominates (desk_small_kl's 8 restarts of 300 x 50 make one group); where one
+# restart's table alone is larger (desk_large's 4000 x 50, 1.6 MB), groups of
+# one restart keep the memory of one table.
 _CHUNK_ENTRIES = 1 << 17
 
 
@@ -627,28 +629,32 @@ def _greedy_restarts(points, measure, cfg, streams):
     and the largest u still gives N - 1
     (:func:`~d2ptas.sampler._uniform_indices`).
 
-    Trial t scores sum_x min(potential(x), D(x, c_t)).  The A restarts of
-    the chunk share, per iteration, one :func:`~d2ptas.sampler.d2_law` table
-    and one draw call, one (A, N, R) ``pairwise`` stack of each sample
-    against its anchors, one top-M selection over it
-    (:func:`_smallest_positions`, exactly the first M of a stable argsort)
-    and one (A, n, R) ``pairwise`` stack of the points against the
-    candidates, scored in place.  Each table is dropped before the next one
-    is built.  The kept centers then update one (A, n) potentials array in
-    one broadcast closed-form ``rowwise``.  Every restart runs all k
-    iterations.  Each restart keeps the bits of a lone pass: its draw, its
-    law, its sample-to-anchor table, its scoring table and its potentials are
-    its own row or block of these.  A center is a subset mean, which may lie
-    a rounding step outside a closed-box domain, so no center is checked
-    against the domain.  The points' side of every scoring table (their
-    lifted copy and maxima, see
+    Trial t scores sum_x min(potential(x), D(x, c_t)).  All A restarts share,
+    per iteration, one :func:`~d2ptas.sampler.d2_law` table and one draw
+    call, one (A, N, R) ``pairwise`` stack of each sample against its
+    anchors, one top-M selection over it (:func:`_smallest_positions`,
+    exactly the first M of a stable argsort) and one gather of the subset
+    means.  The steps with a row per point run over groups of restarts that
+    fit ``_CHUNK_ENTRIES`` (at least one restart), so no table grows with A:
+    a (g, n, R) ``pairwise`` stack of the points against the group's
+    candidates, scored in place and dropped before the next group's, and,
+    once every restart has kept its trial, one broadcast closed-form
+    ``rowwise`` that updates the group's rows of the (A, n) potentials.
+    Every restart runs all k iterations.  Each restart keeps the bits of a
+    lone pass: its draw, its law, its sample-to-anchor table, its scoring
+    table and its potentials are its own row or block of these.  A center is
+    a subset mean, which may lie a rounding step outside a closed-box domain,
+    so no center is checked against the domain.  The points' side of every
+    scoring table (their lifted copy and maxima, see
     :meth:`~d2ptas.divergences.DivergenceMeasure.pairwise`) is computed once
-    for the chunk.
+    per pass.
     """
     trials, sample_size, m_ = cfg.subset_strategy.trials, cfg.sample_size_N, cfg.subset_size_M
-    d = points.shape[1]
+    (n, d), rows = points.shape, np.arange(len(streams))
+    step = max(1, _CHUNK_ENTRIES // (n * trials))
+    groups = [slice(lo, lo + step) for lo in range(0, len(streams), step)]
     point_side = measure._point_side(points)
-    potentials = np.full((len(streams), points.shape[0]), np.inf)               # (A, n)
+    potentials = np.full((len(streams), n), np.inf)                             # (A, n)
     traces = [[] for _ in streams]
     for i in range(cfg.k):
         it_streams = [stream.derive(i) for stream in streams]
@@ -664,35 +670,41 @@ def _greedy_restarts(points, measure, cfg, streams):
                                      points[np.take_along_axis(samples, anchors, axis=1)])
         positions = _smallest_positions(np.swapaxes(to_anchor, 1, 2), m_).reshape(-1, m_)
         del to_anchor                                                            # (A * R, M)
-        rows = np.arange(len(streams))
-        members = samples[np.repeat(rows, trials)[:, None], positions]          # (A * R, M)
-        cands = points[members].mean(axis=1)                                     # (A * R, d)
-        # Score in place and drop the table before the next iteration: with a
+        # the patches' point indices are not kept: the kept trials' are
+        # gathered again after scoring, so fewer temporaries live meanwhile
+        cands = points[samples[np.repeat(rows, trials)[:, None], positions]].mean(axis=1)
+        # Score in place and drop each table before the next one: with a
         # second live table the allocator releases and re-faults its pages on
-        # every iteration.  The potentials stay the first operand, so the
-        # scores keep the bits of np.minimum(potentials, table).
-        table = measure.pairwise(points, cands.reshape(len(streams), trials, d),
-                                 point_side=point_side)                          # (A, n, R)
-        np.minimum(potentials[:, :, None], table, out=table)
-        scores = table.sum(axis=1)                                               # (A, R)
-        del table
+        # every group.  The potentials stay the first operand, so the scores
+        # keep the bits of np.minimum(potentials, table).
+        scores = np.empty((len(streams), trials))                                # (A, R)
+        for g in groups:
+            table = measure.pairwise(points, cands.reshape(len(streams), trials, d)[g],
+                                     point_side=point_side)                      # (g, n, R)
+            np.minimum(potentials[g, :, None], table, out=table)
+            scores[g] = table.sum(axis=1)
+            del table
         # the kept trials' rows, copied out so that a trace does not hold a whole menu
         best = np.argmin(scores, axis=1)
         kept = rows * trials + best
-        for j, (t, kept_positions, kept_points, center) in enumerate(
-                zip(best.tolist(), positions[kept], members[kept], cands[kept])):
+        centers, kept_positions = cands[kept], positions[kept]           # (A, d), (A, M)
+        kept_points = samples[rows[:, None], kept_positions]                     # (A, M)
+        for j, (t, patch, patch_points, center) in enumerate(
+                zip(best.tolist(), kept_positions, kept_points, centers)):
             traces[j].append({
                 "iteration": i,
-                "sample": samples[j],
+                "sample": samples[j].copy(),
                 "trial": t,
                 "anchor": int(anchors[j, t]),
-                "subset_positions": kept_positions,
-                "subset_points": kept_points,
+                "subset_positions": patch,
+                "subset_points": patch_points,
                 "center": center,
                 "partial_cost": float(scores[j, t]),
             })
         # each kept center in closed form, as the reported cost is evaluated
-        potentials = np.minimum(potentials, measure.rowwise(points, cands[kept][:, None, :]))
+        for g in groups:
+            np.minimum(potentials[g], measure.rowwise(points, centers[g, None, :]),
+                       out=potentials[g])
     return [_Restart(float(row.sum()), [entry["center"] for entry in trace], trace,
                      trials * cfg.k, cfg.k) for row, trace in zip(potentials, traces)]
 
@@ -703,35 +715,8 @@ def _log_restart(r, cfg, outcome):
              outcome.nodes_expanded)
 
 
-def _fold(cfg, done):
-    """(restart, outcome) of the (cost, restart) minimum over the chunks of
-    outcomes ``done`` as they finish, and the summed subset and node counts.
-    Each loser is dropped as it loses, trace and all."""
-    best_r, best, subsets, nodes, r = 0, None, 0, 0, 0
-    # no enumerate: its reused result tuple would keep the last outcome alive
-    # while the next restart runs, and so would the loop variable
-    for outcome in itertools.chain.from_iterable(done):
-        _log_restart(r, cfg, outcome)
-        subsets += outcome.subsets_examined
-        nodes += outcome.nodes_expanded
-        if best is None or outcome.cost < best.cost:
-            best_r, best = r, outcome
-        r += 1
-        del outcome
-    return best_r, best, subsets, nodes
-
-
-def _chunks(cfg, n):
-    """Restart indices 0..R-1 in the chunks that run together: all of them
-    for ``Exhaustive``, whose tree batches its nodes by entries itself, else
-    as many as fit ``_CHUNK_ENTRIES`` (n x R entries each), at least one."""
-    size = (cfg.restarts if isinstance(cfg.subset_strategy, Exhaustive)
-            else max(1, _CHUNK_ENTRIES // (n * cfg.subset_strategy.trials)))
-    return [range(lo, min(lo + size, cfg.restarts)) for lo in range(0, cfg.restarts, size)]
-
-
-def _run_chunk(points, ids, measure, cfg, streams):
-    """Outcomes of the restarts on ``streams``, in order."""
+def _run_restarts(points, ids, measure, cfg, streams):
+    """Outcomes of the restarts on ``streams``, in order, all in one pass."""
     if isinstance(cfg.subset_strategy, Exhaustive):
         return _TreeSearch(points, ids, measure, cfg.k, cfg.sample_size_N, cfg.subset_size_M,
                            streams).run()
@@ -796,10 +781,8 @@ def find_k_median(data, measure, config, rng, threads=None):
 
     Restart r runs on ``rng.derive(r)``; the winner is the (cost, restart)
     lexicographic minimum, so results are reproducible and adding restarts
-    can only improve the returned cost.  Restarts run in chunks (see
-    :func:`_chunks`), and ``threads`` workers run chunks side by side, which
-    changes no result: where all restarts fit one chunk, as ``Exhaustive``
-    restarts always do, there is nothing to run side by side.
+    can only improve the returned cost.  All restarts run as one pass (see
+    the module docstring).  ``threads`` is accepted and has no effect.
     """
     points, cfg, ids = _prepare(data, measure, config)
     t0 = time.perf_counter()
@@ -807,31 +790,29 @@ def find_k_median(data, measure, config, rng, threads=None):
     if ids.max() + 1 <= cfg.k:
         return _one_center_per_value(points, ids, measure, cfg, rng, t0, restarts=0,
                                      winning_restart=0)
-
-    def run(chunk):
-        return _run_chunk(points, ids, measure, cfg, [rng.derive(r) for r in chunk])
-
-    chunks = _chunks(cfg, points.shape[0])
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            best_r, best, subsets, nodes = _fold(cfg, pool.map(run, chunks))
-    else:
-        best_r, best, subsets, nodes = _fold(cfg, map(run, chunks))
+    outcomes = _run_restarts(points, ids, measure, cfg,
+                             [rng.derive(r) for r in range(cfg.restarts)])
+    for r, outcome in enumerate(outcomes):
+        _log_restart(r, cfg, outcome)
+    # the first of the cheapest, so the (cost, restart) minimum
+    best_r = min(range(cfg.restarts), key=lambda r: outcomes[r].cost)
     meta = _meta(rng, cfg, t0, restarts=cfg.restarts, winning_restart=best_r,
-                 subsets_examined=subsets, nodes_expanded=nodes, iterations=cfg.k,
-                 trace=best.trace)
-    return _result(points, measure, best.centers, meta)
+                 subsets_examined=sum(o.subsets_examined for o in outcomes),
+                 nodes_expanded=sum(o.nodes_expanded for o in outcomes), iterations=cfg.k,
+                 trace=outcomes[best_r].trace)
+    return _result(points, measure, outcomes[best_r].centers, meta)
 
 
 def find_k_means(data, config, rng, threads=None):
-    """k-means entry point: squared-Euclidean objective, same engine underneath."""
-    return find_k_median(data, SquaredEuclidean(), config, rng, threads=threads)
+    """k-means entry point: squared-Euclidean objective, same engine underneath.
+    ``threads`` is accepted and has no effect."""
+    return find_k_median(data, SquaredEuclidean(), config, rng)
 
 
 def run_one_restart(data, measure, config, rng):
     """Execute the k-iteration inner loop once, with a full per-iteration trace.
 
-    This is a chunk of one restart, on ``rng`` itself; restart r of
+    This is a pass of one restart, on ``rng`` itself; restart r of
     :func:`find_k_median` equals it on ``rng.derive(r)`` bit for bit.  On at
     most k distinct values it runs no search and returns what
     :func:`find_k_median` does: a center on each value, an empty trace and
@@ -841,7 +822,7 @@ def run_one_restart(data, measure, config, rng):
     t0 = time.perf_counter()
     if ids.max() + 1 <= cfg.k:
         return _one_center_per_value(points, ids, measure, cfg, rng, t0, restarts=0)
-    outcome, = _run_chunk(points, ids, measure, cfg, [rng])
+    outcome, = _run_restarts(points, ids, measure, cfg, [rng])
     _log_restart(0, cfg, outcome)
     meta = _meta(rng, cfg, t0, restarts=1, subsets_examined=outcome.subsets_examined,
                  nodes_expanded=outcome.nodes_expanded, iterations=cfg.k, trace=outcome.trace)
@@ -877,7 +858,8 @@ def find_best_over_k(data, measure, config, rng, threads=None):
     The tightened epsilon only changes the sub-runs under
     ``scale_preset="paper"``.  The desk preset's N, M and restarts are fixed
     constants, so there every sub-run uses the same constants whatever epsilon
-    is.
+    is.  Each sub-run runs its restarts as one pass; ``threads`` is accepted
+    and has no effect.
     """
     points = as_points(data)
     base = config.resolved(measure)
@@ -885,7 +867,7 @@ def find_best_over_k(data, measure, config, rng, threads=None):
     best, runs = None, []
     for i in range(1, base.k + 1):
         sub = replace(config, k=i, epsilon=scaled_eps)
-        result = find_k_median(points, measure, sub, rng.derive(i), threads=threads)
+        result = find_k_median(points, measure, sub, rng.derive(i))
         runs.append({"k": i, "cost": result.cost})
         if best is None or result.cost < best.cost:
             best = result

@@ -5,12 +5,17 @@ specific seeds; the expectations were measured once and asserted with wide
 margins so the tests are deterministic, not flaky.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import d2ptas
 from d2ptas import (
     ConfigError,
     Exhaustive,
@@ -291,11 +296,10 @@ class TestFindKMedianContracts:
         np.testing.assert_array_equal(labels, res.assignment)
 
     def test_threads_do_not_change_the_answer(self, sq, planted):
-        """Workers run chunks of restarts side by side; 20 restarts at n = 300
-        make chunks of 8, 8 and 4, so there is work to share."""
+        """``threads`` is accepted and has no effect: 20 restarts at n = 300
+        give the same result with ``threads=4`` as without."""
         points, _, _ = planted
         cfg = desk(3, restarts=20)
-        assert [len(c) for c in ptas._chunks(cfg.resolved(sq), len(points))] == [8, 8, 4]
         seq = find_k_median(points, sq, cfg, RngStream(9))
         par = find_k_median(points, sq, cfg, RngStream(9), threads=4)
         np.testing.assert_array_equal(np.asarray(seq.centers), np.asarray(par.centers))
@@ -304,6 +308,39 @@ class TestFindKMedianContracts:
                    for res in (seq, par)]
         assert untimed[0] == untimed[1]
         TestLockStepRestarts.assert_same_trace(seq.meta["trace"], par.meta["trace"])
+
+    def test_results_do_not_depend_on_the_blas_thread_count(self):
+        """The desk preset at desk_large's shape (n = 4000, d = 16, k = 10,
+        8 restarts) gives the same whole result, traces included, at one
+        BLAS thread and at two."""
+        script = (
+            "import hashlib, numpy as np\n"
+            "from d2ptas import PtasConfig, RngStream, SquaredEuclidean, find_k_median\n"
+            "g = np.random.default_rng(14)\n"
+            "c = g.uniform(0.0, 100.0, size=(10, 16))\n"
+            "p = np.repeat(c, 400, axis=0) + g.standard_normal((4000, 16))\n"
+            "r = find_k_median(p, SquaredEuclidean(), PtasConfig(k=10, epsilon=0.5), "
+            "RngStream(5))\n"
+            "h = hashlib.sha256()\n"
+            "for a in (r.centers, r.assignment, np.float64(r.cost)):\n"
+            "    h.update(a.tobytes())\n"
+            "h.update(repr({k: v for k, v in r.meta.items() "
+            "if k not in ('seconds', 'trace')}).encode())\n"
+            "for entry in r.meta['trace']:\n"
+            "    for k in sorted(entry):\n"
+            "        h.update(k.encode() + np.asarray(entry[k]).tobytes())\n"
+            "print(h.hexdigest())\n")
+        src = str(Path(d2ptas.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_only_the_winning_trace_is_kept(self, sq, four_point_line, monkeypatch):
         """Each exhaustive trace entry holds its N-point sample.  Only the
@@ -558,33 +595,33 @@ class TestGreedyScoring:
     def test_a_restart_holds_one_scoring_table(self, name):
         """At desk_large's shape (n = 4000, d = 16, k = 10, R = 50) the traced
         peak stays below two n x R float64 tables (3.2 MB): for one restart,
-        and for 8 restarts, which run as chunks of one restart each."""
+        and for 8 restarts, which run in lock step and score in groups of
+        one restart each."""
         n, d, k, trials = 4000, 16, 10, 50
         measure, points = self.blobs(name, n, d, k, 11)
         cfg = desk(k, restarts=1, subset_strategy=RandomTrials(trials))
-        assert ptas._chunks(cfg.resolved(measure), n) == [range(0, 1)]
         assert self.traced_peak(
             lambda: run_one_restart(points, measure, cfg, RngStream(3))) < 2 * n * trials * 8
         cfg = replace(cfg, restarts=8)
-        assert len(ptas._chunks(cfg.resolved(measure), n)) == 8
+        assert ptas._CHUNK_ENTRIES // (n * trials) == 0
         assert self.traced_peak(
             lambda: find_k_median(points, measure, cfg, RngStream(3))) < 2 * n * trials * 8
 
     @pytest.mark.parametrize("name", ["sqeuclid", "kl"])
-    def test_a_chunk_of_restarts_holds_one_scoring_table(self, name):
-        """At n = 300 the 8 desk restarts run as one chunk, whose traced peak
-        stays below two tables of the chunk budget (2 MiB)."""
+    def test_a_group_of_restarts_holds_one_scoring_table(self, name):
+        """At n = 300 the 8 desk restarts score as one group, whose traced
+        peak stays below two tables of the group budget (2 MiB)."""
         n, d, k = 300, 2, 3
         measure, points = self.blobs(name, n, d, k, 12)
         cfg = desk(k)
-        assert ptas._chunks(cfg.resolved(measure), n) == [range(0, 8)]
+        assert ptas._CHUNK_ENTRIES // (n * cfg.resolved(measure).subset_strategy.trials) >= 8
         assert self.traced_peak(
             lambda: find_k_median(points, measure, cfg, RngStream(4))) < 2 * ptas._CHUNK_ENTRIES * 8
 
-    def test_the_point_side_is_built_once_per_chunk(self, planted):
-        """Every scoring table of a chunk reuses one lifted copy of the points:
-        ``phi`` runs on the n points once per chunk (plus once for the final
-        ``assign``), not once per iteration."""
+    def test_the_point_side_is_built_once_per_solve(self, planted):
+        """Every scoring table of a solve reuses one lifted copy of the
+        points: ``phi`` runs on the n points once per solve (plus once for
+        the final ``assign``), not once per iteration or scoring group."""
         points = np.concatenate([planted[0]] * 4)[:1000]
 
         class PhiCounter(SquaredEuclidean):
@@ -597,17 +634,17 @@ class TestGreedyScoring:
                 return super().phi(X)
 
         counter, cfg = PhiCounter(), desk(3, restarts=3)
-        chunks = ptas._chunks(cfg.resolved(counter), len(points))
-        assert [len(c) for c in chunks] == [2, 1]
+        assert ptas._CHUNK_ENTRIES // (len(points) * 50) == 2  # scoring groups of 2 and 1
         result = find_k_median(points, counter, cfg, RngStream(9))
-        assert counter.calls == len(chunks) + 1
+        assert counter.calls == 2
         plain = find_k_median(points, SquaredEuclidean(), cfg, RngStream(9))
         assert result.centers.tobytes() == plain.centers.tobytes()
 
 
 class TestLockStepRestarts:
-    """A chunk of greedy restarts runs in lock step, and each restart in it
-    keeps the bits of the same restart run on its own."""
+    """All greedy restarts of a solve run in lock step, scored in groups of
+    restarts, and each restart keeps the bits of the same restart run on its
+    own."""
 
     @staticmethod
     def assert_same_trace(mine, theirs):
@@ -666,14 +703,58 @@ class TestLockStepRestarts:
         outcomes = self.assert_lone_restarts(points, sq, cfg, RngStream(51), 8)
         assert all(o.cost == 0.0 and len(o.centers) == len(o.trace) == 3 for o in outcomes)
 
-    def test_each_restart_is_a_lone_restart_in_a_204_column_chunk(self, planted, sq):
-        """Four restarts of 51 trials on 300 points make one chunk of 204
+    @pytest.mark.parametrize("name", ["sqeuclid", "kl"])
+    @pytest.mark.parametrize("group,sizes", [(1, [1] * 8), (3, [3, 3, 2]), (8, [8])],
+                             ids=["groups-of-1", "groups-of-3", "one-group"])
+    def test_each_restart_is_a_lone_restart_at_desk_large_shape(self, monkeypatch, name, group,
+                                                                sizes):
+        """n = 4000, d = 16, k = 10 and 8 restarts of 50 trials, scored in
+        groups of 1 restart, of 3, 3 and 2, and all 8 in one: every restart
+        is ``run_one_restart`` on its own stream, traces and counters
+        included."""
+        n, trials = 4000, 50
+        measure, points = TestGreedyScoring.blobs(name, n, 16, 10, 13)
+        monkeypatch.setattr(ptas, "_CHUNK_ENTRIES", group * n * trials)
+        scored, pairwise = [], type(measure).pairwise
+
+        def spy(self, P, C, point_side=None):
+            if np.ndim(P) == 2 and np.ndim(C) == 3:  # a scoring stack
+                scored.append(np.shape(C)[0])
+            return pairwise(self, P, C, point_side)
+
+        monkeypatch.setattr(type(measure), "pairwise", spy)
+        cfg = desk(10, subset_strategy=RandomTrials(trials))
+        outcomes = self.assert_lone_restarts(points, measure, cfg, RngStream(64), 8)
+        # the lock-step pass scores in groups; each lone pass scores one restart
+        assert scored[:10 * len(sizes)] == sizes * 10
+        assert set(scored[10 * len(sizes):]) == {1}
+        assert len({o.cost for o in outcomes}) > 1
+
+    def test_each_restart_is_a_lone_restart_in_a_204_column_group(self, planted, sq):
+        """Four restarts of 51 trials on 300 points score as one group of 204
         candidates.  Past about 192 columns a product's columns can take other
         bits than the same columns of a narrower one, so each restart is
         scored in its own product."""
         cfg = desk(3, restarts=4, subset_strategy=RandomTrials(51))
-        assert ptas._chunks(cfg.resolved(sq), len(planted[0])) == [range(0, 4)]
         self.assert_lone_restarts(planted[0], sq, cfg, RngStream(55), 4)
+
+    def test_a_trace_sample_owns_its_data(self, planted, sq):
+        """A trace's sample is copied out of the pass's draw of every
+        restart, so a result holds no other restart's sample; its indices are
+        the lone restart's D² draw."""
+        points = planted[0]
+        cfg = desk(3).resolved(sq)
+        rng = RngStream(63)
+        res = find_k_median(points, sq, cfg, rng)
+        stream = rng.derive(res.meta["winning_restart"])
+        center_set = CenterSet.empty(points, sq)
+        for i, entry in enumerate(res.meta["trace"]):
+            sample = entry["sample"]
+            assert sample.base is None and sample.flags.owndata
+            want = d2_sample(center_set, stream.derive(i).derive(0), cfg.sample_size_N)
+            assert (sample.dtype, sample.shape, sample.tobytes()) == (
+                want.dtype, want.shape, want.tobytes())
+            center_set = center_set.add(entry["center"])
 
     def test_fewer_restarts_are_a_prefix(self, planted, sq):
         points = planted[0]
@@ -688,7 +769,7 @@ class TestLockStepRestarts:
 
     @pytest.mark.parametrize("entries", [1, 1 << 40], ids=["one-node", "large"])
     def test_each_exhaustive_restart_is_a_lone_restart(self, sq, monkeypatch, entries):
-        """All restarts are one chunk, the roots of one tree.  With batches of
+        """All restarts are one pass, the roots of one tree.  With batches of
         one node and with batches that mix restarts, each restart's cost and
         counters are those of ``run_one_restart`` on ``rng.derive(r)``, and
         only the winner, whose result is the lone restart's, replays its
@@ -700,25 +781,24 @@ class TestLockStepRestarts:
             mixed.append(len(set(keys.tolist())) > 1)
             return expand(self, potentials, node_ids, keys)
 
-        outcomes, run_chunk = [], ptas._run_chunk
+        outcomes, run_restarts = [], ptas._run_restarts
 
         def recorded(*args):
-            outcomes.append(run_chunk(*args))
+            outcomes.append(run_restarts(*args))
             return outcomes[-1]
 
         monkeypatch.setattr(ptas._TreeSearch, "_expand", spy)
-        monkeypatch.setattr(ptas, "_run_chunk", recorded)
+        monkeypatch.setattr(ptas, "_run_restarts", recorded)
         points = RngStream(60).generator.standard_normal((9, 2))
         cfg = PtasConfig(k=3, epsilon=0.5, sample_size_N=6, subset_size_M=2, restarts=4,
                          subset_strategy=Exhaustive())
-        assert ptas._chunks(cfg.resolved(sq), len(points)) == [range(0, 4)]
         rng = RngStream(61)
         best = find_k_median(points, sq, cfg, rng)
         assert any(mixed) == (entries > 1)
-        chunk, = outcomes
+        restarts, = outcomes
         winner = best.meta["winning_restart"]
-        assert [o.trace is not None for o in chunk] == [r == winner for r in range(4)]
-        for r, outcome in enumerate(chunk):
+        assert [o.trace is not None for o in restarts] == [r == winner for r in range(4)]
+        for r, outcome in enumerate(restarts):
             lone = run_one_restart(points, sq, cfg, rng.derive(r))
             (alone,) = outcomes[-1]
             assert np.float64(outcome.cost).tobytes() == np.float64(alone.cost).tobytes()
@@ -730,7 +810,7 @@ class TestLockStepRestarts:
 
 
 class TestAnchoredPatches:
-    """A chunk builds its restarts' anchored patches from one stacked
+    """A pass builds its restarts' anchored patches from one stacked
     sample-to-anchor table and an exact top-M selection; every patch is the
     mirror's, one ``pairwise`` per restart and a stable argsort."""
 
@@ -753,23 +833,23 @@ class TestAnchoredPatches:
             center_set = center_set.add(center)
         return patches
 
-    def assert_chunk_is_the_mirror(self, points, measure, seed, monkeypatch):
-        """Run the desk preset's 8 restarts (one chunk) through ``find_k_median``
+    def assert_pass_is_the_mirror(self, points, measure, seed, monkeypatch):
+        """Run the desk preset's 8 restarts (one pass) through ``find_k_median``
         and check every restart against the mirror on ``rng.derive(r)``;
         returns how many trials had a tie across the M-th nearest position."""
         cfg = desk(3).resolved(measure)
-        chunks, greedy = [], ptas._greedy_restarts
+        passes, greedy = [], ptas._greedy_restarts
 
         def recorded(*args):
-            chunks.append(greedy(*args))
-            return chunks[-1]
+            passes.append(greedy(*args))
+            return passes[-1]
 
         monkeypatch.setattr(ptas, "_greedy_restarts", recorded)
         rng = RngStream(seed)
         best = find_k_median(points, measure, cfg, rng)
-        assert [len(chunk) for chunk in chunks] == [8]
+        assert [len(outcomes) for outcomes in passes] == [8]
         m_, ties = cfg.subset_size_M, 0
-        for r, outcome in enumerate(chunks[0]):
+        for r, outcome in enumerate(passes[0]):
             stream = rng.derive(r)
             mirror, _ = TestAnchoredTrialsDiscipline.mirror_restart(points, measure, cfg, stream,
                                                                     cfg.subset_strategy.trials)
@@ -784,20 +864,20 @@ class TestAnchoredPatches:
                 ordered = np.sort(to_anchor, axis=0)
                 ties += int(np.count_nonzero(ordered[m_ - 1] == ordered[m_]))
         TestLockStepRestarts.assert_same_trace(
-            best.meta["trace"], chunks[0][best.meta["winning_restart"]].trace)
+            best.meta["trace"], passes[0][best.meta["winning_restart"]].trace)
         return ties
 
     def test_each_restart_is_the_mirror_on_kl_data(self, planted, monkeypatch):
         points = planted[0]
         points = 0.1 + 0.8 * (points - points.min(axis=0)) / np.ptp(points, axis=0)
-        self.assert_chunk_is_the_mirror(points, KullbackLeibler(), 61, monkeypatch)
+        self.assert_pass_is_the_mirror(points, KullbackLeibler(), 61, monkeypatch)
 
     def test_each_restart_is_the_mirror_on_duplicate_heavy_data(self, sq, planted,
                                                                 monkeypatch):
         """Points rounded to one decimal: equal distances straddle the M-th
         nearest position, where the selection must pick ties by position."""
         points = np.round(planted[0], 1)
-        assert self.assert_chunk_is_the_mirror(points, sq, 62, monkeypatch) > 0
+        assert self.assert_pass_is_the_mirror(points, sq, 62, monkeypatch) > 0
 
     @staticmethod
     def assert_stable_prefix(table, m):
