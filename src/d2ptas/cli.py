@@ -115,8 +115,8 @@ def generate_planted(k, per_cluster, dim, separation, sigma, rng, max_attempts=1
     Returns (points, labels, centers); labels are the generating component of
     each point, usable as ground truth.
     """
-    if k < 1 or per_cluster < 1:
-        raise ConfigError("need k >= 1 and per_cluster >= 1")
+    if k < 1 or per_cluster < 1 or dim < 1:
+        raise ConfigError("need k >= 1, per_cluster >= 1 and dim >= 1")
     if separation <= 0 or sigma <= 0:
         raise ConfigError("separation and sigma must be positive")
     gen = rng.generator

@@ -299,6 +299,9 @@ class DivergenceMeasure:
 
     def validate_points(self, X):
         X = np.asarray(X, dtype=float)
+        if self.fixed_dim is not None and X.shape[-1:] != (self.fixed_dim,):
+            raise DimensionMismatch(f"measure is {self.fixed_dim}-dimensional, "
+                                    f"got points of shape {X.shape}")
         if not np.all(np.isfinite(X)):
             raise DomainError("coordinates must be finite")
         _check_domain(X, self.domain)
@@ -642,6 +645,9 @@ def check_mu_similarity(measure, U, P, Q, tolerance=1e-12):
 
 def random_pairs(measure, dim, count, rng):
     """Two (count, dim) batches of in-domain points, from the generator of the stream ``rng``."""
+    if count < 1 or dim < 1:
+        raise ConfigError(f"need at least one trial of at least one dimension, got {count} "
+                          f"trials of dimension {dim}")
     P = measure.sample_domain(rng.generator, (count, dim))
     Q = measure.sample_domain(rng.generator, (count, dim))
     return P, Q
@@ -721,6 +727,6 @@ def centroid_report(measure, rng, instances=100, tolerance=1e-9):
 
 def mu_similarity_report(measure, dim, trials, rng, tolerance=1e-12):
     """check_mu_similarity against the measure's own reference quadratic form."""
-    U = measure.similarity_matrix(dim)
-    return check_mu_similarity(measure, U, *random_pairs(measure, dim, trials, rng),
+    P, Q = random_pairs(measure, dim, trials, rng)
+    return check_mu_similarity(measure, measure.similarity_matrix(dim), P, Q,
                                tolerance=tolerance)

@@ -35,6 +35,13 @@ one tree whose roots are the restarts, searched a frontier of same-depth
 nodes at a time.  A batch holds the children of several parents and
 restarts, and every node still gets the bits of a lone node, in the order of
 a depth-first search of its restart.
+
+Both strategies return the same shape (:func:`_run_restarts`): each
+restart's cost and counters as arrays, and the first cheapest restart's
+index, centers and trace.  Only that winner's trace is ever built.
+:func:`find_k_median` and :func:`run_one_restart` share one body
+(:func:`_solve`), so their results and ``meta`` differ only in the streams
+they run: ``rng.derive(r)`` for each restart r, or ``rng`` itself.
 """
 
 import itertools
@@ -234,19 +241,6 @@ class ClusteringResult:
 # restart internals
 # ----------------------------------------------------------------------
 
-class _Restart:
-    """Outcome of one restart: chosen centers and how they were found."""
-
-    __slots__ = ("cost", "centers", "trace", "subsets_examined", "nodes_expanded")
-
-    def __init__(self, cost, centers, trace, subsets_examined, nodes_expanded):
-        self.cost = cost
-        self.centers = centers
-        self.trace = trace
-        self.subsets_examined = subsets_examined
-        self.nodes_expanded = nodes_expanded
-
-
 # Draws are deduplicated a block of rows at a time, at most about this many
 # draws or one row per block, which bounds the block's key and position
 # temporaries.  The paper preset draws N = 819 200 points per node, so each
@@ -316,13 +310,9 @@ def _menu_size(sample_size, subset_size, distinct, cap=math.inf):
 def _check_tree_size(cfg, distinct, restarts):
     """Refuse an exhaustive search that could score more than ``ENUMERATION_BUDGET``
     subsets: ``restarts`` trees of k levels, each node offering up to
-    :func:`_menu_size` candidates.
-
-    With at most k distinct values no search is needed: both entry points
-    place a center on each value without one (:func:`_one_center_per_value`).
+    :func:`_menu_size` candidates.  :func:`_solve` asks only when there are
+    more than k distinct values, as fewer need no search.
     """
-    if distinct <= cfg.k:
-        return
     menu = _menu_size(cfg.sample_size_N, cfg.subset_size_M, distinct, cap=10 ** 18)
     if menu > 10 ** 18:
         shown = "more than 10^18"
@@ -487,18 +477,18 @@ class _TreeSearch:
         return _Batch(samples, pools, starts, which, means, table, potentials)
 
     def run(self):
-        """One outcome per restart, in order; only the (cost, restart)
-        minimum's carries centers and a trace."""
+        """Search every restart, then replay only the first cheapest one.
+
+        Returns what :func:`_run_restarts` does: the per-restart costs and
+        counters, and the winner's index, centers and trace.
+        """
         # the roots' potentials are +inf, the cost to no center; each path
         # holds just its restart index
         self._search(np.full((len(self.roots), self.points.shape[0]), np.inf), self.roots,
                      np.arange(len(self.roots))[:, None])
-        outcomes = [_Restart(float(cost), None, None, int(subsets), int(nodes))
-                    for cost, subsets, nodes in zip(self.best_cost, self.subsets_examined,
-                                                    self.nodes_expanded)]
         win = int(np.argmin(self.best_cost))
-        outcomes[win].centers, outcomes[win].trace = self.replay(self.best_path[win])
-        return outcomes
+        return (self.best_cost, self.subsets_examined, self.nodes_expanded, win,
+                *self.replay(self.best_path[win]))
 
     def _search(self, potentials, node_ids, paths):
         """Visit a frontier of same-depth nodes in (restart, path) order, in
@@ -604,7 +594,8 @@ _CHUNK_ENTRIES = 1 << 17
 
 
 def _greedy_restarts(points, measure, cfg, streams):
-    """Greedy passes on ``streams``, run in lock step: one outcome per stream.
+    """Greedy passes on ``streams``, run in lock step; returns what
+    :func:`_run_restarts` does.
 
     Per iteration each restart draws a D² sample, scores R anchored subset
     trials and keeps the best.  Trial t picks a uniform anchor position in
@@ -647,7 +638,9 @@ def _greedy_restarts(points, measure, cfg, streams):
     so no center is checked against the domain.  The points' side of every
     scoring table (their lifted copy and maxima, see
     :meth:`~d2ptas.divergences.DivergenceMeasure.pairwise`) is computed once
-    per pass.
+    per pass.  Each iteration keeps every restart's draw, kept trial, anchor,
+    patch, center and score as (A, ...) arrays, and only the winner's trace
+    is built from them, after the last iteration.
     """
     trials, sample_size, m_ = cfg.subset_strategy.trials, cfg.sample_size_N, cfg.subset_size_M
     (n, d), rows = points.shape, np.arange(len(streams))
@@ -655,7 +648,8 @@ def _greedy_restarts(points, measure, cfg, streams):
     groups = [slice(lo, lo + step) for lo in range(0, len(streams), step)]
     point_side = measure._point_side(points)
     potentials = np.full((len(streams), n), np.inf)                             # (A, n)
-    traces = [[] for _ in streams]
+    # per iteration, every restart's draw, kept trial, anchor, patch, center and score
+    history = []
     for i in range(cfg.k):
         it_streams = [stream.derive(i) for stream in streams]
         samples = weighted_draw(d2_law(potentials),
@@ -671,7 +665,7 @@ def _greedy_restarts(points, measure, cfg, streams):
         positions = _smallest_positions(np.swapaxes(to_anchor, 1, 2), m_).reshape(-1, m_)
         del to_anchor                                                            # (A * R, M)
         # the patches' point indices are not kept: the kept trials' are
-        # gathered again after scoring, so fewer temporaries live meanwhile
+        # gathered again for the trace, so fewer temporaries live meanwhile
         cands = points[samples[np.repeat(rows, trials)[:, None], positions]].mean(axis=1)
         # Score in place and drop each table before the next one: with a
         # second live table the allocator releases and re-faults its pages on
@@ -687,49 +681,47 @@ def _greedy_restarts(points, measure, cfg, streams):
         # the kept trials' rows, copied out so that a trace does not hold a whole menu
         best = np.argmin(scores, axis=1)
         kept = rows * trials + best
-        centers, kept_positions = cands[kept], positions[kept]           # (A, d), (A, M)
-        kept_points = samples[rows[:, None], kept_positions]                     # (A, M)
-        for j, (t, patch, patch_points, center) in enumerate(
-                zip(best.tolist(), kept_positions, kept_points, centers)):
-            traces[j].append({
-                "iteration": i,
-                "sample": samples[j].copy(),
-                "trial": t,
-                "anchor": int(anchors[j, t]),
-                "subset_positions": patch,
-                "subset_points": patch_points,
-                "center": center,
-                "partial_cost": float(scores[j, t]),
-            })
+        centers = cands[kept]                                                    # (A, d)
+        history.append((samples, best, anchors[rows, best], positions[kept], centers,
+                        scores[rows, best]))
         # each kept center in closed form, as the reported cost is evaluated
         for g in groups:
             np.minimum(potentials[g], measure.rowwise(points, centers[g, None, :]),
                        out=potentials[g])
-    return [_Restart(float(row.sum()), [entry["center"] for entry in trace], trace,
-                     trials * cfg.k, cfg.k) for row, trace in zip(potentials, traces)]
-
-
-def _log_restart(r, cfg, outcome):
-    log.info("restart %d: strategy %s, cost %.10g, subsets %d, nodes %d", r,
-             cfg.subset_strategy.describe(), outcome.cost, outcome.subsets_examined,
-             outcome.nodes_expanded)
+    costs = potentials.sum(axis=1)
+    win = int(np.argmin(costs))
+    trace = [{
+        "iteration": i,
+        "sample": samples[win].copy(),
+        "trial": int(best[win]),
+        "anchor": int(anchor[win]),
+        "subset_positions": patch[win],
+        "subset_points": samples[win, patch[win]],
+        "center": centers[win],
+        "partial_cost": float(score[win]),
+    } for i, (samples, best, anchor, patch, centers, score) in enumerate(history)]
+    return (costs, np.full(len(streams), trials * cfg.k), np.full(len(streams), cfg.k), win,
+            [entry["center"] for entry in trace], trace)
 
 
 def _run_restarts(points, ids, measure, cfg, streams):
-    """Outcomes of the restarts on ``streams``, in order, all in one pass."""
+    """Run the restarts on ``streams`` in one pass.
+
+    Returns, for either strategy, three arrays with one entry per restart
+    (cost, subsets examined, nodes expanded), then the index of the first
+    cheapest restart, its centers and its per-iteration trace.
+    """
     if isinstance(cfg.subset_strategy, Exhaustive):
         return _TreeSearch(points, ids, measure, cfg.k, cfg.sample_size_N, cfg.subset_size_M,
                            streams).run()
     return _greedy_restarts(points, measure, cfg, streams)
 
 
-def _prepare(data, measure, config, restarts=None):
+def _prepare(data, measure, config):
     """Validated points, the resolved config, and each point's distinct-value id.
 
     Two points share an id exactly when their coordinates compare equal, so
-    ``0.0`` and ``-0.0`` count as one value.  An exhaustive search of
-    ``restarts`` restarts (by default the config's) is refused here, before
-    any draw, when it could score too many subsets (:func:`_check_tree_size`).
+    ``0.0`` and ``-0.0`` count as one value.
     """
     points = as_points(data)
     measure.validate_points(points)
@@ -737,10 +729,7 @@ def _prepare(data, measure, config, restarts=None):
     if points.shape[0] < cfg.k:
         raise InsufficientPoints(f"need at least k={cfg.k} points, got {points.shape[0]}")
     _, ids = np.unique(points, axis=0, return_inverse=True)
-    ids = ids.reshape(-1)
-    if isinstance(cfg.subset_strategy, Exhaustive):
-        _check_tree_size(cfg, int(ids.max()) + 1, cfg.restarts if restarts is None else restarts)
-    return points, cfg, ids
+    return points, cfg, ids.reshape(-1)
 
 
 def _result(points, measure, centers, meta):
@@ -750,25 +739,45 @@ def _result(points, measure, centers, meta):
     return ClusteringResult(centers=centers, assignment=labels, cost=float(costs.sum()), meta=meta)
 
 
-def _meta(rng, cfg, t0, **fields):
-    """Run provenance shared by the search entry points."""
-    return {
+def _solve(data, measure, config, rng, lone=False):
+    """The body of both search entry points: restart r runs on ``rng.derive(r)``,
+    or a ``lone`` restart on ``rng`` itself, and the first cheapest one wins.
+
+    An exhaustive search that could score too many subsets is refused before
+    any draw (:func:`_check_tree_size`).  At most k distinct values need no
+    search: a center goes on each value's first point in data order, then on
+    the leading points again until there are k, with an empty trace, no
+    restarts and zero counters.
+    """
+    points, cfg, ids = _prepare(data, measure, config)
+    streams = [rng] if lone else [rng.derive(r) for r in range(cfg.restarts)]
+    distinct = int(ids.max()) + 1
+    if distinct > cfg.k and isinstance(cfg.subset_strategy, Exhaustive):
+        _check_tree_size(cfg, distinct, len(streams))
+    t0 = time.perf_counter()
+    if distinct <= cfg.k:
+        first = np.sort(np.unique(ids, return_index=True)[1])
+        centers = points[np.concatenate((first, np.arange(cfg.k - len(first))))]
+        costs = subsets = nodes = np.zeros(0, dtype=np.int64)
+        win, trace = 0, []
+    else:
+        costs, subsets, nodes, win, centers, trace = _run_restarts(points, ids, measure, cfg,
+                                                                   streams)
+    for r, (cost, examined, expanded) in enumerate(zip(costs, subsets, nodes)):
+        log.info("restart %d: strategy %s, cost %.10g, subsets %d, nodes %d", r,
+                 cfg.subset_strategy.describe(), cost, examined, expanded)
+    meta = {
         "seed": [rng.seed, rng.stream_id],
         "strategy": cfg.subset_strategy.describe(),
-        **fields,
+        "restarts": len(costs),
+        "winning_restart": win,
+        "subsets_examined": int(subsets.sum()),
+        "nodes_expanded": int(nodes.sum()),
+        "iterations": len(trace),
+        "trace": trace,
         "seconds": time.perf_counter() - t0,
         "config": cfg.summary(),
     }
-
-
-def _one_center_per_value(points, ids, measure, cfg, rng, t0, **fields):
-    """The answer on at most k distinct values, which needs no search: a
-    center on each value's first point in data order, then on the leading
-    points again until there are k, an empty trace and zero counters."""
-    first = np.sort(np.unique(ids, return_index=True)[1])
-    centers = points[np.concatenate((first, np.arange(cfg.k - len(first))))]
-    meta = _meta(rng, cfg, t0, **fields, subsets_examined=0, nodes_expanded=0, iterations=0,
-                 trace=[])
     return _result(points, measure, centers, meta)
 
 
@@ -784,23 +793,7 @@ def find_k_median(data, measure, config, rng, threads=None):
     can only improve the returned cost.  All restarts run as one pass (see
     the module docstring).  ``threads`` is accepted and has no effect.
     """
-    points, cfg, ids = _prepare(data, measure, config)
-    t0 = time.perf_counter()
-
-    if ids.max() + 1 <= cfg.k:
-        return _one_center_per_value(points, ids, measure, cfg, rng, t0, restarts=0,
-                                     winning_restart=0)
-    outcomes = _run_restarts(points, ids, measure, cfg,
-                             [rng.derive(r) for r in range(cfg.restarts)])
-    for r, outcome in enumerate(outcomes):
-        _log_restart(r, cfg, outcome)
-    # the first of the cheapest, so the (cost, restart) minimum
-    best_r = min(range(cfg.restarts), key=lambda r: outcomes[r].cost)
-    meta = _meta(rng, cfg, t0, restarts=cfg.restarts, winning_restart=best_r,
-                 subsets_examined=sum(o.subsets_examined for o in outcomes),
-                 nodes_expanded=sum(o.nodes_expanded for o in outcomes), iterations=cfg.k,
-                 trace=outcomes[best_r].trace)
-    return _result(points, measure, outcomes[best_r].centers, meta)
+    return _solve(data, measure, config, rng)
 
 
 def find_k_means(data, config, rng, threads=None):
@@ -813,20 +806,13 @@ def run_one_restart(data, measure, config, rng):
     """Execute the k-iteration inner loop once, with a full per-iteration trace.
 
     This is a pass of one restart, on ``rng`` itself; restart r of
-    :func:`find_k_median` equals it on ``rng.derive(r)`` bit for bit.  On at
-    most k distinct values it runs no search and returns what
-    :func:`find_k_median` does: a center on each value, an empty trace and
-    zero counters.
+    :func:`find_k_median` equals it on ``rng.derive(r)`` bit for bit.  Its
+    ``meta`` has :func:`find_k_median`'s fields, with one restart, the
+    winner 0.  On at most k distinct values it runs no search and returns
+    what :func:`find_k_median` does: a center on each value, an empty trace
+    and zero counters.
     """
-    points, cfg, ids = _prepare(data, measure, config, restarts=1)
-    t0 = time.perf_counter()
-    if ids.max() + 1 <= cfg.k:
-        return _one_center_per_value(points, ids, measure, cfg, rng, t0, restarts=0)
-    outcome, = _run_restarts(points, ids, measure, cfg, [rng])
-    _log_restart(0, cfg, outcome)
-    meta = _meta(rng, cfg, t0, restarts=1, subsets_examined=outcome.subsets_examined,
-                 nodes_expanded=outcome.nodes_expanded, iterations=cfg.k, trace=outcome.trace)
-    return _result(points, measure, outcome.centers, meta)
+    return _solve(data, measure, config, rng, lone=True)
 
 
 def kmeanspp_seed(data, measure, k, rng):

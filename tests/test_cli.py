@@ -134,6 +134,9 @@ class TestGeneratePlanted:
             generate_planted(3, 10, 2, 10.0, -1.0, RngStream(8))
         with pytest.raises(ConfigError):
             generate_planted(3, 10, 2, 10.0, 1.0, RngStream(8), max_attempts=0)
+        for dim in (0, -1):
+            with pytest.raises(ConfigError, match="dim >= 1"):
+                generate_planted(1, 10, dim, 10.0, 1.0, RngStream(8))
 
 
 class TestMeasureSpelling:
@@ -401,6 +404,30 @@ class TestMainExitCodes:
         path.write_text("0.0,0.5\n0.3,0.4\n0.6,0.7\n")
         assert main([command, "--input", str(path), "--k", "2", "--measure", "kl"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cluster", "oracle"])
+    def test_points_of_the_wrong_dimension_are_a_runtime_error(self, command, four_point_file,
+                                                               tmp_path, capsys):
+        """One-dimensional points against a 3 x 3 Mahalanobis matrix."""
+        matrix_path = tmp_path / "m3.csv"
+        write_points_csv(matrix_path, np.eye(3))
+        assert main([command, "--input", four_point_file, "--k", "2",
+                     "--measure", f"mahalanobis:{matrix_path}"]) == 1
+        assert "error: measure is 3-dimensional" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-1"], ["--dim", "0"],
+                                       ["--dim", "-1"]])
+    def test_properties_without_trials_or_dimensions_is_usage_error(self, flags, capsys):
+        assert main(["properties", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "PASS" not in captured.out
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_generate_without_dimensions_is_usage_error(self, dim, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert main(["generate", "--output", str(out), "--k", "1", "--dim", dim]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_file_is_runtime_error(self, tmp_path, capsys):
         code = main(["cluster", "--input", str(tmp_path / "nope.csv"), "--k", "2"])

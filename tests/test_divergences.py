@@ -143,6 +143,19 @@ class TestMahalanobis:
         with pytest.raises(DimensionMismatch):
             m.similarity_matrix(3)
 
+    def test_points_of_another_dimension_are_rejected(self):
+        """2-D points against a 3 x 3 matrix: a DimensionMismatch from the
+        check, not a numpy broadcast error from the kernel."""
+        m = Mahalanobis(np.eye(3))
+        with pytest.raises(DimensionMismatch, match="3-dimensional"):
+            m((1.0, 2.0), (0.0, 1.0))
+        with pytest.raises(DimensionMismatch):
+            m.validate_points(np.zeros((4, 2)))
+        with pytest.raises(DimensionMismatch):
+            d2ptas.find_k_median(np.arange(8.0).reshape(4, 2), m,
+                                 d2ptas.PtasConfig(k=2, epsilon=0.5), RngStream(1))
+        m.validate_points(np.zeros((4, 3)))
+
 
 class TestKullbackLeibler:
     def test_frozen_value(self):
@@ -506,6 +519,14 @@ class TestApproximateMetricBounds:
         assert tri.violations == 0, tri.to_dict()
         assert sym.worst_ratio <= 1.0 + sym.tolerance
         assert tri.worst_ratio <= 1.0 + tri.tolerance
+
+
+class TestRandomPairs:
+    @pytest.mark.parametrize("report", [symmetry_report, triangle_report, mu_similarity_report])
+    @pytest.mark.parametrize("dim,trials", [(2, 0), (2, -1), (0, 10), (-1, 10)])
+    def test_no_trials_or_no_dimensions_are_refused(self, report, dim, trials):
+        with pytest.raises(ConfigError, match="at least one trial of at least one dimension"):
+            report(SquaredEuclidean(), dim, trials, RngStream(1))
 
 
 class TestMuSimilarity:

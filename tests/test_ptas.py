@@ -241,7 +241,8 @@ class TestExhaustiveBudget:
             n, k, d = int(gen.integers(5, 11)), int(gen.integers(2, 4)), int(gen.integers(1, 4))
             cfg = PtasConfig(k=k, epsilon=0.5, sample_size_N=int(np.ceil(8.0 * n * np.log(n))),
                              subset_size_M=2, restarts=2 ** k, subset_strategy=Exhaustive())
-            _prepare(gen.standard_normal((n, d)), sq, cfg)
+            _, cfg, ids = _prepare(gen.standard_normal((n, d)), sq, cfg)
+            ptas._check_tree_size(cfg, int(ids.max()) + 1, cfg.restarts)
 
     def test_at_most_k_distinct_values_need_no_search(self, sq):
         # 64 restarts of menu 2^6 - 1 would count ~4e12 subsets, but no search runs
@@ -390,6 +391,20 @@ class TestFindKMedianContracts:
         res = run_one_restart(points, sq, desk(3), RngStream(10))
         assert res.meta["nodes_expanded"] == len(res.meta["trace"]) == 3
 
+    def test_both_entry_points_report_the_same_meta_fields(self, sq, planted):
+        """One body builds both entry points' meta: a lone restart is restart
+        0 of 1, and the same seed's restart 0 gives the same counters."""
+        points, _, _ = planted
+        cfg = desk(3, restarts=1)
+        lone = run_one_restart(points, sq, cfg, RngStream(10).derive(0))
+        best = find_k_median(points, sq, cfg, RngStream(10))
+        assert list(lone.meta) == list(best.meta)
+        assert lone.meta["restarts"] == best.meta["restarts"] == 1
+        assert lone.meta["winning_restart"] == best.meta["winning_restart"] == 0
+        for key in ("subsets_examined", "nodes_expanded", "iterations", "config"):
+            assert lone.meta[key] == best.meta[key]
+        assert lone.centers.tobytes() == best.centers.tobytes()
+
     @pytest.mark.parametrize("strategy", [RandomTrials(20), Exhaustive()],
                              ids=["random", "exhaustive"])
     @pytest.mark.parametrize("values,picked", [((0.0, 0.0, 5.0, 5.0, 9.0), [0, 2, 4, 0]),
@@ -410,6 +425,7 @@ class TestFindKMedianContracts:
             assert res.cost == 0.0
             assert res.meta["trace"] == []
             assert res.meta["subsets_examined"] == res.meta["nodes_expanded"] == 0
+            assert res.meta["restarts"] == res.meta["winning_restart"] == 0
         assert lone.assignment.tolist() == best.assignment.tolist()
 
     @pytest.mark.parametrize("strategy", [RandomTrials(50), Exhaustive()],
@@ -642,9 +658,9 @@ class TestGreedyScoring:
 
 
 class TestLockStepRestarts:
-    """All greedy restarts of a solve run in lock step, scored in groups of
-    restarts, and each restart keeps the bits of the same restart run on its
-    own."""
+    """All restarts of a solve run as one pass: greedy restarts in lock step,
+    scored in groups of restarts, and exhaustive restarts as the roots of one
+    tree.  Each restart keeps the bits of the same restart run on its own."""
 
     @staticmethod
     def assert_same_trace(mine, theirs):
@@ -655,20 +671,29 @@ class TestLockStepRestarts:
                 x, y = np.asarray(a[key]), np.asarray(b[key])
                 assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), key
 
-    def assert_lone_restarts(self, points, measure, config, rng, restarts):
+    @classmethod
+    def assert_lone_restarts(cls, points, measure, config, rng, restarts):
+        """Run ``restarts`` restarts on ``rng`` as one pass of either strategy
+        and return it.  Every restart r keeps the cost bits of a lone pass on
+        ``rng.derive(r)`` and the counters of ``run_one_restart`` there, and
+        the winner, the first cheapest, is ``run_one_restart`` on its stream,
+        centers and trace included."""
         points, cfg, ids = _prepare(points, measure, config)
         streams = [rng.derive(r) for r in range(restarts)]
-        outcomes = ptas._greedy_restarts(points, measure, cfg, streams)
-        assert len(outcomes) == restarts
-        for outcome, stream in zip(outcomes, streams):
+        batch = ptas._run_restarts(points, ids, measure, cfg, streams)
+        costs, subsets, nodes, win, centers, trace = batch
+        assert len(costs) == len(subsets) == len(nodes) == restarts
+        assert win == np.flatnonzero(costs == costs.min())[0]
+        for r, stream in enumerate(streams):
+            alone = ptas._run_restarts(points, ids, measure, cfg, [stream])[0]
+            assert alone.tobytes() == costs[r:r + 1].tobytes()
             lone = run_one_restart(points, measure, config, stream)
-            assert np.asarray(outcome.centers).tobytes() == lone.centers.tobytes()
-            assert outcome.subsets_examined == lone.meta["subsets_examined"]
-            assert outcome.nodes_expanded == lone.meta["nodes_expanded"]
-            self.assert_same_trace(outcome.trace, lone.meta["trace"])
-            alone, = ptas._greedy_restarts(points, measure, cfg, [stream])
-            assert np.float64(outcome.cost).tobytes() == np.float64(alone.cost).tobytes()
-        return outcomes
+            assert subsets[r] == lone.meta["subsets_examined"]
+            assert nodes[r] == lone.meta["nodes_expanded"]
+            if r == win:
+                assert np.asarray(centers).tobytes() == lone.centers.tobytes()
+                cls.assert_same_trace(trace, lone.meta["trace"])
+        return batch
 
     @pytest.mark.parametrize("trials", [50, 1])
     def test_each_restart_is_a_lone_restart_on_kl_data(self, planted, trials):
@@ -683,8 +708,8 @@ class TestLockStepRestarts:
         signs = gen.choice([1.0, -1.0], size=(200, 1))
         points = gen.integers(-1, 2, size=(200, 2)) * 0.5 * signs
         cfg = desk(3, subset_strategy=RandomTrials(trials))
-        outcomes = self.assert_lone_restarts(points, sq, cfg, RngStream(48), 8)
-        assert any((CenterSet(points, sq, o.centers).potentials == 0.0).any() for o in outcomes)
+        centers = self.assert_lone_restarts(points, sq, cfg, RngStream(48), 8)[4]
+        assert (CenterSet(points, sq, centers).potentials == 0.0).any()
 
     @pytest.mark.parametrize("trials", [4, 1], ids=["random:4", "random:1"])
     def test_distinct_values_whose_gaps_square_to_zero(self, sq, trials):
@@ -700,8 +725,9 @@ class TestLockStepRestarts:
         res = find_k_median(points, sq, cfg, RngStream(51))
         assert res.cost == 0.0 and len(res.centers) == len(res.meta["trace"]) == 3
         assert res.meta["trace"][1]["partial_cost"] == 0.0  # covered before the last iteration
-        outcomes = self.assert_lone_restarts(points, sq, cfg, RngStream(51), 8)
-        assert all(o.cost == 0.0 and len(o.centers) == len(o.trace) == 3 for o in outcomes)
+        costs, _, _, _, centers, trace = self.assert_lone_restarts(points, sq, cfg,
+                                                                   RngStream(51), 8)
+        assert (costs == 0.0).all() and len(centers) == len(trace) == 3
 
     @pytest.mark.parametrize("name", ["sqeuclid", "kl"])
     @pytest.mark.parametrize("group,sizes", [(1, [1] * 8), (3, [3, 3, 2]), (8, [8])],
@@ -710,8 +736,8 @@ class TestLockStepRestarts:
                                                                 sizes):
         """n = 4000, d = 16, k = 10 and 8 restarts of 50 trials, scored in
         groups of 1 restart, of 3, 3 and 2, and all 8 in one: every restart
-        is ``run_one_restart`` on its own stream, traces and counters
-        included."""
+        keeps its lone cost bits and counters, and the winner is
+        ``run_one_restart`` on its stream, trace included."""
         n, trials = 4000, 50
         measure, points = TestGreedyScoring.blobs(name, n, 16, 10, 13)
         monkeypatch.setattr(ptas, "_CHUNK_ENTRIES", group * n * trials)
@@ -724,11 +750,11 @@ class TestLockStepRestarts:
 
         monkeypatch.setattr(type(measure), "pairwise", spy)
         cfg = desk(10, subset_strategy=RandomTrials(trials))
-        outcomes = self.assert_lone_restarts(points, measure, cfg, RngStream(64), 8)
+        costs = self.assert_lone_restarts(points, measure, cfg, RngStream(64), 8)[0]
         # the lock-step pass scores in groups; each lone pass scores one restart
         assert scored[:10 * len(sizes)] == sizes * 10
         assert set(scored[10 * len(sizes):]) == {1}
-        assert len({o.cost for o in outcomes}) > 1
+        assert len(set(costs.tolist())) > 1
 
     def test_each_restart_is_a_lone_restart_in_a_204_column_group(self, planted, sq):
         """Four restarts of 51 trials on 300 points score as one group of 204
@@ -757,56 +783,50 @@ class TestLockStepRestarts:
             center_set = center_set.add(entry["center"])
 
     def test_fewer_restarts_are_a_prefix(self, planted, sq):
+        """Three restarts are the first three of eight: their costs and
+        counters, and, where it is among them, the winner."""
         points = planted[0]
-        _, cfg, _ = _prepare(points, sq, desk(3))
         rng = RngStream(52)
-        eight = ptas._greedy_restarts(points, sq, cfg, [rng.derive(r) for r in range(8)])
-        three = ptas._greedy_restarts(points, sq, cfg, [rng.derive(r) for r in range(3)])
-        for a, b in zip(three, eight):
-            assert np.asarray(a.centers).tobytes() == np.asarray(b.centers).tobytes()
-            assert np.float64(a.cost).tobytes() == np.float64(b.cost).tobytes()
-            self.assert_same_trace(a.trace, b.trace)
+        eight = self.assert_lone_restarts(points, sq, desk(3), rng, 8)
+        three = self.assert_lone_restarts(points, sq, desk(3), rng, 3)
+        for mine, theirs in zip(three[:3], eight[:3]):
+            assert mine.tobytes() == theirs[:3].tobytes()
+        assert three[3] == int(np.argmin(eight[0][:3]))
+        if eight[3] < 3:
+            assert np.asarray(three[4]).tobytes() == np.asarray(eight[4]).tobytes()
+            self.assert_same_trace(three[5], eight[5])
 
     @pytest.mark.parametrize("entries", [1, 1 << 40], ids=["one-node", "large"])
     def test_each_exhaustive_restart_is_a_lone_restart(self, sq, monkeypatch, entries):
         """All restarts are one pass, the roots of one tree.  With batches of
         one node and with batches that mix restarts, each restart's cost and
-        counters are those of ``run_one_restart`` on ``rng.derive(r)``, and
-        only the winner, whose result is the lone restart's, replays its
-        trace."""
+        counters are those of the restart on its own, and only the winner,
+        whose result is the lone restart's, replays its trace."""
         monkeypatch.setattr(ptas, "_BATCH_ENTRIES", entries)
-        mixed, expand = [], ptas._TreeSearch._expand
+        mixed, replayed = [], []
+        expand, replay = ptas._TreeSearch._expand, ptas._TreeSearch.replay
 
-        def spy(self, potentials, node_ids, keys):
+        def spy_expand(self, potentials, node_ids, keys):
             mixed.append(len(set(keys.tolist())) > 1)
             return expand(self, potentials, node_ids, keys)
 
-        outcomes, run_restarts = [], ptas._run_restarts
+        def spy_replay(self, path):
+            replayed.append(path[0])
+            return replay(self, path)
 
-        def recorded(*args):
-            outcomes.append(run_restarts(*args))
-            return outcomes[-1]
-
-        monkeypatch.setattr(ptas._TreeSearch, "_expand", spy)
-        monkeypatch.setattr(ptas, "_run_restarts", recorded)
+        monkeypatch.setattr(ptas._TreeSearch, "_expand", spy_expand)
+        monkeypatch.setattr(ptas._TreeSearch, "replay", spy_replay)
         points = RngStream(60).generator.standard_normal((9, 2))
         cfg = PtasConfig(k=3, epsilon=0.5, sample_size_N=6, subset_size_M=2, restarts=4,
                          subset_strategy=Exhaustive())
         rng = RngStream(61)
         best = find_k_median(points, sq, cfg, rng)
         assert any(mixed) == (entries > 1)
-        restarts, = outcomes
-        winner = best.meta["winning_restart"]
-        assert [o.trace is not None for o in restarts] == [r == winner for r in range(4)]
-        for r, outcome in enumerate(restarts):
-            lone = run_one_restart(points, sq, cfg, rng.derive(r))
-            (alone,) = outcomes[-1]
-            assert np.float64(outcome.cost).tobytes() == np.float64(alone.cost).tobytes()
-            assert outcome.subsets_examined == lone.meta["subsets_examined"]
-            assert outcome.nodes_expanded == lone.meta["nodes_expanded"]
-            if r == winner:
-                assert best.centers.tobytes() == lone.centers.tobytes()
-                self.assert_same_trace(best.meta["trace"], lone.meta["trace"])
+        assert replayed == [best.meta["winning_restart"]]
+        batch = self.assert_lone_restarts(points, sq, cfg, rng, 4)
+        assert batch[3] == best.meta["winning_restart"]
+        assert best.centers.tobytes() == np.asarray(batch[4]).tobytes()
+        self.assert_same_trace(best.meta["trace"], batch[5])
 
 
 class TestAnchoredPatches:
@@ -835,27 +855,30 @@ class TestAnchoredPatches:
 
     def assert_pass_is_the_mirror(self, points, measure, seed, monkeypatch):
         """Run the desk preset's 8 restarts (one pass) through ``find_k_median``
-        and check every restart against the mirror on ``rng.derive(r)``;
-        returns how many trials had a tie across the M-th nearest position."""
+        and check ``run_one_restart`` on every ``rng.derive(r)`` against the
+        mirror, and the winner against its lone restart; returns how many
+        trials had a tie across the M-th nearest position."""
         cfg = desk(3).resolved(measure)
         passes, greedy = [], ptas._greedy_restarts
 
-        def recorded(*args):
-            passes.append(greedy(*args))
-            return passes[-1]
+        def recorded(points, measure, cfg, streams):
+            passes.append(len(streams))
+            return greedy(points, measure, cfg, streams)
 
         monkeypatch.setattr(ptas, "_greedy_restarts", recorded)
         rng = RngStream(seed)
         best = find_k_median(points, measure, cfg, rng)
-        assert [len(outcomes) for outcomes in passes] == [8]
+        assert passes == [8]
         m_, ties = cfg.subset_size_M, 0
-        for r, outcome in enumerate(passes[0]):
+        for r in range(cfg.restarts):
             stream = rng.derive(r)
+            lone = run_one_restart(points, measure, cfg, stream)
             mirror, _ = TestAnchoredTrialsDiscipline.mirror_restart(points, measure, cfg, stream,
                                                                     cfg.subset_strategy.trials)
-            assert np.asarray(outcome.centers).tobytes() == mirror.tobytes()
+            assert lone.centers.tobytes() == mirror.tobytes()
             patches = self.mirror_patches(points, measure, cfg, stream, mirror)
-            for entry, (sample, anchors, positions, to_anchor) in zip(outcome.trace, patches):
+            for entry, (sample, anchors, positions, to_anchor) in zip(lone.meta["trace"],
+                                                                      patches, strict=True):
                 t = entry["trial"]
                 np.testing.assert_array_equal(points[entry["sample"]], sample)
                 assert entry["anchor"] == anchors[t]
@@ -863,8 +886,9 @@ class TestAnchoredPatches:
                 assert (kept.dtype, kept.tobytes()) == (positions.dtype, positions[t].tobytes())
                 ordered = np.sort(to_anchor, axis=0)
                 ties += int(np.count_nonzero(ordered[m_ - 1] == ordered[m_]))
-        TestLockStepRestarts.assert_same_trace(
-            best.meta["trace"], passes[0][best.meta["winning_restart"]].trace)
+            if r == best.meta["winning_restart"]:
+                assert best.centers.tobytes() == lone.centers.tobytes()
+                TestLockStepRestarts.assert_same_trace(best.meta["trace"], lone.meta["trace"])
         return ties
 
     def test_each_restart_is_the_mirror_on_kl_data(self, planted, monkeypatch):
