@@ -117,10 +117,11 @@ def generate_planted(k, per_cluster, dim, separation, sigma, rng, max_attempts=1
     """
     if k < 1 or per_cluster < 1 or dim < 1:
         raise ConfigError("need k >= 1, per_cluster >= 1 and dim >= 1")
-    if separation <= 0 or sigma <= 0:
-        raise ConfigError("separation and sigma must be positive")
-    gen = rng.generator
     span = separation * sigma * max(2.0, float(k))
+    if not (separation > 0 and sigma > 0 and np.isfinite(span)):
+        raise ConfigError("separation and sigma must be positive, and the span "
+                          "separation * sigma * max(2, k) finite")
+    gen = rng.generator
     min_dist = separation * sigma
     centers = None
     for _ in range(max_attempts):

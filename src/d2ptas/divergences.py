@@ -562,12 +562,22 @@ def cluster_cost(measure, data, centers):
 # property checks
 # ----------------------------------------------------------------------
 
-def check_centroid_property(measure, points, c, tolerance=1e-9):
-    """Verify sum_p D(p,c) == one-center cost at the mean + n * D(mean, c).
+def _tally(prop, bad, ratios, tolerance, **details):
+    """The report of the trials flagged in the boolean array ``bad``: its worst
+    ratio is the largest of ``ratios``, 0 when there are none."""
+    bad = np.asarray(bad)
+    return PropertyReport(property=prop, trials=bad.size, violations=int(np.count_nonzero(bad)),
+                          worst_ratio=float(np.max(ratios, initial=0.0)), tolerance=tolerance,
+                          details=details)
 
-    The identity is exact for every generator-based measure; the report
-    records the relative residual, which should be float noise only.
-    """
+
+def _ratio(num, den):
+    """``num / den`` where ``den > 0``, else 0."""
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+
+
+def _centroid_residual(measure, points, c):
+    """(residual, lhs, rhs, spread) of the centroid identity, after validating the inputs."""
     P = as_points(points)
     c = np.atleast_1d(np.asarray(c, dtype=float))
     measure.validate_points(P)
@@ -578,15 +588,18 @@ def check_centroid_property(measure, points, c, tolerance=1e-9):
     m = P.mean(axis=0)
     spread = float(measure.rowwise(P, m[None, :]).sum())
     rhs = spread + P.shape[0] * float(measure.rowwise(m, c))
-    residual = abs(lhs - rhs) / max(1.0, abs(lhs))
-    return PropertyReport(
-        property="centroid",
-        trials=1,
-        violations=int(residual > tolerance),
-        worst_ratio=residual,
-        tolerance=tolerance,
-        details={"lhs": lhs, "rhs": rhs, "spread": spread},
-    )
+    return abs(lhs - rhs) / max(1.0, abs(lhs)), lhs, rhs, spread
+
+
+def check_centroid_property(measure, points, c, tolerance=1e-9):
+    """Verify sum_p D(p,c) == one-center cost at the mean + n * D(mean, c).
+
+    The identity is exact for every generator-based measure; the report
+    records the relative residual, which should be float noise only.
+    """
+    residual, lhs, rhs, spread = _centroid_residual(measure, points, c)
+    return _tally("centroid", residual > tolerance, residual, tolerance,
+                  lhs=lhs, rhs=rhs, spread=spread)
 
 
 def check_mu_similarity(measure, U, P, Q, tolerance=1e-12):
@@ -662,18 +675,8 @@ def symmetry_report(measure, dim, trials, rng, tolerance=1e-12):
     slack = tolerance * np.maximum(1.0, np.maximum(f, b))
     bad = (beta * b > f + slack) | (f > b / beta + slack)
     # worst case over both directions of the normalized ratio; 1.0 means tight
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(f > 0, beta * b / np.where(f > 0, f, 1.0), 0.0)
-        r2 = np.where(b > 0, beta * f / np.where(b > 0, b, 1.0), 0.0)
-    worst = float(max(r1.max(initial=0.0), r2.max(initial=0.0)))
-    return PropertyReport(
-        property="symmetry",
-        trials=trials,
-        violations=int(np.count_nonzero(bad)),
-        worst_ratio=worst,
-        tolerance=tolerance,
-        details={"beta": beta},
-    )
+    return _tally("symmetry", bad, (_ratio(beta * b, f), _ratio(beta * f, b)), tolerance,
+                  beta=beta)
 
 
 def triangle_report(measure, dim, trials, rng, tolerance=1e-12):
@@ -685,16 +688,7 @@ def triangle_report(measure, dim, trials, rng, tolerance=1e-12):
     alpha = measure.alpha
     slack = tolerance * np.maximum(1.0, direct)
     bad = direct > alpha * detour + slack
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(detour > 0, direct / np.where(detour > 0, alpha * detour, 1.0), 0.0)
-    return PropertyReport(
-        property="triangle",
-        trials=trials,
-        violations=int(np.count_nonzero(bad)),
-        worst_ratio=float(ratio.max(initial=0.0)),
-        tolerance=tolerance,
-        details={"alpha": alpha},
-    )
+    return _tally("triangle", bad, _ratio(direct, alpha * detour), tolerance, alpha=alpha)
 
 
 # point counts and dimensions of centroid_report's random instances, inclusive
@@ -706,23 +700,14 @@ def centroid_report(measure, rng, instances=100, tolerance=1e-9):
     """Centroid identity residuals over random instances; worst residual reported."""
     gen = rng.generator
     dims = _CENTROID_DIMS if measure.fixed_dim is None else (measure.fixed_dim,) * 2
-    worst = 0.0
-    violations = 0
+    residuals = []
     for _ in range(instances):
         n = int(gen.integers(_CENTROID_SIZES[0], _CENTROID_SIZES[1] + 1))
         d = int(gen.integers(dims[0], dims[1] + 1))
         P = measure.sample_domain(gen, (n, d))
-        c = measure.sample_domain(gen, (d,))
-        rep = check_centroid_property(measure, P, c, tolerance=tolerance)
-        worst = max(worst, rep.worst_ratio)
-        violations += rep.violations
-    return PropertyReport(
-        property="centroid",
-        trials=instances,
-        violations=violations,
-        worst_ratio=worst,
-        tolerance=tolerance,
-    )
+        residuals.append(_centroid_residual(measure, P, measure.sample_domain(gen, (d,)))[0])
+    residuals = np.array(residuals)
+    return _tally("centroid", residuals > tolerance, residuals, tolerance)
 
 
 def mu_similarity_report(measure, dim, trials, rng, tolerance=1e-12):

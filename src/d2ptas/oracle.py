@@ -280,6 +280,7 @@ def inaba_trial(data, M, delta, trials, rng, measure=None):
         raise ConfigError("need at least one trial")
     if measure is None:
         measure = SquaredEuclidean()
+    measure.validate_points(points)
 
     n = points.shape[0]
     full_mean = points.mean(axis=0)

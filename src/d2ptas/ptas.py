@@ -241,33 +241,25 @@ class ClusteringResult:
 # restart internals
 # ----------------------------------------------------------------------
 
-# Draws are deduplicated a block of rows at a time, at most about this many
-# draws or one row per block, which bounds the block's key and position
-# temporaries.  The paper preset draws N = 819 200 points per node, so each
-# such temporary takes 6.5 MB per row.
-_DEDUPE_ENTRIES = 1 << 16
-
-
 def _distinct_sample_points(ids, rows):
     """Per row of a (B, N) stack of draws, the indices of its distinct point
     values, first occurrence first.
 
     ``ids`` maps each point to its distinct-value id (see :func:`_prepare`).
+    The key and position temporaries take B * N entries and the
+    first-occurrence table B * (distinct values), which ``_BATCH_ENTRIES``
+    bounds.
     """
-    width, step, pools = int(ids.max()) + 1, max(1, _DEDUPE_ENTRIES // rows.shape[1]), []
-    for lo in range(0, len(rows), step):
-        block = rows[lo:lo + step]
-        count, size = block.shape
-        # flat position of the first occurrence of each (row, value), in draw order
-        first = np.full(count * width, block.size)
-        keys = ids[block]
-        keys += width * np.arange(count)[:, None]
-        np.minimum.at(first, keys.reshape(-1), np.arange(block.size))
-        first = np.sort(first[first < block.size])
-        flat = block.reshape(-1)[first]
-        ends = np.searchsorted(first, size * np.arange(1, count + 1)).tolist()
-        pools += [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    return pools
+    width, (count, size) = int(ids.max()) + 1, rows.shape
+    # flat position of the first occurrence of each (row, value), in draw order
+    first = np.full(count * width, rows.size)
+    keys = ids[rows]
+    keys += width * np.arange(count)[:, None]
+    np.minimum.at(first, keys.reshape(-1), np.arange(rows.size))
+    first = np.sort(first[first < rows.size])
+    flat = rows.reshape(-1)[first]
+    ends = np.searchsorted(first, size * np.arange(1, count + 1)).tolist()
+    return tuple(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
 
 
 def _distinct_rows(rows, base):
@@ -340,10 +332,12 @@ def _combo_by_rank(groups, rank):
 # or one node.  A node counts its N uniforms and N draws, and per candidate
 # its members, ids, owner and cost, its divergences to the n points with
 # their coordinates and its child's n potentials; so the budget bounds every
-# temporary of a batch.  At exact_small's shape (n = 12, N = 239, M = 2, 78
-# candidates) 2^20 entries make chunks of 227-382 nodes; 2^19 was slower and
-# 2^21 no faster, with a higher peak.  Each node's numbers are computed on
-# their own, so results do not depend on it.
+# temporary of a batch, the pool dedupe's keys, positions and first-occurrence
+# slots included.  A paper-preset node (N = 819 200) is a batch of its own.
+# At exact_small's shape (n = 12, N = 239, M = 2, 78 candidates) 2^20 entries
+# make chunks of 227-382 nodes; 2^19 was slower and 2^21 no faster, with a
+# higher peak.  Each node's numbers are computed on their own, so results do
+# not depend on it.
 _BATCH_ENTRIES = 1 << 20
 # Candidate costs are summed over blocks of whole rows, at most about this
 # many entries of candidates by points or one row.  Blocks of 64 KiB reuse

@@ -173,7 +173,7 @@ class CenterSet:
     """
 
     def __init__(self, points, measure, centers=None, potentials=None):
-        self.points = as_points(points)
+        self.points = measure.validate_points(as_points(points))
         self.measure = measure
         self.centers = list(centers) if centers is not None else []
         if potentials is None:

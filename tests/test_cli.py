@@ -137,6 +137,10 @@ class TestGeneratePlanted:
         for dim in (0, -1):
             with pytest.raises(ConfigError, match="dim >= 1"):
                 generate_planted(1, 10, dim, 10.0, 1.0, RngStream(8))
+        for separation, sigma in [(np.nan, 1.0), (np.inf, 1.0), (10.0, np.nan), (10.0, np.inf),
+                                  (1e200, 1e200)]:
+            with pytest.raises(ConfigError, match="positive"):
+                generate_planted(3, 10, 2, separation, sigma, RngStream(8))
 
 
 class TestMeasureSpelling:
@@ -426,6 +430,14 @@ class TestMainExitCodes:
     def test_generate_without_dimensions_is_usage_error(self, dim, tmp_path, capsys):
         out = tmp_path / "g.csv"
         assert main(["generate", "--output", str(out), "--k", "1", "--dim", dim]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--separation", "nan"], ["--separation", "inf"],
+                                       ["--sigma", "nan"], ["--sigma", "inf"]])
+    def test_generate_with_a_non_finite_scale_is_usage_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert main(["generate", "--output", str(out), *flags]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 

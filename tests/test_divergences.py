@@ -39,6 +39,7 @@ from d2ptas import (
     symmetry_report,
     triangle_report,
 )
+from d2ptas import divergences
 from d2ptas.sampler import RngStream
 
 # Independently computed reference values (math.log closed forms).
@@ -495,6 +496,44 @@ class TestCentroidProperty:
     def test_wrong_center_dimension(self, sq):
         with pytest.raises(DimensionMismatch):
             check_centroid_property(sq, [[1.0, 2.0]], [1.0])
+
+    @pytest.mark.parametrize("measure", [
+        SquaredEuclidean(),
+        Mahalanobis(np.diag([2.0, 1.0, 0.5])),
+        KullbackLeibler(),
+        KullbackLeibler(mu=1.0),
+        ItakuraSaito(),
+    ])
+    @pytest.mark.parametrize("tol", [0.0, 1e-16, 1e-9])
+    def test_batch_report_is_the_tally_of_its_instances(self, measure, tol):
+        """The batch report's counts equal those of check_centroid_property on
+        the instances it draws: n points in _CENTROID_SIZES, of a dimension in
+        _CENTROID_DIMS or the measure's own, then the center."""
+        rep = centroid_report(measure, RngStream(5).derive(1), instances=40, tolerance=tol)
+        gen = RngStream(5).derive(1).generator
+        sizes, dims = divergences._CENTROID_SIZES, divergences._CENTROID_DIMS
+        if measure.fixed_dim is not None:
+            dims = (measure.fixed_dim,) * 2
+        checks = []
+        for _ in range(40):
+            n = int(gen.integers(sizes[0], sizes[1] + 1))
+            d = int(gen.integers(dims[0], dims[1] + 1))
+            P = measure.sample_domain(gen, (n, d))
+            checks.append(check_centroid_property(measure, P, measure.sample_domain(gen, (d,)),
+                                                  tolerance=tol))
+        assert rep.trials == len(checks)
+        assert rep.violations == sum(check.violations for check in checks)
+        assert rep.worst_ratio == max(check.worst_ratio for check in checks)
+        assert rep.passed == all(check.passed for check in checks)
+        assert rep.details == {}
+
+    def test_batch_report_checks_the_drawn_points(self):
+        """Standard normal draws of a measure with no box leave its positive domain."""
+        measure = GenericBregman(phi=lambda X: (X * np.log(X)).sum(axis=-1),
+                                 grad_phi=lambda X: np.log(X) + 1.0, mu=0.5, box=None,
+                                 domain="positive")
+        with pytest.raises(DomainError):
+            centroid_report(measure, RngStream(6), instances=5)
 
 
 class TestApproximateMetricBounds:

@@ -7,6 +7,7 @@ import pytest
 
 from d2ptas import (
     ConfigError,
+    DomainError,
     ItakuraSaito,
     KullbackLeibler,
     Mahalanobis,
@@ -303,3 +304,10 @@ class TestInabaTrial:
             inaba_trial(cloud, 25, 1.5, 100, RngStream(1))
         with pytest.raises(ConfigError):
             inaba_trial(cloud, 25, 0.2, 0, RngStream(1))
+
+    def test_data_outside_the_domain_is_refused(self):
+        """KL data with a non-positive coordinate raise, not a failed report."""
+        data = RngStream(100).generator.uniform(0.1, 0.9, (50, 2))
+        data[7, 1] = 0.0
+        with pytest.raises(DomainError):
+            inaba_trial(data, 5, 0.2, 100, RngStream(1), measure=KullbackLeibler())

@@ -202,6 +202,15 @@ class TestCenterSet:
         with pytest.raises(DomainError):
             cs.add([np.nan, 0.0])
 
+    def test_points_outside_the_domain_are_refused(self):
+        """Points are checked when the set is built: one with a negative
+        coordinate would leave a NaN potential, on which a D² draw fails."""
+        bad = np.array([[0.5, 0.5], [0.2, -0.1], [0.7, 0.3]])
+        with pytest.raises(DomainError):
+            CenterSet.empty(bad, KullbackLeibler())
+        with pytest.raises(DomainError):
+            CenterSet(bad, KullbackLeibler(), [np.array([0.5, 0.5])])
+
     def test_add_is_functional_not_in_place(self, sq, four_point_line):
         base = CenterSet.empty(four_point_line, sq)
         grown = base.add([0.0])

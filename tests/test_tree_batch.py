@@ -271,15 +271,15 @@ class TestSearchMatchesReference:
             batched, reference = run_both(points, sq, 3, 6, M, RngStream(902 + M))
             assert_same_search(batched, reference)
 
-    @pytest.mark.parametrize("entries", [1, 20, 1 << 40])
-    def test_dedupe_blocks_do_not_change_the_result(self, sq, monkeypatch, entries):
-        """Draws deduplicated one row at a time, in blocks of some rows, or at once."""
-        monkeypatch.setattr(ptas, "_DEDUPE_ENTRIES", entries)
-        points = RngStream(51).generator.standard_normal((10, 2))
-        points[4] = points[7]
-        for M in (1, 2):
-            batched, reference = run_both(points, sq, 3, 7, M, RngStream(904 + M))
-            assert_same_search(batched, reference)
+    def test_a_paper_preset_node_is_a_batch_of_its_own(self, sq):
+        """A paper-preset node draws N = 819 200 points, over half the batch
+        budget, so it is expanded, and its draws deduplicated, alone."""
+        points, cfg, ids = _prepare([[0.0], [1.0], [4.0], [5.0]], sq,
+                                    PtasConfig(k=2, epsilon=0.5, scale_preset="paper"))
+        assert cfg.sample_size_N == 819_200
+        search = ptas._TreeSearch(points, ids, sq, cfg.k, cfg.sample_size_N,
+                                  cfg.subset_size_M, [RngStream(7)])
+        assert ptas._BATCH_ENTRIES // search._node_entries == 0
 
     def test_extreme_stream_ids_and_keys(self, sq, monkeypatch):
         """A root stream id and a key of 2^64 - 1, where every sum wraps."""
