@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 usage/configuration error, 1 runtime or data error.
 The report schema is stable: {spec, results: {method: {cost, ratio, seconds}},
 properties: [...], seed, version}; everything except the "seconds" fields is
-deterministic given the spec and seed.
+deterministic given the spec and seed.  ``cluster`` and ``seedbench`` set the
+PTAS beside the best of as many k-means++/Lloyd restarts, which run as one
+lock-step batch (``oracle._kmeanspp_lloyd``).
 
 A subcommand's spec is its parsed arguments except ``--output``, with
 ``--domain LO:HI`` echoed as the pair ``[lo, hi]``, so the report alone rebuilds
@@ -33,8 +35,11 @@ from .divergences import (
     triangle_report,
 )
 from .errors import ClusteringError, ConfigError, EmptyFile, ParseError, RaggedRows
-from .oracle import ORACLE_K_CAP, ORACLE_N_CAP, _gamma, lloyd, optimal_bruteforce
-from .ptas import PtasConfig, find_k_median, kmeanspp_seed, parse_strategy
+# bench/tracing.py wraps ``cli.kmeanspp_seed`` and ``cli.lloyd`` by name, so
+# both stay importable from here; the baseline runs through _kmeanspp_lloyd
+from .oracle import (ORACLE_K_CAP, ORACLE_N_CAP, _gamma, _kmeanspp_lloyd,  # noqa: F401
+                     lloyd, optimal_bruteforce)
+from .ptas import PtasConfig, find_k_median, kmeanspp_seed, parse_strategy  # noqa: F401
 from .sampler import RngStream
 
 __all__ = [
@@ -113,28 +118,33 @@ def generate_planted(k, per_cluster, dim, separation, sigma, rng, max_attempts=1
     """k Gaussian blobs with centers at mutual distance >= separation * sigma.
 
     Returns (points, labels, centers); labels are the generating component of
-    each point, usable as ground truth.
+    each point, usable as ground truth.  A scale whose points would not all
+    be finite is refused.
     """
     if k < 1 or per_cluster < 1 or dim < 1:
         raise ConfigError("need k >= 1, per_cluster >= 1 and dim >= 1")
-    span = separation * sigma * max(2.0, float(k))
-    if not (separation > 0 and sigma > 0 and np.isfinite(span)):
-        raise ConfigError("separation and sigma must be positive, and the span "
-                          "separation * sigma * max(2, k) finite")
-    gen = rng.generator
     min_dist = separation * sigma
+    span = min_dist * max(2.0, float(k))
+    if not (separation > 0 and sigma > 0 and min_dist > 0 and np.isfinite(span)):
+        raise ConfigError("separation and sigma must be positive, their product nonzero, "
+                          "and the span separation * sigma * max(2, k) finite")
+    gen = rng.generator
     centers = None
     for _ in range(max_attempts):
         cand = gen.uniform(0.0, span, size=(k, dim))
-        diffs = cand[:, None, :] - cand[None, :, :]
-        dists = np.sqrt((diffs ** 2).sum(axis=-1))
-        if k == 1 or dists[np.triu_indices(k, 1)].min() >= min_dist:
+        # in units of min_dist, so no square overflows: each gap is at most max(2, k)
+        diffs = (cand[:, None, :] - cand[None, :, :]) / min_dist
+        if k == 1 or (diffs ** 2).sum(axis=-1)[np.triu_indices(k, 1)].min() >= 1.0:
             centers = cand
             break
     if centers is None:
         raise ConfigError(f"could not place {k} centers {min_dist:g} apart in {max_attempts} attempts")
     labels = np.repeat(np.arange(k), per_cluster)
-    points = centers[labels] + sigma * gen.standard_normal(size=(k * per_cluster, dim))
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        points = centers[labels] + sigma * gen.standard_normal(size=(k * per_cluster, dim))
+    if not np.all(np.isfinite(points)):
+        raise ConfigError(f"sigma={sigma:g} with separation={separation:g} overflows "
+                          f"the points' coordinates")
     return points, labels, centers
 
 
@@ -215,9 +225,9 @@ def run_experiment(spec):
     """Execute a clustering experiment described by a plain spec dict.
 
     The PTAS is compared with the best of as many k-means++/Lloyd runs as it
-    has restarts, and with the exact oracle on inputs under its caps.  The
-    spec echoes into the report, so a run is reproducible from the report
-    alone (plus the package version).
+    has restarts, all run as one lock-step batch, and with the exact oracle on
+    inputs under its caps.  The spec echoes into the report, so a run is
+    reproducible from the report alone (plus the package version).
     """
     return _report(spec, _experiment(spec, _measure(spec), ingest_csv(spec["input"])))
 
@@ -242,13 +252,9 @@ def _experiment(spec, measure, points, oracle=None):
 
     t0 = time.perf_counter()
     baseline_rng = rng.derive(2)
-    best_baseline = None
-    for r in range(ptas_result.meta["config"]["restarts"]):
-        seeded = kmeanspp_seed(points, measure, config.k, baseline_rng.derive(r))
-        refined = lloyd(points, measure, seeded.centers)
-        if best_baseline is None or refined.cost < best_baseline:
-            best_baseline = refined.cost
-    results["kmeanspp_lloyd"] = {"cost": best_baseline, "seconds": time.perf_counter() - t0}
+    costs = _kmeanspp_lloyd(points, measure, config.k, [
+        baseline_rng.derive(r) for r in range(ptas_result.meta["config"]["restarts"])])
+    results["kmeanspp_lloyd"] = {"cost": min(costs), "seconds": time.perf_counter() - t0}
 
     if oracle is not None:
         results["oracle"] = {"cost": oracle["cost"], "seconds": 0.0}

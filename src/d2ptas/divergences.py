@@ -698,6 +698,8 @@ _CENTROID_DIMS = (1, 6)
 
 def centroid_report(measure, rng, instances=100, tolerance=1e-9):
     """Centroid identity residuals over random instances; worst residual reported."""
+    if instances < 1:
+        raise ConfigError(f"need at least one instance, got {instances}")
     gen = rng.generator
     dims = _CENTROID_DIMS if measure.fixed_dim is None else (measure.fixed_dim,) * 2
     residuals = []

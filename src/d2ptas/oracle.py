@@ -7,15 +7,21 @@ sum of its blocks' costs and the best split of every subset builds on the
 best splits of smaller ones.  That is 2^n block costs and ~3^n/2 (subset,
 block) pairs per level, which is why everything is capped hard -- these are
 oracles for validating the samplers, not production solvers.
+
+The k-means++/Lloyd baseline is the local-search reference beside them.  Its
+restarts run in lock step (:func:`_lloyd_restarts`, :func:`_kmeanspp_lloyd`):
+one stacked ``pairwise`` table per step labels every restart still moving,
+and each restart keeps the bits of a lone :func:`lloyd` run, which is one
+restart of the same body.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import PropertyReport, SquaredEuclidean, as_points, assign, centroid
+from .divergences import PropertyReport, SquaredEuclidean, as_points, centroid
 from .errors import ConfigError, TooLarge
-from .ptas import ClusteringResult, kmeanspp_seed
+from .ptas import ClusteringResult, _kmeanspp_picks, _restart_groups
 
 __all__ = [
     "ORACLE_N_CAP",
@@ -156,44 +162,97 @@ def lloyd(data, measure, initial_centers, max_iters=100):
     previous center, so the cost never rises by more than the rounding of the
     ``pairwise`` table that picks the labels (costs themselves are closed
     form; see ``assign``).  Stops at an assignment fixpoint or after
-    ``max_iters`` passes.
+    ``max_iters`` passes.  This is one restart of :func:`_lloyd_restarts`.
     """
     points = as_points(data)
     measure.validate_points(points)
     centers = as_points(initial_centers).copy()
     if points.shape[1] != centers.shape[1]:
         raise ConfigError("initial centers have the wrong dimension")
-
-    prev = None
-    cost_trace = []
-    labels, costs = assign(measure, points, centers)
-    for iteration in range(1, max_iters + 1):
-        cost_trace.append(float(costs.sum()))
-        if prev is not None and np.array_equal(labels, prev):
-            break
-        prev = labels
-        for j in range(centers.shape[0]):
-            members = labels == j
-            if np.any(members):
-                centers[j] = centroid(points[members])
-        labels, costs = assign(measure, points, centers)
-    else:
-        cost_trace.append(float(costs.sum()))
-
+    labels, (cost_trace,) = _lloyd_restarts(points, measure, centers[None], max_iters)
     return ClusteringResult(
         centers=centers,
-        assignment=labels,
-        cost=float(costs.sum()),
+        assignment=labels[0],
+        cost=cost_trace[-1],
         meta={"iterations": len(cost_trace), "cost_trace": cost_trace, "method": "lloyd"},
     )
+
+
+def _lloyd_restarts(points, measure, centers, max_iters):
+    """Lloyd's local search from each (k, d) block of the (A, k, d) ``centers``,
+    all restarts in lock step.  ``centers`` is updated in place.
+
+    Returns the (A, n) labels and each restart's cost trace: the cost of its
+    first labelling, then of each labelling after a re-mean.  Restart a's
+    labels are the argmin of block a of one stacked ``pairwise`` table of the
+    points (whose side is built once) against the still-active restarts'
+    centers, and its costs one closed-form ``rowwise`` of the points against
+    their labelled centers; both run over groups of restarts that fit
+    ``_CHUNK_ENTRIES`` (:func:`~d2ptas.ptas._restart_groups`), so no table
+    grows with A.  Each block is the table of that restart alone, so every
+    restart keeps the bits of a lone run.  A restart leaves the batch at its
+    own assignment fixpoint, or after ``max_iters`` re-means with one last
+    cost, and its trace ends there.
+    """
+    (count, k, d), n = centers.shape, points.shape[0]
+    point_side = measure._point_side(points)
+    labels, prev = np.empty((2, count, n), dtype=np.intp)
+    costs = np.empty((count, n))
+    traces = [[] for _ in range(count)]
+
+    def relabel(active):
+        for g in _restart_groups(len(active), n * (k + d)):
+            rows = active[g]
+            block = centers[rows]
+            nearest = np.argmin(measure.pairwise(points, block, point_side=point_side), axis=2)
+            labels[rows] = nearest
+            costs[rows] = measure.rowwise(points, block[np.arange(len(rows))[:, None], nearest])
+
+    def record(active):
+        for r, total in zip(active.tolist(), costs[active].sum(axis=1).tolist()):
+            traces[r].append(total)
+
+    active = np.arange(count)
+    relabel(active)
+    for iteration in range(max_iters):
+        record(active)
+        if iteration:
+            active = active[(labels[active] != prev[active]).any(axis=1)]
+            if not active.size:
+                break
+        prev[active] = labels[active]
+        for r in active.tolist():
+            for j in range(k):
+                members = labels[r] == j
+                if np.any(members):
+                    centers[r, j] = centroid(points[members])
+        relabel(active)
+    record(active)
+    return labels, traces
+
+
+def _kmeanspp_lloyd(data, measure, k, streams):
+    """Each stream's ``lloyd(data, measure, kmeanspp_seed(data, measure, k,
+    stream).centers).cost``, bit for bit (``lloyd``'s default of at most 100
+    passes), with every restart's seeding and local search run in lock step.
+    The seedings' own assignments are never computed: Lloyd's first labelling
+    is the same.
+    """
+    points = as_points(data)
+    measure.validate_points(points)
+    centers = points[_kmeanspp_picks(points, measure, k, streams)]
+    return [trace[-1] for trace in _lloyd_restarts(points, measure, centers, 100)[1]]
 
 
 def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None):
     """gamma = (best cost with k-1 centers) / (best cost with k) - 1.
 
     ``mode="exact"`` uses the subset-DP oracle (capped); ``"approximate"``
-    substitutes best-of-``restarts`` seeded local search and flags the report.
-    See :func:`_gamma` for the zero-denominator conventions.
+    substitutes best-of-``restarts`` seeded local search and flags the report:
+    the best of ``lloyd`` from ``kmeanspp_seed`` on ``rng.derive(0).derive(r)``
+    for k centers and ``rng.derive(1).derive(r)`` for k - 1, r < ``restarts``,
+    each side's restarts run as one batch (:func:`_kmeanspp_lloyd`).  See
+    :func:`_gamma` for the zero-denominator conventions.
     """
     points = as_points(data)
     if k < 2:
@@ -205,13 +264,12 @@ def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None):
     elif mode == "approximate":
         if rng is None:
             raise ConfigError("approximate mode needs an rng")
+        if restarts < 1:
+            raise ConfigError(f"approximate mode needs at least one restart, got {restarts}")
 
         def best_of(j, stream):
-            best = np.inf
-            for r in range(restarts):
-                seed_result = kmeanspp_seed(points, measure, j, stream.derive(r))
-                best = min(best, lloyd(points, measure, seed_result.centers).cost)
-            return best
+            return min(_kmeanspp_lloyd(points, measure, j,
+                                       [stream.derive(r) for r in range(restarts)]))
 
         delta_k = best_of(k, rng.derive(0))
         delta_km1 = best_of(k - 1, rng.derive(1))

@@ -36,6 +36,11 @@ nodes at a time.  A batch holds the children of several parents and
 restarts, and every node still gets the bits of a lone node, in the order of
 a depth-first search of its restart.
 
+The k-means++ seeding of the baseline runs its restarts the same way
+(:func:`_kmeanspp_picks`): one (A, n) potentials array, one D² law table and
+one draw call per pick for every restart, each row with the bits of a lone
+seeding; :func:`kmeanspp_seed` is one row of it.
+
 Both strategies return the same shape (:func:`_run_restarts`): each
 restart's cost and counters as arrays, and the first cheapest restart's
 index, centers and trace.  Only that winner's trace is ever built.
@@ -56,7 +61,9 @@ import numpy as np
 
 from .divergences import SquaredEuclidean, as_points, assign
 from .errors import ConfigError, InsufficientPoints
-from .sampler import (CenterSet, _counter_key, _counter_uniforms, _derived_ids,
+# bench/tracing.py wraps ``ptas.d2_sample`` and ``ptas.CenterSet.add`` by
+# name, so both stay importable from here
+from .sampler import (CenterSet, _counter_key, _counter_uniforms, _derived_ids,  # noqa: F401
                       _uniform_indices, d2_law, d2_sample, weighted_draw)
 
 __all__ = [
@@ -577,14 +584,23 @@ def _smallest_positions(table, m):
     return np.take_along_axis(chosen, np.argsort(values, axis=-1, kind="stable"), axis=-1)
 
 
-# The greedy's steps with a row per point and restart, the (g, n, R) scoring
-# stack and the potentials update, run over groups of g restarts: at most about
-# this many scoring entries (1 MiB of float64) or one restart's table.  Larger
-# groups pay where a restart's table is small and numpy's per-call overhead
-# dominates (desk_small_kl's 8 restarts of 300 x 50 make one group); where one
-# restart's table alone is larger (desk_large's 4000 x 50, 1.6 MB), groups of
-# one restart keep the memory of one table.
+# The steps with a row per point and restart run over groups of g restarts
+# (:func:`_restart_groups`): the greedy's (g, n, R) scoring stack and its
+# potentials update, the k-means++ potentials update, and Lloyd's (g, n, k)
+# labelling stack.  A group holds at most about this many table entries (1 MiB
+# of float64) or one restart's table.  Larger groups pay where a restart's
+# table is small and numpy's per-call overhead dominates (desk_small_kl's 8
+# restarts of 300 x 50 make one group); where one restart's table alone is
+# larger (desk_large's 4000 x 50, 1.6 MB), groups of one restart keep the
+# memory of one table.
 _CHUNK_ENTRIES = 1 << 17
+
+
+def _restart_groups(count, entries):
+    """Slices that split ``count`` restarts, each with tables of ``entries``
+    entries, into groups that fit ``_CHUNK_ENTRIES``, at least one restart each."""
+    step = max(1, _CHUNK_ENTRIES // entries)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def _greedy_restarts(points, measure, cfg, streams):
@@ -638,8 +654,7 @@ def _greedy_restarts(points, measure, cfg, streams):
     """
     trials, sample_size, m_ = cfg.subset_strategy.trials, cfg.sample_size_N, cfg.subset_size_M
     (n, d), rows = points.shape, np.arange(len(streams))
-    step = max(1, _CHUNK_ENTRIES // (n * trials))
-    groups = [slice(lo, lo + step) for lo in range(0, len(streams), step)]
+    groups = _restart_groups(len(streams), n * trials)
     point_side = measure._point_side(points)
     potentials = np.full((len(streams), n), np.inf)                             # (A, n)
     # per iteration, every restart's draw, kept trial, anchor, patch, center and score
@@ -696,6 +711,38 @@ def _greedy_restarts(points, measure, cfg, streams):
     } for i, (samples, best, anchor, patch, centers, score) in enumerate(history)]
     return (costs, np.full(len(streams), trials * cfg.k), np.full(len(streams), cfg.k), win,
             [entry["center"] for entry in trace], trace)
+
+
+def _kmeanspp_picks(points, measure, k, streams):
+    """The k-means++ seedings on ``streams``, run in lock step: a (len(streams),
+    k) array whose row a holds the point indices picked on ``streams[a]``.
+
+    Pick i of a restart is one draw from the :func:`~d2ptas.sampler.d2_law` of
+    its potentials, at the first uniform of the PCG64 generator of
+    ``stream.derive(i)``; the first pick, at potentials +inf, is uniform.  All
+    restarts keep their potentials as rows of one (A, n) array at +inf, share
+    one law table and one draw call per pick, and take their pick's
+    divergences in one broadcast closed-form ``rowwise`` per group of
+    restarts (:func:`_restart_groups`).  Each row keeps the bits of a lone
+    seeding through :class:`~d2ptas.sampler.CenterSet` and
+    :func:`~d2ptas.sampler.d2_sample`: ``CenterSet.add`` then ``d2_sample(...,
+    1)``.  ``points`` are already validated.
+    """
+    (n, d), count = points.shape, len(streams)
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if n < k:
+        raise InsufficientPoints(f"need at least k={k} points, got {n}")
+    potentials = np.full((count, n), np.inf)
+    picks = np.empty((count, k), dtype=np.intp)
+    for i in range(k):
+        picks[:, i] = weighted_draw(d2_law(potentials),
+                                    [s.derive(i).generator.random(1) for s in streams])[:, 0]
+        if i + 1 < k:  # the last pick's potentials are never drawn from
+            for g in _restart_groups(count, n * d):
+                np.minimum(potentials[g], measure.rowwise(points, points[picks[g, i], None, :]),
+                           out=potentials[g])
+    return picks
 
 
 def _run_restarts(points, ids, measure, cfg, streams):
@@ -810,19 +857,13 @@ def run_one_restart(data, measure, config, rng):
 
 
 def kmeanspp_seed(data, measure, k, rng):
-    """k centers by iterated single-point cost-weighted sampling (the classic seeding)."""
+    """k centers by iterated single-point cost-weighted sampling (the classic seeding).
+
+    This is one row of :func:`_kmeanspp_picks`, on ``rng``.
+    """
     points = as_points(data)
     measure.validate_points(points)
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if points.shape[0] < k:
-        raise InsufficientPoints(f"need at least k={k} points, got {points.shape[0]}")
-    center_set = CenterSet.empty(points, measure)
-    picked = []
-    for i in range(k):
-        idx = int(d2_sample(center_set, rng.derive(i), 1)[0])
-        picked.append(idx)
-        center_set = center_set.add(points[idx])
+    picked = _kmeanspp_picks(points, measure, k, [rng])[0].tolist()
     meta = {"seed": [rng.seed, rng.stream_id], "method": "kmeans++", "picked": picked}
     return _result(points, measure, points[picked], meta)
 

@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,26 @@ class TestGeneratePlanted:
                                   (1e200, 1e200)]:
             with pytest.raises(ConfigError, match="positive"):
                 generate_planted(3, 10, 2, separation, sigma, RngStream(8))
+
+    @pytest.mark.parametrize("separation,sigma,match", [
+        (1e-308, 1e308, "overflows"),      # a finite span, but points past the float range
+        (1e-200, 1e-200, "nonzero"),       # a product that underflows to 0
+    ])
+    def test_a_scale_outside_the_float_range_is_refused(self, separation, sigma, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=match):
+                generate_planted(3, 100, 2, separation, sigma, RngStream(1))
+
+    def test_a_huge_separation_places_its_centers_without_overflow(self):
+        """Gaps of 1e200 square past the float range; they are compared in
+        units of the minimum distance instead."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points, _, centers = generate_planted(3, 10, 2, 1e200, 1.0, RngStream(1))
+        assert np.all(np.isfinite(points))
+        gaps = (((centers[:, None, :] - centers[None, :, :]) / 1e200) ** 2).sum(axis=-1)
+        assert gaps[np.triu_indices(3, 1)].min() >= 1.0
 
 
 class TestMeasureSpelling:
@@ -438,6 +459,15 @@ class TestMainExitCodes:
     def test_generate_with_a_non_finite_scale_is_usage_error(self, flags, tmp_path, capsys):
         out = tmp_path / "g.csv"
         assert main(["generate", "--output", str(out), *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generate_with_overflowing_points_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["generate", "--output", str(out), "--separation", "1e-308",
+                         "--sigma", "1e308", "--seed", "1"]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 

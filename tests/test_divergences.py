@@ -527,6 +527,11 @@ class TestCentroidProperty:
         assert rep.passed == all(check.passed for check in checks)
         assert rep.details == {}
 
+    @pytest.mark.parametrize("instances", [0, -1])
+    def test_batch_report_needs_an_instance(self, sq, instances):
+        with pytest.raises(ConfigError, match="at least one instance"):
+            centroid_report(sq, RngStream(1), instances=instances)
+
     def test_batch_report_checks_the_drawn_points(self):
         """Standard normal draws of a measure with no box leave its positive domain."""
         measure = GenericBregman(phi=lambda X: (X * np.log(X)).sum(axis=-1),

@@ -21,7 +21,12 @@ from d2ptas import (
     optimal_bruteforce,
     subsample_extrapolation,
 )
-from d2ptas.oracle import ORACLE_K_CAP, ORACLE_N_CAP
+from d2ptas import ptas
+from d2ptas.cli import run_experiment, write_points_csv
+from d2ptas.divergences import assign, centroid
+from d2ptas.oracle import ORACLE_K_CAP, ORACLE_N_CAP, _gamma, _kmeanspp_lloyd, _lloyd_restarts
+from d2ptas.ptas import _kmeanspp_picks, _restart_groups
+from d2ptas.sampler import CenterSet, d2_sample
 
 MEASURES = {
     "sq": SquaredEuclidean(),
@@ -235,6 +240,165 @@ class TestIrreducibility:
             irreducibility(four_point_line, 1, sq)
         with pytest.raises(ConfigError):
             irreducibility(four_point_line, 2, sq, mode="psychic")
+
+
+def reference_seeding(points, measure, k, stream):
+    """A lone k-means++ seeding: per pick, one d2_sample draw on ``stream.derive(i)``
+    from a CenterSet, then CenterSet.add."""
+    center_set, picked = CenterSet.empty(points, measure), []
+    for i in range(k):
+        picked.append(int(d2_sample(center_set, stream.derive(i), 1)[0]))
+        center_set = center_set.add(points[picked[-1]])
+    return picked
+
+
+def reference_lloyd(points, measure, centers, max_iters=100):
+    """A lone Lloyd run from ``centers``: (centers, labels, cost trace)."""
+    centers, prev, trace = centers.copy(), None, []
+    labels, costs = assign(measure, points, centers)
+    for _ in range(max_iters):
+        trace.append(float(costs.sum()))
+        if prev is not None and np.array_equal(labels, prev):
+            return centers, labels, trace
+        prev = labels
+        for j in range(len(centers)):
+            if np.any(labels == j):
+                centers[j] = centroid(points[labels == j])
+        labels, costs = assign(measure, points, centers)
+    trace.append(float(costs.sum()))
+    return centers, labels, trace
+
+
+def baseline_points(name):
+    """(measure, points): three loose blobs for sqeuclid and Mahalanobis, a
+    uniform cloud in (0.15, 0.85)^3 for KL."""
+    gen = RngStream(31).derive(len(name)).generator
+    if name == "kl":
+        return MEASURES[name], gen.uniform(0.15, 0.85, (50, 3))
+    blobs = np.repeat(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]), 20, axis=0)
+    return MEASURES[name], blobs + gen.standard_normal((60, 2))
+
+
+class TestLockStepBaseline:
+    """The k-means++/Lloyd baseline runs its restarts as one batch; each
+    restart keeps every bit of a lone run through CenterSet, d2_sample,
+    assign and centroid."""
+
+    CASES = [(name, k) for name in ("sq", "kl", "mahalanobis") for k in (1, 2, 3, 4)]
+
+    @staticmethod
+    def streams(count=6):
+        return [RngStream(50).derive(r) for r in range(count)]
+
+    def start(self, name, k):
+        """(measure, points, (A, k, d) starting centers): the k-means++ seedings,
+        plus for k >= 2 one restart whose last center lies beyond every point
+        and so keeps no member."""
+        measure, points = baseline_points(name)
+        seeds = [points[reference_seeding(points, measure, k, s)] for s in self.streams()]
+        if k >= 2:
+            far = seeds[0].copy()
+            far[-1] = points.max(axis=0) + 5.0
+            seeds.append(far)
+        return measure, points, np.array(seeds)
+
+    @pytest.mark.parametrize("name,k", CASES)
+    def test_seedings_are_lone_seedings(self, name, k):
+        measure, points = baseline_points(name)
+        picks = _kmeanspp_picks(points, measure, k, self.streams())
+        for row, stream in zip(picks, self.streams()):
+            picked = reference_seeding(points, measure, k, stream)
+            assert row.tolist() == picked
+            lone = kmeanspp_seed(points, measure, k, stream)
+            labels, costs = assign(measure, points, points[picked])
+            assert lone.meta == {"seed": [stream.seed, stream.stream_id], "method": "kmeans++",
+                                 "picked": picked}
+            np.testing.assert_array_equal(lone.centers, points[picked])
+            np.testing.assert_array_equal(lone.assignment, labels)
+            assert lone.cost == float(costs.sum())
+
+    @pytest.mark.parametrize("max_iters", [100, 2, 0])
+    @pytest.mark.parametrize("name,k", CASES)
+    def test_restarts_are_lone_runs(self, name, k, max_iters):
+        measure, points, starts = self.start(name, k)
+        centers = starts.copy()
+        labels, traces = _lloyd_restarts(points, measure, centers, max_iters)
+        lengths = set()
+        for a, start in enumerate(starts):
+            ref_centers, ref_labels, ref_trace = reference_lloyd(points, measure, start, max_iters)
+            assert centers[a].tobytes() == ref_centers.tobytes()
+            np.testing.assert_array_equal(labels[a], ref_labels)
+            assert traces[a] == ref_trace
+            lone = lloyd(points, measure, start, max_iters=max_iters)
+            assert lone.centers.tobytes() == ref_centers.tobytes()
+            np.testing.assert_array_equal(lone.assignment, ref_labels)
+            assert lone.cost == ref_trace[-1]
+            assert lone.meta == {"iterations": len(ref_trace), "cost_trace": ref_trace,
+                                 "method": "lloyd"}
+            lengths.add(len(ref_trace))
+        if k >= 2:
+            # the far restart's last cluster is emptied and keeps its center
+            assert not np.any(labels[-1] == k - 1)
+            assert centers[-1, -1].tobytes() == starts[-1, -1].tobytes()
+        if max_iters == 100 and k >= 2:
+            assert len(lengths) > 1  # restarts leave the batch at different steps
+        if max_iters == 2 and k >= 2:
+            assert max(lengths) == 3  # some restart is cut off after two re-means
+
+    @pytest.mark.parametrize("name,k", [("sq", 1), ("kl", 3), ("mahalanobis", 4)])
+    def test_groups_do_not_change_bits(self, name, k, monkeypatch):
+        measure, points, starts = self.start(name, k)
+        n, d = points.shape
+        whole = _lloyd_restarts(points, measure, starts.copy(), 100)
+        picks = _kmeanspp_picks(points, measure, k, self.streams())
+        assert len(_restart_groups(len(starts), n * (k + d))) == 1
+        for entries in (1, 2 * n * (k + d)):
+            monkeypatch.setattr(ptas, "_CHUNK_ENTRIES", entries)
+            assert len(_restart_groups(len(starts), n * (k + d))) > 1
+            centers = starts.copy()
+            labels, traces = _lloyd_restarts(points, measure, centers, 100)
+            np.testing.assert_array_equal(labels, whole[0])
+            assert traces == whole[1]
+            np.testing.assert_array_equal(_kmeanspp_picks(points, measure, k, self.streams()),
+                                          picks)
+
+    @pytest.mark.parametrize("name", ["sq", "kl", "mahalanobis"])
+    def test_baseline_costs_are_lone_costs(self, name):
+        measure, points = baseline_points(name)
+        costs = _kmeanspp_lloyd(points, measure, 3, self.streams())
+        assert costs == [reference_lloyd(points, measure,
+                                         points[reference_seeding(points, measure, 3, s)])[2][-1]
+                         for s in self.streams()]
+
+    def test_cluster_report_takes_the_best_lone_run(self, sq, tmp_path):
+        _, points = baseline_points("sq")
+        path = tmp_path / "blobs.csv"
+        write_points_csv(path, points)
+        report = run_experiment({"input": str(path), "k": 3, "measure": "sqeuclid", "seed": 5})
+        streams = [RngStream(5).derive(2).derive(r) for r in range(ptas.DESK_RESTARTS)]
+        assert report["results"]["kmeanspp_lloyd"]["cost"] == min(
+            reference_lloyd(points, sq, points[reference_seeding(points, sq, 3, s)])[2][-1]
+            for s in streams)
+
+    @pytest.mark.parametrize("name", ["sq", "kl"])
+    def test_approximate_irreducibility_at_a_fixed_seed(self, name):
+        measure, points = baseline_points(name)
+        rng = RngStream(91)
+        rep = irreducibility(points, 3, measure, mode="approximate", restarts=5, rng=rng)
+
+        def best_of(j, stream):
+            return min(reference_lloyd(points, measure, points[reference_seeding(
+                points, measure, j, stream.derive(r))])[2][-1] for r in range(5))
+
+        delta_k, delta_km1 = best_of(3, rng.derive(0)), best_of(2, rng.derive(1))
+        assert (rep.k, rep.delta_k, rep.delta_km1, rep.exact) == (3, delta_k, delta_km1, False)
+        assert rep.gamma == _gamma(delta_km1, delta_k)
+
+    def test_approximate_irreducibility_needs_a_restart(self, sq, four_point_line):
+        for restarts in (0, -1):
+            with pytest.raises(ConfigError, match="at least one restart"):
+                irreducibility(four_point_line, 2, sq, mode="approximate", restarts=restarts,
+                               rng=RngStream(1))
 
 
 class TestSubsampleExtrapolation:
