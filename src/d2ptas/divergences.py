@@ -37,6 +37,7 @@ dwarf the distances, most entries need repair, and such columns are
 recomputed whole, at about a tenth more than the closed form.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,6 +171,19 @@ def _checked_mu(mu):
     if not (0.0 < mu <= 1.0):
         raise ConfigError(f"mu must lie in (0, 1], got {mu}")
     return mu
+
+
+def _checked_count(value, name, least=1):
+    """``value`` as an int, which must be an integer of at least ``least``.
+
+    Python and NumPy integers are accepted; floats are refused rather than
+    truncated, and so are bools.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 class DivergenceMeasure:
@@ -486,6 +500,17 @@ class ItakuraSaito(_BoxedBregman):
         return np.eye(dim) / (lo * lo)
 
 
+def _checked_interval(pair, name):
+    """``pair`` as a (lo, hi) tuple of finite floats with lo < hi."""
+    try:
+        lo, hi = (float(v) for v in pair)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a pair (lo, hi), got {pair!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ConfigError(f"{name} must satisfy lo < hi, both finite, got ({lo}, {hi})")
+    return lo, hi
+
+
 class GenericBregman(DivergenceMeasure):
     """Divergence from a user-supplied convex generator and its exact gradient.
 
@@ -493,6 +518,11 @@ class GenericBregman(DivergenceMeasure):
     to (..., d).  No numerical differentiation is attempted: an inaccurate
     gradient would silently corrupt every divergence value, so the caller
     must provide the closed form.
+
+    ``domain`` is ``"unrestricted"``, ``"positive"`` or a finite closed
+    interval ``(lo, hi)`` with lo < hi that holds every coordinate.  ``box``,
+    where randomized property trials draw their coordinates, is ``None`` (a
+    normal draw) or a finite ``(lo, hi)`` with lo < hi inside the domain.
     """
 
     name = "bregman"
@@ -502,8 +532,20 @@ class GenericBregman(DivergenceMeasure):
         self._phi = phi
         self._grad_phi = grad_phi
         self.mu = _checked_mu(mu)
-        self.box = tuple(float(b) for b in box) if box is not None else None
+        if isinstance(domain, str):
+            if domain not in ("unrestricted", "positive"):
+                raise ConfigError(f"domain must be 'unrestricted', 'positive' or (lo, hi), "
+                                  f"got {domain!r}")
+        else:
+            domain = _checked_interval(domain, "domain")
         self.domain = domain
+        if box is not None:
+            box = _checked_interval(box, "box")
+            try:
+                _check_domain(np.array(box), domain)
+            except DomainError as exc:
+                raise ConfigError(f"box {box} leaves the domain: {exc}") from None
+        self.box = box
         self._similarity = None if similarity is None else np.asarray(similarity, dtype=float)
         if name is not None:
             self.name = name

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import PropertyReport, SquaredEuclidean, as_points, centroid
+from .divergences import PropertyReport, SquaredEuclidean, _checked_count, as_points, centroid
 from .errors import ConfigError, TooLarge
 from .ptas import ClusteringResult, _kmeanspp_picks, _restart_groups
 
@@ -166,6 +166,7 @@ def lloyd(data, measure, initial_centers, max_iters=100):
     """
     points = as_points(data)
     measure.validate_points(points)
+    max_iters = _checked_count(max_iters, "max_iters", least=0)
     centers = as_points(initial_centers).copy()
     if points.shape[1] != centers.shape[1]:
         raise ConfigError("initial centers have the wrong dimension")

@@ -17,12 +17,15 @@ game:
 
 Everything is deterministic given an :class:`~d2ptas.sampler.RngStream`:
 restart r uses ``rng.derive(r)``, iteration/trial streams are derived below
-that, so extending restarts or trials never reshuffles earlier draws.  D²
-samples and k-means++ seeds draw from each stream's seeded generator.  A
-``RandomTrials`` anchor is instead a counter-based uniform of its trial's
-stream id (see :func:`_greedy_restarts`), computed for all trials of an
-iteration in one vectorised step, and so is every draw of the exhaustive
-tree, under a key that brings in the seed (see :class:`_TreeSearch`).
+that, so extending restarts or trials never reshuffles earlier draws.  Every
+draw follows one rule: it takes the counter uniforms
+(:func:`~d2ptas.sampler._counter_uniforms`) of its stream's id under its
+restart's key, which brings in the seed; a D² draw inverts its law at them.  :func:`_solve` builds each
+restart's id and key once (:func:`~d2ptas.sampler._stream_keys`); the keys
+are the only generators a solve builds.  The ids below them come as uint64
+tables (:func:`~d2ptas.sampler._derived_ids`), so no ``RngStream`` is built
+for an iteration, a trial, a pick or a tree node (see
+:func:`_greedy_restarts`, :func:`_kmeanspp_picks` and :class:`_TreeSearch`).
 
 Restarts share no state, so each restart is a row of a batch, and every
 restart keeps the bits it would get on its own.  All restarts of a solve run
@@ -59,11 +62,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergences import SquaredEuclidean, as_points, assign
+from .divergences import SquaredEuclidean, _checked_count, as_points, assign
 from .errors import ConfigError, InsufficientPoints
 # bench/tracing.py wraps ``ptas.d2_sample`` and ``ptas.CenterSet.add`` by
 # name, so both stay importable from here
-from .sampler import (CenterSet, _counter_key, _counter_uniforms, _derived_ids,  # noqa: F401
+from .sampler import (CenterSet, _counter_uniforms, _derived_ids, _stream_keys,  # noqa: F401
                       _uniform_indices, d2_law, d2_sample, weighted_draw)
 
 __all__ = [
@@ -113,8 +116,7 @@ class RandomTrials:
     trials: int = DESK_TRIALS
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("RandomTrials needs at least one trial")
+        _checked_count(self.trials, "RandomTrials trials")
 
     def describe(self):
         return f"random:{self.trials}"
@@ -178,8 +180,7 @@ class PtasConfig:
 
     def resolved(self, measure):
         """A fully-populated copy of this config for ``measure``."""
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        k = _checked_count(self.k, "k")
         eps = float(self.epsilon)
         if not (eps > 0.0):
             raise ConfigError(f"epsilon must be positive, got {eps}")
@@ -200,21 +201,20 @@ class PtasConfig:
             restarts = DESK_RESTARTS if restarts is None else restarts
             strategy = RandomTrials() if strategy is None else strategy
         else:
-            pn, pm = paper_scale_constants(measure, self.k, eps)
+            pn, pm = paper_scale_constants(measure, k, eps)
             n_ = pn if n_ is None else n_
             m_ = pm if m_ is None else m_
-            restarts = 2 ** self.k if restarts is None else restarts
+            restarts = 2 ** k if restarts is None else restarts
             strategy = Exhaustive() if strategy is None else strategy
 
-        n_, m_, restarts = int(n_), int(m_), int(restarts)
-        if m_ < 1 or n_ < 1:
-            raise ConfigError("sample and subset sizes must be >= 1")
+        n_ = _checked_count(n_, "sample_size_N")
+        m_ = _checked_count(m_, "subset_size_M")
+        restarts = _checked_count(restarts, "restarts")
         if m_ > n_:
             raise ConfigError(f"subset size M={m_} exceeds sample size N={n_}")
-        if restarts < 1:
-            raise ConfigError("restarts must be >= 1")
         return replace(
             self,
+            k=k,
             epsilon=eps,
             sample_size_N=n_,
             subset_size_M=m_,
@@ -387,15 +387,17 @@ class _Batch:
 
 class _TreeSearch:
     """Depth-first enumeration over per-iteration candidate subsets, for the
-    restarts on ``streams``, all in one tree whose roots are the restarts.
+    restarts with stream ids ``roots`` and keys ``keys``
+    (:func:`~d2ptas.sampler._stream_keys`), all in one tree whose roots are
+    the restarts.
 
-    Node streams follow the branch path: root r is ``streams[r]``, child s of
-    a node gets ``derive(1 + s)`` of it and the node's own draw uses
-    ``derive(0)``.  Nodes carry only their stream ids, as uint64 arrays from
-    :func:`~d2ptas.sampler._derived_ids`; no ``RngStream`` is built for a node.
-    A node's N draws invert its D² law at the counter uniforms of its draw id
-    s under its restart's key K (:func:`~d2ptas.sampler._counter_key`), one
-    key per row: the j-th is the top 53 bits of
+    Node streams follow the branch path: root r is the stream ``roots[r]``,
+    child s of a node gets ``derive(1 + s)`` of it and the node's own draw
+    uses ``derive(0)``.  Nodes carry only their stream ids, as uint64 arrays
+    from :func:`~d2ptas.sampler._derived_ids`; no ``RngStream`` is built for a
+    node.  A node's N draws invert its D² law at the counter uniforms of its
+    draw id s under its restart's key K, one key per row: the j-th is the top
+    53 bits of
     ``splitmix64(splitmix64(s ^ K) + j)`` times 2^-53.  Each value is a
     function of (seed, path, j) alone, so the winning path can be replayed
     exactly to reconstruct its trace.
@@ -416,20 +418,20 @@ class _TreeSearch:
     replayed, as batches of one, so no other restart builds a trace.
     """
 
-    def __init__(self, points, ids, measure, k, sample_size, subset_size, streams):
+    def __init__(self, points, ids, measure, k, sample_size, subset_size, roots, keys):
         self.points = points
         self.ids = ids
         self.measure = measure
         self.k = k
         self.sample_size = sample_size
         self.subset_size = subset_size
-        self.roots = np.array([stream.stream_id for stream in streams], dtype=np.uint64)
-        self.keys = np.array([_counter_key(stream) for stream in streams], dtype=np.uint64)
+        self.roots = roots
+        self.keys = keys
         # per restart: the first cheapest leaf's cost and path, and the counters
-        self.best_cost = np.full(len(streams), np.inf)
-        self.best_path = [None] * len(streams)
-        self.subsets_examined = np.zeros(len(streams), dtype=np.int64)
-        self.nodes_expanded = np.zeros(len(streams), dtype=np.int64)
+        self.best_cost = np.full(len(roots), np.inf)
+        self.best_path = [None] * len(roots)
+        self.subsets_examined = np.zeros(len(roots), dtype=np.int64)
+        self.nodes_expanded = np.zeros(len(roots), dtype=np.int64)
         (n, d), distinct = points.shape, int(ids.max()) + 1
         most = _menu_size(sample_size, subset_size, distinct)
         width = min(subset_size, sample_size, distinct)
@@ -603,8 +605,9 @@ def _restart_groups(count, entries):
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _greedy_restarts(points, measure, cfg, streams):
-    """Greedy passes on ``streams``, run in lock step; returns what
+def _greedy_restarts(points, measure, cfg, roots, keys):
+    """Greedy passes of the restarts with stream ids ``roots`` and keys ``keys``
+    (:func:`~d2ptas.sampler._stream_keys`), run in lock step; returns what
     :func:`_run_restarts` does.
 
     Per iteration each restart draws a D² sample, scores R anchored subset
@@ -618,16 +621,17 @@ def _greedy_restarts(points, measure, cfg, streams):
     anchor is cluster-pure whenever clusters are separated, so the candidate
     menu consists of plausible cluster centers instead of mixture midpoints.
 
-    Iteration i of the restart on ``stream`` draws its sample with the
-    generator of ``stream.derive(i).derive(0)``.  Trial t's anchor is
-    ``floor(u * N)``, with u the first counter uniform of the id of
-    ``stream.derive(i).derive(1 + t)``: the top 53 bits of
-    ``splitmix64(splitmix64(id) + 0)`` times 2^-53.  No generator is built for
-    a trial.  The anchors depend on the stream id, not on the seed; they index
-    a sample that the seeded generator drew, so menus at different seeds are
-    still independent.  u lies on a grid of 2^53 values, so each position
-    gets probability within 2^-53 of 1/N (a relative bias of at most N/2^53),
-    and the largest u still gives N - 1
+    Every draw of the restart on ``stream``, with key K, is a counter uniform
+    (:func:`~d2ptas.sampler._counter_uniforms`) under K: the j-th uniform of
+    the id s is the top 53 bits of ``splitmix64(splitmix64(s ^ K) + j)``
+    times 2^-53.  Iteration i inverts its D² law at the N uniforms of the id
+    of ``stream.derive(i).derive(0)``, and trial t's anchor is
+    ``floor(u * N)``, with u the first uniform of the id of
+    ``stream.derive(i).derive(1 + t)``.  The ids of an iteration come as one
+    uint64 table (:func:`~d2ptas.sampler._derived_ids`), so no ``RngStream``
+    or generator is built for an iteration or a trial.  u lies on a grid of
+    2^53 values, so each position gets probability within 2^-53 of 1/N (a
+    relative bias of at most N/2^53), and the largest u still gives N - 1
     (:func:`~d2ptas.sampler._uniform_indices`).
 
     Trial t scores sum_x min(potential(x), D(x, c_t)).  All A restarts share,
@@ -653,20 +657,23 @@ def _greedy_restarts(points, measure, cfg, streams):
     is built from them, after the last iteration.
     """
     trials, sample_size, m_ = cfg.subset_strategy.trials, cfg.sample_size_N, cfg.subset_size_M
-    (n, d), rows = points.shape, np.arange(len(streams))
-    groups = _restart_groups(len(streams), n * trials)
+    (n, d), count = points.shape, len(roots)
+    rows = np.arange(count)
+    groups = _restart_groups(count, n * trials)
     point_side = measure._point_side(points)
-    potentials = np.full((len(streams), n), np.inf)                             # (A, n)
+    potentials = np.full((count, n), np.inf)                                     # (A, n)
+    iteration_ids = _derived_ids(roots, np.arange(cfg.k))                        # (A, k)
+    trial_keys = np.repeat(keys, trials)
     # per iteration, every restart's draw, kept trial, anchor, patch, center and score
     history = []
     for i in range(cfg.k):
-        it_streams = [stream.derive(i) for stream in streams]
+        # column 0 is the sample's id, column 1 + t trial t's
+        draw_ids = _derived_ids(iteration_ids[:, i], np.arange(1 + trials))     # (A, 1 + R)
         samples = weighted_draw(d2_law(potentials),
-                                [s.derive(0).generator.random(sample_size)
-                                 for s in it_streams])                            # (A, N)
-        trial_ids = _derived_ids([s.stream_id for s in it_streams], 1 + np.arange(trials))
-        anchors = _uniform_indices(_counter_uniforms(trial_ids.reshape(-1), 1)[:, 0],
-                                   sample_size).reshape(trial_ids.shape)         # (A, R)
+                                _counter_uniforms(draw_ids[:, 0], sample_size, keys))  # (A, N)
+        anchors = _uniform_indices(
+            _counter_uniforms(draw_ids[:, 1:].reshape(-1), 1, trial_keys)[:, 0],
+            sample_size).reshape(count, trials)                                  # (A, R)
         # block a of the sample-to-anchor stack is restart a's sample against
         # its anchors; trial t of restart a is row a * R + t of the menus
         to_anchor = measure.pairwise(points[samples],
@@ -680,9 +687,9 @@ def _greedy_restarts(points, measure, cfg, streams):
         # second live table the allocator releases and re-faults its pages on
         # every group.  The potentials stay the first operand, so the scores
         # keep the bits of np.minimum(potentials, table).
-        scores = np.empty((len(streams), trials))                                # (A, R)
+        scores = np.empty((count, trials))                                       # (A, R)
         for g in groups:
-            table = measure.pairwise(points, cands.reshape(len(streams), trials, d)[g],
+            table = measure.pairwise(points, cands.reshape(count, trials, d)[g],
                                      point_side=point_side)                      # (g, n, R)
             np.minimum(potentials[g, :, None], table, out=table)
             scores[g] = table.sum(axis=1)
@@ -709,7 +716,7 @@ def _greedy_restarts(points, measure, cfg, streams):
         "center": centers[win],
         "partial_cost": float(score[win]),
     } for i, (samples, best, anchor, patch, centers, score) in enumerate(history)]
-    return (costs, np.full(len(streams), trials * cfg.k), np.full(len(streams), cfg.k), win,
+    return (costs, np.full(count, trials * cfg.k), np.full(count, cfg.k), win,
             [entry["center"] for entry in trace], trace)
 
 
@@ -718,26 +725,30 @@ def _kmeanspp_picks(points, measure, k, streams):
     k) array whose row a holds the point indices picked on ``streams[a]``.
 
     Pick i of a restart is one draw from the :func:`~d2ptas.sampler.d2_law` of
-    its potentials, at the first uniform of the PCG64 generator of
-    ``stream.derive(i)``; the first pick, at potentials +inf, is uniform.  All
-    restarts keep their potentials as rows of one (A, n) array at +inf, share
-    one law table and one draw call per pick, and take their pick's
+    its potentials, at the first counter uniform of the id of
+    ``stream.derive(i)`` under the stream's key
+    (:func:`~d2ptas.sampler._stream_keys`), the draw rule of the greedy and
+    the tree; the first pick, at potentials +inf, is uniform.  The ids come as
+    one uint64 table, so no ``RngStream`` or generator is built for a pick.
+    All restarts keep their potentials as rows of one (A, n) array at +inf,
+    share one law table and one draw call per pick, and take their pick's
     divergences in one broadcast closed-form ``rowwise`` per group of
     restarts (:func:`_restart_groups`).  Each row keeps the bits of a lone
-    seeding through :class:`~d2ptas.sampler.CenterSet` and
-    :func:`~d2ptas.sampler.d2_sample`: ``CenterSet.add`` then ``d2_sample(...,
-    1)``.  ``points`` are already validated.
+    seeding: the potentials of :class:`~d2ptas.sampler.CenterSet` after
+    ``CenterSet.add`` of every earlier pick.  ``points`` are already
+    validated.
     """
     (n, d), count = points.shape, len(streams)
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    k = _checked_count(k, "k")
     if n < k:
         raise InsufficientPoints(f"need at least k={k} points, got {n}")
+    roots, keys = _stream_keys(streams)
+    uniforms = _counter_uniforms(_derived_ids(roots, np.arange(k)).reshape(-1), 1,
+                                 np.repeat(keys, k)).reshape(count, k)
     potentials = np.full((count, n), np.inf)
     picks = np.empty((count, k), dtype=np.intp)
     for i in range(k):
-        picks[:, i] = weighted_draw(d2_law(potentials),
-                                    [s.derive(i).generator.random(1) for s in streams])[:, 0]
+        picks[:, i] = weighted_draw(d2_law(potentials), uniforms[:, i:i + 1])[:, 0]
         if i + 1 < k:  # the last pick's potentials are never drawn from
             for g in _restart_groups(count, n * d):
                 np.minimum(potentials[g], measure.rowwise(points, points[picks[g, i], None, :]),
@@ -745,8 +756,9 @@ def _kmeanspp_picks(points, measure, k, streams):
     return picks
 
 
-def _run_restarts(points, ids, measure, cfg, streams):
-    """Run the restarts on ``streams`` in one pass.
+def _run_restarts(points, ids, measure, cfg, roots, keys):
+    """Run the restarts with stream ids ``roots`` and keys ``keys``
+    (:func:`~d2ptas.sampler._stream_keys`) in one pass.
 
     Returns, for either strategy, three arrays with one entry per restart
     (cost, subsets examined, nodes expanded), then the index of the first
@@ -754,8 +766,8 @@ def _run_restarts(points, ids, measure, cfg, streams):
     """
     if isinstance(cfg.subset_strategy, Exhaustive):
         return _TreeSearch(points, ids, measure, cfg.k, cfg.sample_size_N, cfg.subset_size_M,
-                           streams).run()
-    return _greedy_restarts(points, measure, cfg, streams)
+                           roots, keys).run()
+    return _greedy_restarts(points, measure, cfg, roots, keys)
 
 
 def _prepare(data, measure, config):
@@ -788,7 +800,9 @@ def _solve(data, measure, config, rng, lone=False):
     any draw (:func:`_check_tree_size`).  At most k distinct values need no
     search: a center goes on each value's first point in data order, then on
     the leading points again until there are k, with an empty trace, no
-    restarts and zero counters.
+    restarts and zero counters.  A search first turns the restart streams
+    into their ids and keys (:func:`~d2ptas.sampler._stream_keys`), which
+    both strategies draw under.
     """
     points, cfg, ids = _prepare(data, measure, config)
     streams = [rng] if lone else [rng.derive(r) for r in range(cfg.restarts)]
@@ -803,7 +817,7 @@ def _solve(data, measure, config, rng, lone=False):
         win, trace = 0, []
     else:
         costs, subsets, nodes, win, centers, trace = _run_restarts(points, ids, measure, cfg,
-                                                                   streams)
+                                                                   *_stream_keys(streams))
     for r, (cost, examined, expanded) in enumerate(zip(costs, subsets, nodes)):
         log.info("restart %d: strategy %s, cost %.10g, subsets %d, nodes %d", r,
                  cfg.subset_strategy.describe(), cost, examined, expanded)

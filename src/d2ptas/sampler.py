@@ -62,16 +62,17 @@ def _splitmix64_array(x):
 _UNIFORM_BLOCK = 1 << 13
 
 
-def _counter_uniforms(ids, count, key=0):
+def _counter_uniforms(ids, count, key):
     """The first ``count`` counter-based uniforms of each stream id under the
     64-bit ``key``, as a (len(ids), count) table.  ``key`` is one key for
-    every row or an array of one key per row.
+    every row or an array of one key per row; the engine's keys come from
+    :func:`_stream_keys`.
 
     The j-th uniform of the stream with id s is the top 53 bits of
     ``splitmix64(splitmix64(s ^ key) + j)`` times 2^-53, the 53-bit
     construction of numpy's ``random()``, so it lies in [0, 1).  Each value is
     a pure function of (key, s, j): a longer table extends a shorter one, and
-    no generator state is built or shared.  Key 0 leaves the ids as they are.
+    no generator state is built or shared.
     """
     # the second splitmix64's first step, adding the constant, done once per id
     base = _splitmix64_array(np.asarray(ids, dtype=np.uint64) ^ np.asarray(key, dtype=np.uint64))
@@ -113,6 +114,18 @@ def _counter_key(stream):
     return RngStream(stream.seed, stream.stream_id).generator.bit_generator.random_raw()
 
 
+def _stream_keys(streams):
+    """The uint64 stream ids of ``streams`` and their keys (:func:`_counter_key`),
+    as two arrays.
+
+    Every draw of the engine is a counter uniform (:func:`_counter_uniforms`)
+    of an id derived from one of these ids, under that stream's key, so these
+    keys are the only generators the engine builds: one per restart.
+    """
+    ids = np.array([stream.stream_id for stream in streams], dtype=np.uint64)
+    return ids, np.array([_counter_key(stream) for stream in streams], dtype=np.uint64)
+
+
 def _uniform_indices(uniforms, n):
     """``floor(u * n)`` for each uniform u of the 2^53-grid in [0, 1): an index in [0, n).
 
@@ -131,14 +144,17 @@ class RngStream:
     ``root.derive(r).derive(i)`` is stable no matter how many siblings are
     ever created -- which is what makes "extend the experiment" reproducible.
 
-    A stream draws in one of two ways.  ``generator`` is a PCG64 seeded by
-    (seed, stream_id); D² samples and k-means++ seeds use it.  Hot paths that
-    need values from each of many sibling streams skip the generator:
-    :func:`_derived_ids` gives the siblings' ids as one array and
-    :func:`_counter_uniforms` their uniforms, each a pure function of (key,
-    id, counter), so no state is built per stream.  ``RandomTrials`` anchors
-    are drawn this way with key 0, and the exhaustive tree's nodes under the
-    key :func:`_counter_key` of their restart stream, which brings in the seed.
+    The clustering engine draws by one rule.  A restart stream contributes
+    its id and its key (:func:`_stream_keys`), the first output of the PCG64
+    seeded by (seed, stream_id), which brings in the seed.  Every draw below
+    it -- a greedy iteration's D² sample, a trial's anchor, a k-means++ pick,
+    an exhaustive tree node's sample -- takes the counter uniforms
+    (:func:`_counter_uniforms`) of its derived stream id
+    (:func:`_derived_ids`) under that key, each a pure function of (key, id,
+    counter), so no state is built per iteration, pick or node.
+    ``generator``, the PCG64 itself, serves the keys and the draws outside
+    the engine: :func:`d2_sample`, the randomized property trials, the
+    planted-data generator and the oracle's estimators.
     """
 
     def __init__(self, seed, stream_id=0):
@@ -251,9 +267,8 @@ def weighted_draw(probs, uniforms):
     ``probs`` is either one probability vector, drawn with the (count,)
     ``uniforms``, or a (B, n) stack of rows whose row b is drawn with row b
     of the (B, count) ``uniforms``; each row's draw is the 1-D draw of that
-    row.  The uniforms lie in [0, 1): PCG64 ``random()`` rows for D² samples
-    and k-means++, counter uniforms (:func:`_counter_uniforms`) for the
-    exhaustive tree.
+    row.  The uniforms lie in [0, 1): the engine passes counter uniforms
+    (:func:`_counter_uniforms`), and :func:`d2_sample` a PCG64 ``random()`` row.
 
     The cumulative distribution is inverted over the support only: entries
     that are not positive add nothing to it, and from the last positive entry

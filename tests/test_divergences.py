@@ -284,6 +284,28 @@ class TestGenericBregman:
             GenericBregman(**square).validate_points([[0.5, -1.0]])
         GenericBregman(**square, domain=(0.1, 0.9)).validate_points([[0.1], [0.9]])
 
+    def test_domain_and_box_validated(self):
+        """A domain other than 'unrestricted', 'positive' or a finite (lo, hi)
+        with lo < hi, and a box that is not such a pair inside the domain,
+        are refused when the measure is built."""
+        square = dict(phi=lambda X: (X * X).sum(-1), grad_phi=lambda X: 2 * X, mu=1.0)
+        for domain in ("nonneg", "ab", (0.9, 0.1), (0.5, 0.5), (0.0, np.inf), (np.nan, 1.0),
+                       (0.1, 0.5, 0.9), 3.0):
+            with pytest.raises(ConfigError, match="domain"):
+                GenericBregman(**square, box=None, domain=domain)
+        for box in ((0.9, 0.1), (0.0, np.inf), (0.1,), "ab"):
+            with pytest.raises(ConfigError, match="box"):
+                GenericBregman(**square, box=box, domain="unrestricted")
+        for box, domain in (((0.0, 0.9), "positive"), ((-1.0, 0.5), "positive"),
+                            ((0.1, 0.9), (0.2, 0.9)), ((0.1, 1.0), (0.1, 0.9))):
+            with pytest.raises(ConfigError, match="box"):
+                GenericBregman(**square, box=box, domain=domain)
+        g = GenericBregman(**square, box=[0.2, 0.9], domain=[0.2, 0.9])
+        assert (g.box, g.domain) == ((0.2, 0.9), (0.2, 0.9))
+        GenericBregman(**square, box=(-1.0, 1.0), domain="unrestricted").validate_points([[-0.5]])
+        points = g.sample_domain(np.random.default_rng(0), (100, 2))
+        g.validate_points(points)
+
     def test_similarity_matrix_optional(self):
         g = GenericBregman(phi=lambda X: X.sum(-1) ** 2, grad_phi=lambda X: X,
                            mu=0.5)

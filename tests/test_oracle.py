@@ -26,7 +26,7 @@ from d2ptas.cli import run_experiment, write_points_csv
 from d2ptas.divergences import assign, centroid
 from d2ptas.oracle import ORACLE_K_CAP, ORACLE_N_CAP, _gamma, _kmeanspp_lloyd, _lloyd_restarts
 from d2ptas.ptas import _kmeanspp_picks, _restart_groups
-from d2ptas.sampler import CenterSet, d2_sample
+from d2ptas.sampler import CenterSet, _counter_key, _splitmix64, d2_law, weighted_draw
 
 MEASURES = {
     "sq": SquaredEuclidean(),
@@ -200,6 +200,16 @@ class TestLloyd:
         with pytest.raises(ConfigError):
             lloyd(four_point_line, sq, np.zeros((2, 3)))
 
+    def test_max_iters_is_a_count(self, sq, four_point_line):
+        """A negative or fractional pass count is refused, not run as 0 or
+        truncated; 0 and NumPy integers are accepted."""
+        start = np.array([[1.0], [4.0]])
+        for bad in (-1, 1.5, 2.0, True):
+            with pytest.raises(ConfigError, match="max_iters"):
+                lloyd(four_point_line, sq, start, max_iters=bad)
+        assert lloyd(four_point_line, sq, start, max_iters=0).meta["cost_trace"] == [2.0]
+        assert lloyd(four_point_line, sq, start, max_iters=np.int64(1)).cost == 1.0
+
     def test_clusters_of_equal_points_cost_exactly_zero(self, sq):
         """A float mean of three copies of 0.1 is 0.10000000000000002."""
         points = np.array([[0.1]] * 3 + [[7.3]] * 3)
@@ -243,11 +253,14 @@ class TestIrreducibility:
 
 
 def reference_seeding(points, measure, k, stream):
-    """A lone k-means++ seeding: per pick, one d2_sample draw on ``stream.derive(i)``
-    from a CenterSet, then CenterSet.add."""
-    center_set, picked = CenterSet.empty(points, measure), []
+    """A lone k-means++ seeding: pick i inverts the D² law of a CenterSet at
+    the first counter uniform of ``stream.derive(i)``'s id s under the key K
+    of ``stream``, the top 53 bits of splitmix64(splitmix64(s ^ K)) times
+    2^-53, in plain Python integers; then CenterSet.add."""
+    center_set, picked, key = CenterSet.empty(points, measure), [], _counter_key(stream)
     for i in range(k):
-        picked.append(int(d2_sample(center_set, stream.derive(i), 1)[0]))
+        u = (_splitmix64(_splitmix64(stream.derive(i).stream_id ^ key)) >> 11) * 2.0 ** -53
+        picked.append(int(weighted_draw(d2_law(center_set.potentials), [u])[0]))
         center_set = center_set.add(points[picked[-1]])
     return picked
 
@@ -281,8 +294,8 @@ def baseline_points(name):
 
 class TestLockStepBaseline:
     """The k-means++/Lloyd baseline runs its restarts as one batch; each
-    restart keeps every bit of a lone run through CenterSet, d2_sample,
-    assign and centroid."""
+    restart keeps every bit of a lone run through CenterSet, d2_law,
+    weighted_draw, assign and centroid."""
 
     CASES = [(name, k) for name in ("sq", "kl", "mahalanobis") for k in (1, 2, 3, 4)]
 

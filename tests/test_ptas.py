@@ -38,11 +38,42 @@ from d2ptas.divergences import GenericBregman, Mahalanobis, assign
 from d2ptas.oracle import lloyd, optimal_bruteforce
 from d2ptas import ptas
 from d2ptas.ptas import _distinct_sample_points, _prepare
-from d2ptas.sampler import CenterSet, RngStream, _splitmix64, d2_sample
+from d2ptas.sampler import CenterSet, RngStream, _counter_key, _splitmix64, d2_law, weighted_draw
+
+MASK64 = 2 ** 64 - 1
 
 
 def desk(k, **overrides):
     return PtasConfig(k=k, epsilon=0.5, **overrides)
+
+
+def counter_uniforms(stream_id, key, count):
+    """The first ``count`` counter uniforms of ``stream_id`` under ``key``, in
+    plain Python integers: the j-th is the top 53 bits of
+    splitmix64(splitmix64(stream_id ^ key) + j) times 2^-53."""
+    base = _splitmix64(stream_id ^ key)
+    return np.array([(_splitmix64((base + j) & MASK64) >> 11) * 2.0 ** -53
+                     for j in range(count)])
+
+
+def reference_sample(center_set, stream, key, count):
+    """``count`` D² draws: the law of ``center_set`` inverted at the counter
+    uniforms of ``stream``'s id under ``key``."""
+    return weighted_draw(d2_law(center_set.potentials),
+                         counter_uniforms(stream.stream_id, key, count))
+
+
+def reference_anchors(stream, key, trials, size):
+    """Trial t's anchor, floor(u * size) for u the first counter uniform of
+    ``stream.derive(1 + t)``'s id under ``key``."""
+    return np.array([int(counter_uniforms(stream.derive(1 + t).stream_id, key, 1)[0] * size)
+                     for t in range(trials)])
+
+
+def roots_and_keys(streams):
+    """What ``_run_restarts`` takes for ``streams``: their ids and keys, as uint64 arrays."""
+    return (np.array([stream.stream_id for stream in streams], dtype=np.uint64),
+            np.array([_counter_key(stream) for stream in streams], dtype=np.uint64))
 
 
 class TestStrategies:
@@ -61,8 +92,10 @@ class TestStrategies:
             parse_strategy("random:0")
 
     def test_random_trials_validated(self):
-        with pytest.raises(ConfigError):
-            RandomTrials(trials=0)
+        for trials in (0, -1, 2.5, 2.0, True, "3"):
+            with pytest.raises(ConfigError):
+                RandomTrials(trials=trials)
+        assert RandomTrials(np.int64(3)).describe() == "random:3"
 
     def test_describe_strings(self):
         assert Exhaustive().describe() == "exhaustive"
@@ -109,6 +142,18 @@ class TestConfigResolution:
             PtasConfig(k=2, epsilon=0.5, restarts=0).resolved(sq)
         with pytest.raises(ConfigError):
             PtasConfig(k=2, epsilon=0.5, scale_preset="mainframe").resolved(sq)
+        # counts are integers: a float is refused, not truncated
+        for bad in (dict(k=2.5), dict(k=-1), dict(sample_size_N=20.7), dict(subset_size_M=2.0),
+                    dict(restarts=1.9), dict(restarts=-2), dict(restarts=False)):
+            with pytest.raises(ConfigError):
+                PtasConfig(**{"k": 2, "epsilon": 0.5, **bad}).resolved(sq)
+        cfg = PtasConfig(k=np.int64(2), epsilon=0.5, sample_size_N=np.int32(20),
+                         subset_size_M=np.uint8(3), restarts=np.int64(2)).resolved(sq)
+        assert cfg.summary() == {"k": 2, "epsilon": 0.5, "sample_size_N": 20, "subset_size_M": 3,
+                                 "restarts": 2, "strategy": "random:50",
+                                 "scale_preset": "desk"}
+        assert all(type(v) is int for v in (cfg.k, cfg.sample_size_N, cfg.subset_size_M,
+                                            cfg.restarts))
 
     def test_summary_round_trip(self, sq):
         s = desk(3).resolved(sq).summary()
@@ -161,7 +206,9 @@ class TestTinyExhaustive:
                 assert mine["subset_rank"] == theirs["subset_rank"]
 
     def test_the_seed_enters_the_tree_draws(self, sq, gen):
-        """Equal stream ids under two seeds draw different root samples."""
+        """Equal stream ids under two seeds draw different root samples.  The
+        greedy's and the baseline's counterpart is in
+        ``TestAnchoredTrialsDiscipline``."""
         pts = gen.standard_normal((12, 1))
         samples = [run_one_restart(pts, sq, desk(2, **self.CFG), RngStream(seed, 5))
                    .meta["trace"][0]["sample"] for seed in (1, 2)]
@@ -457,25 +504,21 @@ class TestFindKMedianContracts:
 
 class TestAnchoredTrialsDiscipline:
     """The documented stream layout is a public contract: restart r derives
-    stream r, iteration i derives i below that, the sample is drawn by the
-    generator of derive(0), and trial t's anchor is floor(u * N) for u the
-    first counter uniform of derive(1 + t)'s id, the top 53 bits of
-    splitmix64(splitmix64(id)) times 2^-53.  The inline mirror below must
-    reproduce the engine bit for bit."""
+    stream r, iteration i derives i below that, the sample inverts the D² law
+    at the counter uniforms of derive(0)'s id, and trial t's anchor is
+    floor(u * N) for u the first counter uniform of derive(1 + t)'s id.  All
+    are under the restart stream's key K: the j-th uniform of id s is the top
+    53 bits of splitmix64(splitmix64(s ^ K) + j) times 2^-53.  The inline
+    mirror below must reproduce the engine bit for bit."""
 
     @staticmethod
     def mirror_restart(points, measure, cfg, stream, trials):
         center_set = CenterSet.empty(points, measure)
-        menus, centers = [], []
+        menus, centers, key = [], [], _counter_key(stream)
         for i in range(cfg.k):
             it = stream.derive(i)
-            sample_idx = d2_sample(center_set, it.derive(0), cfg.sample_size_N)
-            sample = points[sample_idx]
-            anchors = []
-            for t in range(trials):
-                word = _splitmix64(_splitmix64(it.derive(1 + t).stream_id))
-                anchors.append(int((word >> 11) * 2.0 ** -53 * cfg.sample_size_N))
-            anchors = np.array(anchors)
+            sample = points[reference_sample(center_set, it.derive(0), key, cfg.sample_size_N)]
+            anchors = reference_anchors(it, key, trials, cfg.sample_size_N)
             to_anchor = measure.pairwise(sample, sample[anchors])
             positions = np.argsort(to_anchor, axis=0, kind="stable")[:cfg.subset_size_M].T
             cands = sample[positions].mean(axis=1)
@@ -530,9 +573,32 @@ class TestAnchoredTrialsDiscipline:
         assert menus[25].shape == (1, 25, 2) and menus[50].shape == (1, 50, 2)
         np.testing.assert_array_equal(menus[25], menus[50][:, :25])
 
+    def test_the_seed_enters_the_greedy_and_the_baseline(self, sq, planted, monkeypatch):
+        """Equal stream ids under two seeds draw different greedy samples, at
+        the first iteration's uniform law already, different anchors and
+        different k-means++ picks: every draw is keyed by its seed."""
+        points = planted[0]
+        anchors, indices = [], ptas._uniform_indices
+
+        def recorded(uniforms, n):
+            anchors.append(indices(uniforms, n))
+            return anchors[-1]
+
+        monkeypatch.setattr(ptas, "_uniform_indices", recorded)
+        traces, picks = [], []
+        for seed in (1, 2):
+            stream = RngStream(seed, 5)
+            traces.append(run_one_restart(points, sq, desk(3), stream).meta["trace"])
+            picks.append(kmeanspp_seed(points, sq, 3, stream).meta["picked"])
+        assert len(anchors) == 6 and anchors[0].shape == (50,)
+        for i in range(3):
+            assert not np.array_equal(traces[0][i]["sample"], traces[1][i]["sample"])
+            assert not np.array_equal(anchors[i], anchors[3 + i])
+        assert picks[0] != picks[1]
+
     def test_largest_uniform_anchors_the_last_sample_position(self, sq, planted, monkeypatch):
         monkeypatch.setattr(ptas, "_counter_uniforms",
-                            lambda ids, count: np.full((len(ids), count), 1.0 - 2.0 ** -53))
+                            lambda ids, count, key: np.full((len(ids), count), 1.0 - 2.0 ** -53))
         res = run_one_restart(planted[0], sq, desk(3, sample_size_N=239), RngStream(38))
         assert [entry["anchor"] for entry in res.meta["trace"]] == [238, 238, 238]
 
@@ -680,12 +746,12 @@ class TestLockStepRestarts:
         centers and trace included."""
         points, cfg, ids = _prepare(points, measure, config)
         streams = [rng.derive(r) for r in range(restarts)]
-        batch = ptas._run_restarts(points, ids, measure, cfg, streams)
+        batch = ptas._run_restarts(points, ids, measure, cfg, *roots_and_keys(streams))
         costs, subsets, nodes, win, centers, trace = batch
         assert len(costs) == len(subsets) == len(nodes) == restarts
         assert win == np.flatnonzero(costs == costs.min())[0]
         for r, stream in enumerate(streams):
-            alone = ptas._run_restarts(points, ids, measure, cfg, [stream])[0]
+            alone = ptas._run_restarts(points, ids, measure, cfg, *roots_and_keys([stream]))[0]
             assert alone.tobytes() == costs[r:r + 1].tobytes()
             lone = run_one_restart(points, measure, config, stream)
             assert subsets[r] == lone.meta["subsets_examined"]
@@ -773,11 +839,12 @@ class TestLockStepRestarts:
         rng = RngStream(63)
         res = find_k_median(points, sq, cfg, rng)
         stream = rng.derive(res.meta["winning_restart"])
-        center_set = CenterSet.empty(points, sq)
+        center_set, key = CenterSet.empty(points, sq), _counter_key(stream)
         for i, entry in enumerate(res.meta["trace"]):
             sample = entry["sample"]
             assert sample.base is None and sample.flags.owndata
-            want = d2_sample(center_set, stream.derive(i).derive(0), cfg.sample_size_N)
+            want = reference_sample(center_set, stream.derive(i).derive(0), key,
+                                    cfg.sample_size_N)
             assert (sample.dtype, sample.shape, sample.tobytes()) == (
                 want.dtype, want.shape, want.tobytes())
             center_set = center_set.add(entry["center"])
@@ -840,13 +907,12 @@ class TestAnchoredPatches:
         its sample, its anchors, its (R, M) patch positions and its (N, R)
         sample-to-anchor table, built as ``mirror_restart`` builds them."""
         trials, size, m_ = cfg.subset_strategy.trials, cfg.sample_size_N, cfg.subset_size_M
-        center_set = CenterSet.empty(points, measure)
+        center_set, key = CenterSet.empty(points, measure), _counter_key(stream)
         patches = []
         for i, center in enumerate(centers):
             it = stream.derive(i)
-            sample = points[d2_sample(center_set, it.derive(0), size)]
-            anchors = np.array([int((_splitmix64(_splitmix64(it.derive(1 + t).stream_id)) >> 11)
-                                    * 2.0 ** -53 * size) for t in range(trials)])
+            sample = points[reference_sample(center_set, it.derive(0), key, size)]
+            anchors = reference_anchors(it, key, trials, size)
             to_anchor = measure.pairwise(sample, sample[anchors])
             positions = np.argsort(to_anchor, axis=0, kind="stable")[:m_].T
             patches.append((sample, anchors, positions, to_anchor))
@@ -861,9 +927,9 @@ class TestAnchoredPatches:
         cfg = desk(3).resolved(measure)
         passes, greedy = [], ptas._greedy_restarts
 
-        def recorded(points, measure, cfg, streams):
-            passes.append(len(streams))
-            return greedy(points, measure, cfg, streams)
+        def recorded(points, measure, cfg, roots, keys):
+            passes.append(len(roots))
+            return greedy(points, measure, cfg, roots, keys)
 
         monkeypatch.setattr(ptas, "_greedy_restarts", recorded)
         rng = RngStream(seed)
@@ -1000,8 +1066,10 @@ class TestKmeansppSeed:
         assert avg >= engine.cost
 
     def test_validation(self, sq, four_point_line):
-        with pytest.raises(ConfigError):
-            kmeanspp_seed(four_point_line, sq, 0, RngStream(1))
+        for k in (0, -1, 1.5, 2.0):
+            with pytest.raises(ConfigError):
+                kmeanspp_seed(four_point_line, sq, k, RngStream(1))
+        assert len(kmeanspp_seed(four_point_line, sq, np.int64(2), RngStream(1)).centers) == 2
         with pytest.raises(InsufficientPoints):
             kmeanspp_seed(four_point_line, sq, 9, RngStream(1))
 

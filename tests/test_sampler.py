@@ -82,7 +82,8 @@ class TestCounterDraws:
             table = _counter_uniforms(ids, 4, key)
             assert table.tolist() == [[scalar_uniform(s, j, key) for j in range(4)] for s in ids]
             assert ((0.0 <= table) & (table < 1.0)).all()
-        assert _counter_uniforms(ids, 4).tolist() == _counter_uniforms(ids, 4, 0).tolist()
+        with pytest.raises(TypeError):  # every caller names its key; there is no default
+            _counter_uniforms(ids, 4)
         # one key per row: row b under keys[b] is that row of the scalar key's table
         mixed = [0, 2 ** 64 - 1] * 11
         for keys in ([0] * len(ids), [2 ** 64 - 1] * len(ids), mixed):
@@ -100,13 +101,16 @@ class TestCounterDraws:
         assert _counter_uniforms(ids, count, 2 ** 64 - 1).tolist() == want
 
     def test_empty_tables(self):
-        assert _counter_uniforms([], 5).shape == (0, 5)
-        assert _counter_uniforms([3, 4], 0).shape == (2, 0)
+        assert _counter_uniforms([], 5, 0).shape == (0, 5)
+        assert _counter_uniforms([3, 4], 0, 0).shape == (2, 0)
 
     def test_more_uniforms_extend_fewer(self):
         ids = _derived_ids([RngStream(9).stream_id], np.arange(30))[0]
-        np.testing.assert_array_equal(_counter_uniforms(ids, 7)[:, :3], _counter_uniforms(ids, 3))
-        np.testing.assert_array_equal(_counter_uniforms(ids[:10], 3), _counter_uniforms(ids, 3)[:10])
+        key = _counter_key(RngStream(9))
+        np.testing.assert_array_equal(_counter_uniforms(ids, 7, key)[:, :3],
+                                      _counter_uniforms(ids, 3, key))
+        np.testing.assert_array_equal(_counter_uniforms(ids[:10], 3, key),
+                                      _counter_uniforms(ids, 3, key)[:10])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 100, 239, 2 ** 31 - 1])
     def test_largest_uniform_maps_to_the_last_index(self, n):
@@ -118,7 +122,7 @@ class TestCounterDraws:
         sibling streams, within 5 binomial standard deviations."""
         trials = 100_000
         ids = _derived_ids([RngStream(1).derive(4).stream_id], 1 + np.arange(trials))[0]
-        indices = _uniform_indices(_counter_uniforms(ids, 1)[:, 0], n)
+        indices = _uniform_indices(_counter_uniforms(ids, 1, _counter_key(RngStream(1)))[:, 0], n)
         freq = np.bincount(indices, minlength=n) / trials
         assert freq.shape == (n,)
         p = 1.0 / n

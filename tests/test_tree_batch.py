@@ -46,6 +46,13 @@ def reference_key(stream):
         stream.seed, spawn_key=(stream.stream_id,))).random_raw()
 
 
+def roots_and_keys(*streams):
+    """What ``_TreeSearch`` takes for the restarts on ``streams``: their ids and
+    reference keys, as uint64 arrays."""
+    return (np.array([stream.stream_id for stream in streams], dtype=np.uint64),
+            np.array([reference_key(stream) for stream in streams], dtype=np.uint64))
+
+
 def reference_draw(probs, draw_id, key, count):
     """The 1-D draw over the support only, at the node's counter uniforms: the
     top 53 bits of splitmix64(splitmix64(draw_id ^ key) + j) times 2^-53."""
@@ -144,7 +151,7 @@ def same_bits(a, b):
 def run_both(points, measure, k, N, M, stream):
     points = np.asarray(points, dtype=float)
     _, _, ids = _prepare(points, measure, PtasConfig(k=1, epsilon=0.5))
-    batched = ptas._TreeSearch(points, ids, measure, k, N, M, [stream])
+    batched = ptas._TreeSearch(points, ids, measure, k, N, M, *roots_and_keys(stream))
     reference = ReferenceSearch(points, ids, measure, k, N, M, reference_key(stream))
     batched.run()
     reference.visit(None, stream.stream_id, ())
@@ -193,7 +200,7 @@ class TestSearchMatchesReference:
         points[5] = points[2]
         _, _, ids = _prepare(points, measure, PtasConfig(k=1, epsilon=0.5))
         root = RngStream(49, d)
-        search = ptas._TreeSearch(points, ids, measure, 2, 6, 3, [root])
+        search = ptas._TreeSearch(points, ids, measure, 2, 6, 3, *roots_and_keys(root))
         reference = ReferenceSearch(points, ids, measure, 2, 6, 3, reference_key(root))
         parents = reference.expand(None, root.stream_id)[-1]
         children = [derive_id(root.stream_id, 1 + b) for b in range(len(parents))]
@@ -278,17 +285,18 @@ class TestSearchMatchesReference:
                                     PtasConfig(k=2, epsilon=0.5, scale_preset="paper"))
         assert cfg.sample_size_N == 819_200
         search = ptas._TreeSearch(points, ids, sq, cfg.k, cfg.sample_size_N,
-                                  cfg.subset_size_M, [RngStream(7)])
+                                  cfg.subset_size_M, *roots_and_keys(RngStream(7)))
         assert ptas._BATCH_ENTRIES // search._node_entries == 0
 
-    def test_extreme_stream_ids_and_keys(self, sq, monkeypatch):
+    def test_extreme_stream_ids_and_keys(self, sq):
         """A root stream id and a key of 2^64 - 1, where every sum wraps."""
         points = RngStream(52).generator.standard_normal((9, 2))
         _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
         for key in (0, 2 ** 64 - 1):
-            monkeypatch.setattr(ptas, "_counter_key", lambda stream, key=key: key)
             for root in (RngStream(53, 2 ** 64 - 1), RngStream(2 ** 64 - 1, 0)):
-                batched = ptas._TreeSearch(points, ids, sq, 3, 5, 2, [root])
+                batched = ptas._TreeSearch(points, ids, sq, 3, 5, 2,
+                                           np.array([root.stream_id], dtype=np.uint64),
+                                           np.array([key], dtype=np.uint64))
                 reference = ReferenceSearch(points, ids, sq, 3, 5, 2, key)
                 batched.run()
                 reference.visit(None, root.stream_id, ())
@@ -379,7 +387,7 @@ class TestFrontierBatches:
         batches = record_batches(monkeypatch)
         for seed in range(2):
             stream = RngStream(905, seed)
-            batched = ptas._TreeSearch(points, ids, sq, 4, 4, 2, [stream])
+            batched = ptas._TreeSearch(points, ids, sq, 4, 4, 2, *roots_and_keys(stream))
             monkeypatch.setattr(ptas, "_BATCH_ENTRIES", chunk * batched._node_entries)
             batched.run()
             tree, batches[:] = list(batches), []
@@ -401,7 +409,7 @@ class TestFrontierBatches:
         points = RngStream(55).generator.standard_normal((12, 2))
         _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
         batches = record_batches(monkeypatch)
-        ptas._TreeSearch(points, ids, sq, 3, 239, 2, [RngStream(906)]).run()
+        ptas._TreeSearch(points, ids, sq, 3, 239, 2, *roots_and_keys(RngStream(906))).run()
         assert max(len(parents(b)) for b in batches if len(b[0]) == 3) > 1
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -416,8 +424,8 @@ class TestFrontierBatches:
         _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
         stream, peaks = RngStream(907, d), []
         # fill the combination caches before tracing
-        PerParentSearch(points, ids, sq, 3, 239, 2, [stream]).run()
-        searches = [cls(points, ids, sq, 3, 239, 2, [stream])
+        PerParentSearch(points, ids, sq, 3, 239, 2, *roots_and_keys(stream)).run()
+        searches = [cls(points, ids, sq, 3, 239, 2, *roots_and_keys(stream))
                     for cls in (PerParentSearch, ptas._TreeSearch)]
         for search in searches:
             tracemalloc.start()
