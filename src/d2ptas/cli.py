@@ -29,6 +29,7 @@ from .divergences import (
     KullbackLeibler,
     Mahalanobis,
     SquaredEuclidean,
+    _checked_count,
     centroid_report,
     mu_similarity_report,
     symmetry_report,
@@ -121,6 +122,8 @@ def generate_planted(k, per_cluster, dim, separation, sigma, rng, max_attempts=1
     each point, usable as ground truth.  A scale whose points would not all
     be finite is refused.
     """
+    k, per_cluster, dim = (_checked_count(value, name, least=None) for value, name in
+                           ((k, "k"), (per_cluster, "per_cluster"), (dim, "dim")))
     if k < 1 or per_cluster < 1 or dim < 1:
         raise ConfigError("need k >= 1, per_cluster >= 1 and dim >= 1")
     min_dist = separation * sigma

@@ -174,14 +174,15 @@ def _checked_mu(mu):
 
 
 def _checked_count(value, name, least=1):
-    """``value`` as an int, which must be an integer of at least ``least``.
+    """``value`` as an int, which must be an integer of at least ``least``,
+    or any integer when ``least`` is None (the caller words its own bound).
 
     Python and NumPy integers are accepted; floats are refused rather than
     truncated, and so are bools.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
@@ -700,6 +701,7 @@ def check_mu_similarity(measure, U, P, Q, tolerance=1e-12):
 
 def random_pairs(measure, dim, count, rng):
     """Two (count, dim) batches of in-domain points, from the generator of the stream ``rng``."""
+    count, dim = _checked_count(count, "trials", least=None), _checked_count(dim, "dim", least=None)
     if count < 1 or dim < 1:
         raise ConfigError(f"need at least one trial of at least one dimension, got {count} "
                           f"trials of dimension {dim}")
@@ -740,6 +742,7 @@ _CENTROID_DIMS = (1, 6)
 
 def centroid_report(measure, rng, instances=100, tolerance=1e-9):
     """Centroid identity residuals over random instances; worst residual reported."""
+    instances = _checked_count(instances, "instances", least=None)
     if instances < 1:
         raise ConfigError(f"need at least one instance, got {instances}")
     gen = rng.generator

@@ -81,8 +81,7 @@ def optimal_bruteforce(data, k, measure):
     """
     points = as_points(data)
     measure.validate_points(points)
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    k = _checked_count(k, "k")
     n, _ = points.shape
     if n > ORACLE_N_CAP:
         raise TooLarge(f"n={n} exceeds the oracle cap {ORACLE_N_CAP}")
@@ -265,6 +264,7 @@ def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None):
     elif mode == "approximate":
         if rng is None:
             raise ConfigError("approximate mode needs an rng")
+        restarts = _checked_count(restarts, "restarts", least=None)
         if restarts < 1:
             raise ConfigError(f"approximate mode needs at least one restart, got {restarts}")
 
@@ -306,11 +306,10 @@ def subsample_extrapolation(data, k, measure, rng, subsample_size=12, repeats=5)
     """
     points = as_points(data)
     n = points.shape[0]
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    repeats = _checked_count(repeats, "repeats")
+    m = _checked_count(subsample_size, "subsample_size", least=None)
     if n <= ORACLE_N_CAP:
         return optimal_bruteforce(points, k, measure).optimal_cost
-    m = int(subsample_size)
     if not k < m <= ORACLE_N_CAP:
         raise ConfigError(
             f"subsample_size must satisfy k < m <= {ORACLE_N_CAP}, got {m}")
@@ -331,12 +330,10 @@ def inaba_trial(data, M, delta, trials, rng, measure=None):
     extra 0.05 of Monte-Carlo slack.
     """
     points = as_points(data)
-    if M < 1:
-        raise ConfigError(f"sample size must be >= 1, got {M}")
+    M = _checked_count(M, "sample size M")
     if not (0.0 < delta < 1.0):
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    if trials < 1:
-        raise ConfigError("need at least one trial")
+    trials = _checked_count(trials, "trials")
     if measure is None:
         measure = SquaredEuclidean()
     measure.validate_points(points)
@@ -356,7 +353,7 @@ def inaba_trial(data, M, delta, trials, rng, measure=None):
     worst = float(costs.max() / base) if base > 0 else 1.0
     return PropertyReport(
         property="sampling",
-        trials=int(trials),
+        trials=trials,
         violations=int(np.count_nonzero(~ok)),
         worst_ratio=worst,
         tolerance=required,
@@ -365,7 +362,7 @@ def inaba_trial(data, M, delta, trials, rng, measure=None):
             "success_rate": rate,
             "required_rate": required,
             "bound_factor": factor,
-            "sample_size": int(M),
+            "sample_size": M,
             "delta": float(delta),
         },
     )

@@ -269,15 +269,37 @@ def _distinct_sample_points(ids, rows):
     return tuple(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
 
 
-def _distinct_rows(rows, base):
-    """The distinct rows of a matrix of ints in [0, base), and each row's index among them.
+# _distinct_rows ranks a column by presence flags while their table, one
+# flag per key, has at most this many entries per row, so that it costs no
+# more than a few passes over the keys; a larger key range takes np.unique's
+# sort instead.  At exact_small's batches (15k-23k candidates of 2 members
+# in [0, 13)) every column takes the flags.
+_FLAGS_PER_ROW = 4
 
-    Rows are ranked one column at a time, so no key outgrows ``len(rows) * base``.
+
+def _distinct_rows(rows, base):
+    """The distinct rows of a matrix of ints in [0, base), and each row's index
+    among them, which is its rank in lexicographic order.
+
+    Rows are ranked one column at a time, so no key outgrows ``len(rows) * base``:
+    each row's key is its rank so far times ``base`` plus its entry in the
+    column.  Where the keys span at most ``_FLAGS_PER_ROW * len(rows)`` values
+    they are ranked in linear time, by flagging the keys present and taking
+    the running count of the flags; otherwise ``np.unique`` sorts them.  Both
+    give the same ranks.
     """
-    which = np.zeros(len(rows), dtype=np.intp)
+    which, distinct = np.zeros(len(rows), dtype=np.intp), 1
     for col in rows.T:
-        which = np.unique(which * base + col, return_inverse=True)[1]
-    first = np.empty(which.max() + 1, dtype=np.intp)
+        keys = which * base + col
+        if distinct * base <= _FLAGS_PER_ROW * len(rows):
+            present = np.zeros(distinct * base, dtype=bool)
+            present[keys] = True
+            ranks = np.cumsum(present)
+            which, distinct = ranks[keys] - 1, int(ranks[-1])
+        else:
+            values, which = np.unique(keys, return_inverse=True)
+            distinct = len(values)
+    first = np.empty(distinct, dtype=np.intp)
     first[which] = np.arange(len(rows))  # any row of a rank will do: they are equal
     return rows[first], which
 
@@ -336,20 +358,22 @@ def _combo_by_rank(groups, rank):
 
 
 # A frontier of tree nodes is expanded in chunks of at most this many entries,
-# or one node.  A node counts its N uniforms and N draws, and per candidate
-# its members, ids, owner and cost, its divergences to the n points with
-# their coordinates and its child's n potentials; so the budget bounds every
-# temporary of a batch, the pool dedupe's keys, positions and first-occurrence
-# slots included.  A paper-preset node (N = 819 200) is a batch of its own.
-# At exact_small's shape (n = 12, N = 239, M = 2, 78 candidates) 2^20 entries
-# make chunks of 227-382 nodes; 2^19 was slower and 2^21 no faster, with a
-# higher peak.  Each node's numbers are computed on their own, so results do
-# not depend on it.
+# or one node.  A node counts its N uniforms and N draws, the three N-entry
+# temporaries of the draw's binary search and its law row padded for it (below
+# 2n), and per candidate its members, ids, owner and cost, its divergences to
+# the n points with their coordinates and its child's n potentials; so the
+# budget bounds every temporary of a batch, the pool dedupe's keys, positions
+# and first-occurrence slots included.  A paper-preset node (N = 819 200) is
+# a batch of its own.  At exact_small's shape (n = 12, N = 239, M = 2, 78
+# candidates) 2^20 entries make chunks of 195-301 nodes; 2^19 and 2^21 were
+# slower.  Each node's numbers are computed on their own, so results do not
+# depend on it.
 _BATCH_ENTRIES = 1 << 20
 # Candidate costs are summed over blocks of whole rows, at most about this
 # many entries of candidates by points or one row.  Blocks of 64 KiB reuse
 # freed memory (256 KiB blocks faulted in fresh pages on every batch at
-# n = 12).
+# n = 12); with the block's potentials in one reused buffer, 2^13, 2^14 and
+# 2^15 entries took the same time at exact_small's batches.
 _SUM_ENTRIES = 1 << 13
 
 
@@ -375,14 +399,24 @@ class _Batch:
         self.means = means
         self.table = table
         self.parents = parents
-        # each cost is the 1-D sum of its own row
+        # each cost is the 1-D sum of its own row, a block of rows at a time
+        # in one reused buffer
         step = max(1, _SUM_ENTRIES // table.shape[1])
-        self.costs = np.concatenate([self.potentials(np.arange(lo, min(lo + step, starts[-1])))
-                                     .sum(axis=1) for lo in range(0, starts[-1], step)])
+        block = np.empty((min(step, starts[-1]), table.shape[1]))
+        self.costs = np.empty(starts[-1])
+        for lo in range(0, starts[-1], step):
+            rows = slice(lo, min(lo + step, starts[-1]))
+            self.potentials(rows, block[:rows.stop - lo]).sum(axis=1, out=self.costs[rows])
 
-    def potentials(self, cands):
-        """Potentials after adding candidates ``cands``, one row each."""
-        return np.minimum(self.parents[self.owner[cands]], self.table[self.which[cands]])
+    def potentials(self, cands, out=None):
+        """Potentials after adding candidates ``cands``, one row each, into
+        ``out`` if it is given."""
+        # owner and which index parents and table by construction, so
+        # mode="clip" changes no index: it only spares take the buffered
+        # copy of ``out`` that its default bounds check makes
+        out = np.take(self.parents, self.owner[cands], axis=0, out=out, mode="clip")
+        return np.minimum(out, np.take(self.table, self.which[cands], axis=0, mode="clip"),
+                          out=out)
 
 
 class _TreeSearch:
@@ -436,7 +470,7 @@ class _TreeSearch:
         most = _menu_size(sample_size, subset_size, distinct)
         width = min(subset_size, sample_size, distinct)
         # what one node adds to a batch, in entries (see _BATCH_ENTRIES)
-        self._node_entries = 2 * sample_size + most * (n * (d + 1) + width + 3)
+        self._node_entries = 5 * sample_size + 2 * n + most * (n * (d + 1) + width + 3)
 
     def _expand(self, potentials, node_ids, keys):
         """Draw, dedupe and score the nodes with stream ids ``node_ids`` and

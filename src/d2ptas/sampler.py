@@ -267,33 +267,73 @@ def weighted_draw(probs, uniforms):
     ``probs`` is either one probability vector, drawn with the (count,)
     ``uniforms``, or a (B, n) stack of rows whose row b is drawn with row b
     of the (B, count) ``uniforms``; each row's draw is the 1-D draw of that
-    row.  The uniforms lie in [0, 1): the engine passes counter uniforms
+    row.  The uniforms must lie in [0, 1), and anything else, NaN included,
+    is refused: the engine passes counter uniforms
     (:func:`_counter_uniforms`), and :func:`d2_sample` a PCG64 ``random()`` row.
 
     The cumulative distribution is inverted over the support only: entries
     that are not positive add nothing to it, and from the last positive entry
     on it is exactly 1, so zero-probability indices can never be drawn, even
-    at float boundaries.
+    at float boundaries.  A draw is the count of its row's cumulative sums
+    that are at most u, found for every row at once by one binary search
+    (:func:`_count_at_most`).  That is ``searchsorted(u, side="right")`` on
+    the row, also where rounding carries the sum past 1 before the last
+    positive entry, since a uniform below 1 lies below every entry from the
+    first one above it on.
     """
     probs = np.asarray(probs, dtype=float)
     uniforms = np.asarray(uniforms, dtype=float)
     if uniforms.ndim != probs.ndim or uniforms.shape[:-1] != probs.shape[:-1]:
         raise ValueError(f"uniforms of shape {uniforms.shape} do not fit probabilities "
                          f"of shape {probs.shape}")
+    if uniforms.size and not (uniforms.min() >= 0.0 and uniforms.max() < 1.0):
+        raise ValueError("uniforms must lie in [0, 1)")
     rows = np.atleast_2d(probs)
+    n = rows.shape[1]
     support = rows > 0.0  # NaN is not support either
+    if not support.any(axis=1).all():
+        raise ValueError("a distribution has no positive probability")
+    # the search's rows are padded with +inf to a power of two columns
+    cum = np.full((len(rows), 1 << max(1, (n - 1).bit_length())), np.inf)
     # adding +0.0 leaves a running sum unchanged, so on the support this is
     # the cumulative sum of the positive entries alone
-    cum = np.cumsum(np.where(support, rows, 0.0), axis=1)
-    if not (cum[:, -1] > 0.0).all():
-        raise ValueError("a distribution has no positive probability")
-    last = rows.shape[1] - np.argmax(support[:, ::-1], axis=1)  # one past it
+    np.cumsum(np.where(support, rows, 0.0), axis=1, out=cum[:, :n])
+    last = n - np.argmax(support[:, ::-1], axis=1)  # one past it
     # kill accumulated rounding so u in [0, 1) always lands
-    cum[np.arange(rows.shape[1]) >= last[:, None] - 1] = 1.0
+    cum[:, :n][np.arange(n) >= last[:, None] - 1] = 1.0
     out = np.empty(uniforms.shape, dtype=np.intp)
-    for row, u, drawn in zip(cum, np.atleast_2d(uniforms), np.atleast_2d(out)):
-        drawn[...] = row.searchsorted(u, "right")
+    _count_at_most(cum, np.atleast_2d(uniforms), np.atleast_2d(out))
     return out
+
+
+def _count_at_most(table, uniforms, out):
+    """Per row b of the (B, w) ``table`` and each u of row b of the (B, count)
+    ``uniforms``, the number of entries of row b that are at most u, into the
+    (B, count) intp ``out``.
+
+    ``w`` is a power of two of at least 2, and along each row "entry > u"
+    never turns false again, so the count is the first position where it
+    holds.  It is found by one branchless binary search over every uniform at
+    once: log2(w) passes, each comparing every uniform with one table entry.
+    ``out`` holds the flat index of each probe, which moves by half a step
+    less than the step that the comparison adds.  Every probe is in range, so
+    ``mode="clip"`` changes no index; it only spares ``take`` the buffered
+    copy that its default bounds check makes.
+    """
+    starts = (np.arange(len(table)) * table.shape[1])[:, None]
+    flat = table.reshape(-1)
+    probed, at_most, moved = np.empty(out.shape), np.empty(out.shape, dtype=bool), np.empty_like(out)
+    step = table.shape[1] // 2
+    np.add(starts, step - 1, out=out)
+    while step > 1:
+        np.take(flat, out, out=probed, mode="clip")
+        np.less_equal(probed, uniforms, out=at_most)
+        out += np.multiply(at_most, step, out=moved)
+        out -= step // 2
+        step //= 2
+    np.take(flat, out, out=probed, mode="clip")
+    out += np.less_equal(probed, uniforms, out=at_most)
+    out -= starts
 
 
 def d2_sample(center_set, rng, count):

@@ -14,12 +14,16 @@ from d2ptas import (
     RngStream,
     SquaredEuclidean,
     TooLarge,
+    centroid_report,
+    generate_planted,
     inaba_trial,
     irreducibility,
     kmeanspp_seed,
     lloyd,
     optimal_bruteforce,
     subsample_extrapolation,
+    symmetry_report,
+    triangle_report,
 )
 from d2ptas import ptas
 from d2ptas.cli import run_experiment, write_points_csv
@@ -488,3 +492,36 @@ class TestInabaTrial:
         data[7, 1] = 0.0
         with pytest.raises(DomainError):
             inaba_trial(data, 5, 0.2, 100, RngStream(1), measure=KullbackLeibler())
+
+
+LINE = np.array([[0.0], [1.0], [4.0], [5.0], [9.0]])
+WIDE = np.arange(16.0)[:, None]  # past the oracle's cap, so it subsamples
+
+# each count argument outside the engine, as a call that passes it the value
+COUNT_ARGUMENTS = {
+    "optimal_bruteforce-k": lambda v: optimal_bruteforce(LINE, v, SquaredEuclidean()),
+    "irreducibility-restarts": lambda v: irreducibility(
+        LINE, 2, SquaredEuclidean(), mode="approximate", restarts=v, rng=RngStream(1)),
+    "subsample_extrapolation-repeats": lambda v: subsample_extrapolation(
+        WIDE, 2, SquaredEuclidean(), RngStream(1), repeats=v),
+    "subsample_extrapolation-subsample_size": lambda v: subsample_extrapolation(
+        WIDE, 2, SquaredEuclidean(), RngStream(1), subsample_size=v),
+    "inaba_trial-M": lambda v: inaba_trial(LINE, v, 0.2, 10, RngStream(1)),
+    "inaba_trial-trials": lambda v: inaba_trial(LINE, 2, 0.2, v, RngStream(1)),
+    "symmetry_report-dim": lambda v: symmetry_report(SquaredEuclidean(), v, 10, RngStream(1)),
+    "symmetry_report-trials": lambda v: symmetry_report(SquaredEuclidean(), 2, v, RngStream(1)),
+    "triangle_report-trials": lambda v: triangle_report(SquaredEuclidean(), 2, v, RngStream(1)),
+    "centroid_report-instances": lambda v: centroid_report(
+        SquaredEuclidean(), RngStream(1), instances=v),
+    "generate_planted-k": lambda v: generate_planted(v, 5, 2, 10.0, 1.0, RngStream(1)),
+    "generate_planted-per_cluster": lambda v: generate_planted(2, v, 2, 10.0, 1.0, RngStream(1)),
+    "generate_planted-dim": lambda v: generate_planted(2, 5, v, 10.0, 1.0, RngStream(1)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, 0])
+@pytest.mark.parametrize("argument", list(COUNT_ARGUMENTS))
+def test_count_arguments_are_whole_numbers_of_at_least_one(argument, value):
+    """A float is refused rather than truncated, True is not 1, and 0 is too few."""
+    with pytest.raises(ConfigError):
+        COUNT_ARGUMENTS[argument](value)

@@ -328,21 +328,29 @@ class TestWeightedDraw:
         table = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
         assert weighted_draw(table, np.tile(u, (2, 1))).tolist() == [[2, 2], [0, 1]]
 
-    def test_batch_rows_are_the_one_dimensional_draws(self):
+    @pytest.mark.parametrize("n", [12, 16, 300])
+    @pytest.mark.parametrize("rows", [5, 15, 16, 40])
+    def test_batch_rows_are_the_one_dimensional_draws(self, rows, n):
         """Row b of a batched draw is bitwise the 1-D draw of row b with
-        uniform row b, and both are the inversion over the support alone."""
-        gen = RngStream(11).generator
-        n, count = 12, 400
-        probs = gen.random((5, n)) * 10.0 ** gen.integers(-12, 1, size=(5, n))
+        uniform row b, and both are the inversion over the support alone,
+        whatever the row count and whether or not n is a power of two.  Row
+        1's cumulative sum passes 1.0 before its last positive entry."""
+        gen = RngStream(11, n).generator
+        count = 400
+        probs = gen.random((rows, n)) * 10.0 ** gen.integers(-12, 1, size=(rows, n))
         probs[:, [0, 5, 6, n - 1]] = 0.0  # zero at the start, in the middle and at the end
         probs[3, 1:4] = 0.0
         probs[4, :-2] = 0.0  # one positive entry
         probs /= probs.sum(axis=1, keepdims=True)
-        uniforms = _counter_uniforms(_derived_ids([12], np.arange(5))[0], count, 99)
+        # eleven equal weights and a tiny one: each eleventh rounds up, and
+        # the running sum passes 1.0 before it reaches the tiny entry
+        probs[1] = d2_law(np.r_[np.ones(11), 1e-30, np.zeros(n - 12)])
+        assert np.cumsum(probs[1])[10] > 1.0 and probs[1][11] > 0.0
+        uniforms = _counter_uniforms(_derived_ids([12], np.arange(rows))[0], count, 99)
         uniforms[:, :2] = [0.0, 1.0 - 2.0 ** -53]
         batch = weighted_draw(probs, uniforms)
-        assert batch.shape == (5, count)
-        for b in range(5):
+        assert batch.shape == (rows, count)
+        for b in range(rows):
             column = probs[b].copy()
             one = weighted_draw(column, uniforms[b].copy())
             support = np.flatnonzero(column > 0.0)
@@ -352,6 +360,18 @@ class TestWeightedDraw:
             np.testing.assert_array_equal(
                 one, support[np.searchsorted(cum, uniforms[b], side="right")])
             assert np.all(column[one] > 0.0)
+
+    @pytest.mark.parametrize("rows", [None, 1, 16])
+    @pytest.mark.parametrize("bad", [np.nan, 1.0, -0.1, 1.5])
+    def test_uniforms_outside_the_unit_interval_are_refused(self, rows, bad):
+        """A uniform of 1.0 or more would draw one past the last index, and a
+        negative one a zero-probability index; NaN lands anywhere.  They are
+        refused for a vector and for a stack of rows alike."""
+        probs, uniforms = np.array([0.0, 0.5, 0.5, 0.0]), np.array([0.25, bad])
+        if rows is not None:
+            probs, uniforms = np.tile(probs, (rows, 1)), np.tile(uniforms, (rows, 1))
+        with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
+            weighted_draw(probs, uniforms)
 
     def test_no_positive_probability_is_an_error(self):
         with pytest.raises(ValueError, match="no positive probability"):

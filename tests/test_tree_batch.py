@@ -443,17 +443,32 @@ class TestFrontierBatches:
         assert peaks[1] <= peaks[0] + 8 * ptas._BATCH_ENTRIES, peaks
 
 
-@pytest.mark.parametrize("base,columns", [(13, 1), (13, 2), (4, 3), (1 << 40, 3)])
-def test_distinct_rows(base, columns):
-    """Distinct rows and each row's index among them, also where one key per
-    row of ``base ** columns`` values would overflow int64."""
+@pytest.mark.parametrize("base,columns,count,sorts", [
+    pytest.param(13, 1, 60, 0, id="13-1"),
+    pytest.param(13, 2, 60, 0, id="13-2"),
+    pytest.param(4, 3, 60, 0, id="4-3"),
+    pytest.param(1 << 40, 3, 60, 3, id="1099511627776-3"),
+    pytest.param(13, 3, 20, 2, id="13-3-20rows"),
+])
+def test_distinct_rows(monkeypatch, base, columns, count, sorts):
+    """Distinct rows and each row's index among them, its lexicographic rank,
+    also where one key per row of ``base ** columns`` values would overflow
+    int64.  A column whose keys span more than ``_FLAGS_PER_ROW`` values per
+    row is ranked by ``np.unique``, the others by flags: 20 rows of base 13
+    take flags in column 0 and the sort from column 1 on."""
+    unique, sorted_columns = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: sorted_columns.append(1) or unique(
+        *args, **kwargs))
     gen = RngStream(50, columns).generator
-    rows = gen.integers(0, base, size=(60, columns))
-    rows[30:] = rows[:30][gen.permutation(30)]  # every row twice
+    rows = gen.integers(0, base, size=(count, columns))
+    half = count // 2
+    rows[half:] = rows[:half][gen.permutation(half)]  # every row twice
     rows[5] = rows[5, ::-1]  # the same members in another order are another row
     distinct, which = ptas._distinct_rows(rows, base)
+    assert len(sorted_columns) == sorts
     assert np.array_equal(distinct[which], rows)
-    assert len(distinct) == len(np.unique(rows, axis=0))
+    assert len(distinct) == len(unique(rows, axis=0))
+    assert np.array_equal(which, unique(rows, axis=0, return_inverse=True)[1])
 
 
 class TestFindKMedianMatchesReference:
@@ -496,6 +511,16 @@ class TestFindKMedianMatchesReference:
         got = self.assert_whole_output(points, sq, cfg, RngStream(51))
         assert got.cost == 0.0 and len(got.centers) == len(got.meta["trace"]) == 3
         assert got.meta["trace"][1]["partial_cost"] == 0.0
+
+    def test_exact_small_constants(self, sq):
+        """exact_small's constants at k = 2: 12 points, N = 239, M = 2 and two
+        restarts, so the whole 156-node leaf frontier draws in one batch; the
+        output is the reference's."""
+        points = RngStream(52).generator.standard_normal((12, 2))
+        cfg = PtasConfig(k=2, epsilon=0.5, sample_size_N=239, subset_size_M=2, restarts=2,
+                         subset_strategy=Exhaustive())
+        got = self.assert_whole_output(points, sq, cfg, RngStream(53))
+        assert got.meta["nodes_expanded"] == cfg.restarts * (1 + 78)
 
     def test_run_one_restart_counts_the_reference_nodes(self, sq):
         points = RngStream(47).generator.standard_normal((8, 2))
