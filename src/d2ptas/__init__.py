@@ -58,7 +58,6 @@ from .ptas import (
     run_one_restart,
 )
 from .oracle import (
-    ORACLE_K_CAP,
     ORACLE_N_CAP,
     IrreducibilityReport,
     OracleResult,

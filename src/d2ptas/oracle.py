@@ -5,7 +5,7 @@ measures here all have the property that a cluster's best center is its
 coordinate-wise mean (Banerjee et al., JMLR 2005), so a partition costs the
 sum of its blocks' costs and the best split of every subset builds on the
 best splits of smaller ones.  That is 2^n block costs and ~3^n/2 (subset,
-block) pairs per level, which is why everything is capped hard -- these are
+block) pairs per level, exact at every k but capped hard in n -- these are
 oracles for validating the samplers, not production solvers.
 
 The k-means++/Lloyd baseline is the local-search reference beside them.  Its
@@ -25,7 +25,6 @@ from .ptas import ClusteringResult, _kmeanspp_picks, _restart_groups
 
 __all__ = [
     "ORACLE_N_CAP",
-    "ORACLE_K_CAP",
     "OracleResult",
     "IrreducibilityReport",
     "optimal_bruteforce",
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 ORACLE_N_CAP = 14
-ORACLE_K_CAP = 4
 
 
 @dataclass
@@ -85,8 +83,6 @@ def optimal_bruteforce(data, k, measure):
     n, _ = points.shape
     if n > ORACLE_N_CAP:
         raise TooLarge(f"n={n} exceeds the oracle cap {ORACLE_N_CAP}")
-    if k > ORACLE_K_CAP:
-        raise TooLarge(f"k={k} exceeds the oracle cap {ORACLE_K_CAP}")
     if k >= n:
         return OracleResult(0.0, np.arange(n, dtype=np.int64), 1)
 
@@ -247,8 +243,9 @@ def _kmeanspp_lloyd(data, measure, k, streams):
 def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None):
     """gamma = (best cost with k-1 centers) / (best cost with k) - 1.
 
-    ``mode="exact"`` uses the subset-DP oracle (capped); ``"approximate"``
-    substitutes best-of-``restarts`` seeded local search and flags the report:
+    ``mode="exact"`` uses the subset-DP oracle, exact at every k on n <=
+    ``ORACLE_N_CAP`` points; ``"approximate"`` substitutes best-of-``restarts``
+    seeded local search and flags the report:
     the best of ``lloyd`` from ``kmeanspp_seed`` on ``rng.derive(0).derive(r)``
     for k centers and ``rng.derive(1).derive(r)`` for k - 1, r < ``restarts``,
     each side's restarts run as one batch (:func:`_kmeanspp_lloyd`).  See

@@ -10,8 +10,8 @@ where the total is +inf (no center yet, so the first draw is uniform) or 0
 
 import numpy as np
 
-from .divergences import PropertyReport, as_points
-from .errors import ConfigError, DimensionMismatch
+from .divergences import PropertyReport, _checked_count, as_points
+from .errors import DimensionMismatch
 
 __all__ = [
     "RngStream",
@@ -339,9 +339,7 @@ def _count_at_most(table, uniforms, out):
 def d2_sample(center_set, rng, count):
     """``count`` independent point-index draws (with replacement), from the
     PCG64 generator of the stream ``rng``."""
-    count = int(count)
-    if count < 1:
-        raise ConfigError(f"sample count must be >= 1, got {count}")
+    count = _checked_count(count, "sample count")
     probs, _ = center_set.distribution()
     return weighted_draw(probs, rng.generator.random(count))
 
@@ -349,12 +347,11 @@ def d2_sample(center_set, rng, count):
 def empirical_distribution_check(center_set, rng, trials, tolerance=None):
     """Compare empirical draw frequencies against the exact distribution.
 
-    The default tolerance follows the Monte-Carlo scale: 0.01 in L-infinity
-    at 1e5 trials, 0.05 below that.
+    ``trials`` is an integer of at least 1000, fewer being too few for a
+    meaningful frequency check.  The default tolerance follows the
+    Monte-Carlo scale: 0.01 in L-infinity at 1e5 trials, 0.05 below that.
     """
-    trials = int(trials)
-    if trials < 1000:
-        raise ConfigError("need at least 1000 trials for a meaningful frequency check")
+    trials = _checked_count(trials, "trials", least=1000)
     probs, flag = center_set.distribution()
     draws = d2_sample(center_set, rng, trials)
     freq = np.bincount(draws, minlength=probs.shape[0]) / trials

@@ -1,20 +1,21 @@
 """Tests for the exact small-instance solvers and estimators."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from d2ptas import (
     ConfigError,
     DomainError,
+    Exhaustive,
     ItakuraSaito,
     KullbackLeibler,
     Mahalanobis,
+    PtasConfig,
     RngStream,
     SquaredEuclidean,
     TooLarge,
     centroid_report,
+    find_k_median,
     generate_planted,
     inaba_trial,
     irreducibility,
@@ -28,9 +29,9 @@ from d2ptas import (
 from d2ptas import ptas
 from d2ptas.cli import run_experiment, write_points_csv
 from d2ptas.divergences import assign, centroid
-from d2ptas.oracle import ORACLE_K_CAP, ORACLE_N_CAP, _gamma, _kmeanspp_lloyd, _lloyd_restarts
+from d2ptas.oracle import ORACLE_N_CAP, _gamma, _kmeanspp_lloyd, _lloyd_restarts
 from d2ptas.ptas import _kmeanspp_picks, _restart_groups
-from d2ptas.sampler import CenterSet, _counter_key, _splitmix64, d2_law, weighted_draw
+from d2ptas.sampler import CenterSet, _counter_key, _splitmix64, d2_law, d2_sample, weighted_draw
 
 MEASURES = {
     "sq": SquaredEuclidean(),
@@ -51,7 +52,8 @@ def exhaustive_partition_cost(points, k, measure):
     for mask in range(1, 1 << n):
         members = points[[i for i in range(n) if mask >> i & 1]]
         block_cost[mask] = measure.rowwise(members, members.mean(axis=0)[None]).sum()
-    labels = np.array(list(itertools.product(range(k), repeat=n)))
+    # row c is the base-k digits of c: every label vector once
+    labels = np.arange(k ** n)[:, None] // k ** np.arange(n) % k
     weights = 1 << np.arange(n)
     return float(sum(block_cost[(labels == j) @ weights] for j in range(k)).min())
 
@@ -97,11 +99,9 @@ class TestOptimalBruteforce:
         assert res.optimal_partition.tolist() == [0, 1, 2, 3]
         assert res.assignments_examined == 1
 
-    def test_size_caps(self, sq, gen):
+    def test_size_cap(self, sq, gen):
         with pytest.raises(TooLarge):
             optimal_bruteforce(gen.standard_normal((ORACLE_N_CAP + 1, 2)), 2, sq)
-        with pytest.raises(TooLarge):
-            optimal_bruteforce(gen.standard_normal((10, 2)), ORACLE_K_CAP + 1, sq)
 
     def test_k_validation(self, sq, four_point_line):
         with pytest.raises(ConfigError):
@@ -122,14 +122,16 @@ def instance(name, gen, n, d=2):
 class TestSubsetDP:
     @pytest.mark.parametrize("name", sorted(MEASURES))
     def test_matches_unpruned_enumeration(self, name, gen):
+        """Exact at every k, past k = 4 and up to k = n, where every point is
+        its own block."""
         measure = MEASURES[name]
         for n in range(5, 9):
             pts = instance(name, gen, n)
-            for k in range(1, 5):
+            for k in range(1, min(n, 6 if n <= 7 else 5) + 1):
                 res = optimal_bruteforce(pts, k, measure)
                 assert res.optimal_cost == pytest.approx(
                     exhaustive_partition_cost(pts, k, measure), rel=1e-12), (n, k)
-                assert res.assignments_examined == k ** (n - 1)
+                assert res.assignments_examined == (k ** (n - 1) if k < n else 1)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_far_from_the_origin(self, sq, gen, k):
@@ -163,12 +165,12 @@ class TestSubsetDP:
 
     def test_at_the_caps_no_worse_than_local_search(self, sq, gen):
         pts = gen.standard_normal((ORACLE_N_CAP, 2))
-        res = optimal_bruteforce(pts, ORACLE_K_CAP, sq)
+        res = optimal_bruteforce(pts, 4, sq)
         stream = RngStream(89)
-        best = min(lloyd(pts, sq, kmeanspp_seed(pts, sq, ORACLE_K_CAP, stream.derive(r)).centers).cost
+        best = min(lloyd(pts, sq, kmeanspp_seed(pts, sq, 4, stream.derive(r)).centers).cost
                    for r in range(20))
         assert res.optimal_cost <= best
-        assert res.assignments_examined == ORACLE_K_CAP ** (ORACLE_N_CAP - 1)
+        assert res.assignments_examined == 4 ** (ORACLE_N_CAP - 1)
 
 
 class TestLloyd:
@@ -254,6 +256,54 @@ class TestIrreducibility:
             irreducibility(four_point_line, 1, sq)
         with pytest.raises(ConfigError):
             irreducibility(four_point_line, 2, sq, mode="psychic")
+
+
+def planted_points(n, clusters, per_cluster):
+    """The first ``n`` points of a planted 2-D mixture, seeded by ``n``."""
+    return generate_planted(clusters, per_cluster, 2, 10.0, 1.0, RngStream(n))[0][:n]
+
+
+# n = 12, 13 and 14: 4 blobs of 3, 5 of 3 cut to 13, and 7 of 2
+PLANTED_SMALL = [(12, 4, 3), (13, 5, 3), (14, 7, 2)]
+
+
+class TestBeyondFourCenters:
+    """The oracle is exact at every k, so "never below the oracle" is checked
+    at k = 5, 6 and 8 on n = 12-14, where the desk engine strays furthest
+    from the optimum."""
+
+    @pytest.mark.parametrize("k", [5, 6, 8])
+    @pytest.mark.parametrize("shape", PLANTED_SMALL, ids=lambda s: f"n{s[0]}")
+    def test_the_engine_never_reports_below_the_oracle(self, sq, shape, k):
+        points = planted_points(*shape)
+        opt = optimal_bruteforce(points, k, sq)
+        assert opt.assignments_examined == k ** (len(points) - 1)
+        configs = [PtasConfig(k=k, epsilon=0.5),
+                   PtasConfig(k=k, epsilon=0.5, sample_size_N=4, subset_size_M=1, restarts=2,
+                              subset_strategy=Exhaustive())]
+        for cfg in configs:
+            for seed in range(3):
+                cost = find_k_median(points, sq, cfg, RngStream(seed)).cost
+                assert cost >= opt.optimal_cost * (1 - 1e-9), (cfg.subset_strategy, seed)
+
+    def test_cluster_report_holds_the_oracle_at_k_5(self, tmp_path):
+        path = tmp_path / "planted.csv"
+        write_points_csv(path, planted_points(*PLANTED_SMALL[1]))
+        results = run_experiment({"input": str(path), "k": 5, "measure": "sqeuclid",
+                                  "seed": 3})["results"]
+        assert set(results) == {"ptas", "kmeanspp_lloyd", "oracle"}
+        assert results["oracle"]["ratio"] == pytest.approx(1.0, rel=1e-9)
+        assert results["ptas"]["ratio"] >= 1.0
+        assert results["ptas"]["cost"] >= results["oracle"]["cost"] * (1 - 1e-9)
+
+    def test_exact_irreducibility_at_k_5(self, sq):
+        points = planted_points(*PLANTED_SMALL[2])
+        rep = irreducibility(points, 5, sq)
+        delta_k = optimal_bruteforce(points, 5, sq).optimal_cost
+        delta_km1 = optimal_bruteforce(points, 4, sq).optimal_cost
+        assert rep.exact is True
+        assert (rep.delta_k, rep.delta_km1) == (delta_k, delta_km1)
+        assert rep.gamma == _gamma(delta_km1, delta_k)
 
 
 def reference_seeding(points, measure, k, stream):
@@ -516,6 +566,8 @@ COUNT_ARGUMENTS = {
     "generate_planted-k": lambda v: generate_planted(v, 5, 2, 10.0, 1.0, RngStream(1)),
     "generate_planted-per_cluster": lambda v: generate_planted(2, v, 2, 10.0, 1.0, RngStream(1)),
     "generate_planted-dim": lambda v: generate_planted(2, 5, v, 10.0, 1.0, RngStream(1)),
+    "d2_sample-count": lambda v: d2_sample(
+        CenterSet.empty(LINE, SquaredEuclidean()), RngStream(1), v),
 }
 
 

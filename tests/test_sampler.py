@@ -437,6 +437,13 @@ class TestEmpiricalDistributionCheck:
         with pytest.raises(ConfigError):
             empirical_distribution_check(cs, RngStream(15), 500)
 
+    def test_trials_are_whole_numbers(self, sq, four_point_line):
+        """A float is refused rather than truncated, a whole one included."""
+        cs = CenterSet.empty(four_point_line, sq)
+        for bad in (1000.5, np.float64(5000)):
+            with pytest.raises(ConfigError, match="trials must be an integer"):
+                empirical_distribution_check(cs, RngStream(15), bad)
+
     def test_zero_potential_recorded_in_details(self, sq, four_point_line):
         cs = CenterSet.empty(four_point_line, sq)
         for row in four_point_line:
