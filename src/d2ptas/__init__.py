@@ -65,6 +65,5 @@ from .oracle import (
     irreducibility,
     lloyd,
     optimal_bruteforce,
-    subsample_extrapolation,
 )
 from .cli import generate_planted, ingest_csv, run_experiment, write_points_csv

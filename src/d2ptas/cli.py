@@ -38,8 +38,8 @@ from .divergences import (
 from .errors import ClusteringError, ConfigError, EmptyFile, ParseError, RaggedRows
 # bench/tracing.py wraps ``cli.kmeanspp_seed`` and ``cli.lloyd`` by name, so
 # both stay importable from here; the baseline runs through _kmeanspp_lloyd
-from .oracle import (ORACLE_N_CAP, _gamma, _kmeanspp_lloyd, lloyd,  # noqa: F401
-                     optimal_bruteforce)
+from .oracle import (ORACLE_N_CAP, _gamma, _kmeanspp_lloyd, _optimal_partitions,  # noqa: F401
+                     lloyd, optimal_bruteforce)
 from .ptas import PtasConfig, find_k_median, kmeanspp_seed, parse_strategy  # noqa: F401
 from .sampler import RngStream
 
@@ -122,10 +122,9 @@ def generate_planted(k, per_cluster, dim, separation, sigma, rng, max_attempts=1
     each point, usable as ground truth.  A scale whose points would not all
     be finite is refused.
     """
-    k, per_cluster, dim = (_checked_count(value, name, least=None) for value, name in
-                           ((k, "k"), (per_cluster, "per_cluster"), (dim, "dim")))
-    if k < 1 or per_cluster < 1 or dim < 1:
-        raise ConfigError("need k >= 1, per_cluster >= 1 and dim >= 1")
+    k, per_cluster, dim = (
+        _checked_count(value, name, refusal="need k >= 1, per_cluster >= 1 and dim >= 1")
+        for value, name in ((k, "k"), (per_cluster, "per_cluster"), (dim, "dim")))
     min_dist = separation * sigma
     span = min_dist * max(2.0, float(k))
     if not (separation > 0 and sigma > 0 and min_dist > 0 and np.isfinite(span)):
@@ -308,15 +307,15 @@ def _cmd_oracle(spec, output):
     points = ingest_csv(spec["input"])
     k = spec["k"]
     t0 = time.perf_counter()
-    result = optimal_bruteforce(points, k, measure)
+    *fewer, result = _optimal_partitions(points, (k - 1, k) if k >= 2 else (k,), measure)
     entry = {
         "cost": result.optimal_cost,
         "seconds": time.perf_counter() - t0,
         "partition": result.optimal_partition.tolist(),
         "assignments_examined": result.assignments_examined,
     }
-    if k >= 2:
-        entry["delta_km1"] = optimal_bruteforce(points, k - 1, measure).optimal_cost
+    if fewer:
+        entry["delta_km1"] = fewer[0].optimal_cost
         gamma = _gamma(entry["delta_km1"], result.optimal_cost)
         entry["gamma"] = gamma if np.isfinite(gamma) else "inf"
     _emit(_report(spec, _add_ratios({"oracle": entry})), output)

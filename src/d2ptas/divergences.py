@@ -173,17 +173,18 @@ def _checked_mu(mu):
     return mu
 
 
-def _checked_count(value, name, least=1):
-    """``value`` as an int, which must be an integer of at least ``least``,
-    or any integer when ``least`` is None (the caller words its own bound).
+def _checked_count(value, name, least=1, refusal=None):
+    """``value`` as an int, which must be an integer of at least ``least``.
 
     Python and NumPy integers are accepted; floats are refused rather than
-    truncated, and so are bools.
+    truncated, and so are bools.  Too small a value is refused with the
+    caller's own ``refusal`` wording when it gives one.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    if value < least:
+        raise ConfigError(f"{refusal}, got {name}={value}" if refusal
+                          else f"{name} must be >= {least}, got {value}")
     return int(value)
 
 
@@ -701,10 +702,9 @@ def check_mu_similarity(measure, U, P, Q, tolerance=1e-12):
 
 def random_pairs(measure, dim, count, rng):
     """Two (count, dim) batches of in-domain points, from the generator of the stream ``rng``."""
-    count, dim = _checked_count(count, "trials", least=None), _checked_count(dim, "dim", least=None)
-    if count < 1 or dim < 1:
-        raise ConfigError(f"need at least one trial of at least one dimension, got {count} "
-                          f"trials of dimension {dim}")
+    refusal = "need at least one trial of at least one dimension"
+    count = _checked_count(count, "trials", refusal=refusal)
+    dim = _checked_count(dim, "dim", refusal=refusal)
     P = measure.sample_domain(rng.generator, (count, dim))
     Q = measure.sample_domain(rng.generator, (count, dim))
     return P, Q
@@ -742,9 +742,7 @@ _CENTROID_DIMS = (1, 6)
 
 def centroid_report(measure, rng, instances=100, tolerance=1e-9):
     """Centroid identity residuals over random instances; worst residual reported."""
-    instances = _checked_count(instances, "instances", least=None)
-    if instances < 1:
-        raise ConfigError(f"need at least one instance, got {instances}")
+    instances = _checked_count(instances, "instances", refusal="need at least one instance")
     gen = rng.generator
     dims = _CENTROID_DIMS if measure.fixed_dim is None else (measure.fixed_dim,) * 2
     residuals = []

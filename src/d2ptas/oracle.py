@@ -6,7 +6,9 @@ coordinate-wise mean (Banerjee et al., JMLR 2005), so a partition costs the
 sum of its blocks' costs and the best split of every subset builds on the
 best splits of smaller ones.  That is 2^n block costs and ~3^n/2 (subset,
 block) pairs per level, exact at every k but capped hard in n -- these are
-oracles for validating the samplers, not production solvers.
+oracles for validating the samplers, not production solvers.  One run for k
+holds every level below k, so the exact ``irreducibility`` and the CLI's
+``oracle`` answer k and k - 1 from one DP.
 
 The k-means++/Lloyd baseline is the local-search reference beside them.  Its
 restarts run in lock step (:func:`_lloyd_restarts`, :func:`_kmeanspp_lloyd`):
@@ -30,7 +32,6 @@ __all__ = [
     "optimal_bruteforce",
     "lloyd",
     "irreducibility",
-    "subsample_extrapolation",
     "inaba_trial",
 ]
 
@@ -75,17 +76,33 @@ def optimal_bruteforce(data, k, measure):
     cluster 0, and ``optimal_cost`` is the closed-form cost of that
     partition with every block at its mean.  ``assignments_examined`` counts
     the labelings (point 0 pinned) the search is exact over: k^(n-1), or 1
-    when k >= n.
+    when k >= n, which runs no DP.
     """
+    (result,) = _optimal_partitions(data, (k,), measure)
+    return result
+
+
+def _optimal_partitions(data, counts, measure):
+    """``[optimal_bruteforce(data, j, measure) for j in counts]``, bit for bit,
+    from one DP: the walk for each count reads the first levels of the run for
+    the largest count below n, which are the levels of its own run."""
     points = as_points(data)
     measure.validate_points(points)
-    k = _checked_count(k, "k")
+    counts = [_checked_count(j, "k") for j in counts]
     n, _ = points.shape
     if n > ORACLE_N_CAP:
         raise TooLarge(f"n={n} exceeds the oracle cap {ORACLE_N_CAP}")
-    if k >= n:
-        return OracleResult(0.0, np.arange(n, dtype=np.int64), 1)
+    top = max((j for j in counts if j < n), default=0)
+    dp = _subset_dp(points, top, measure) if top else None
+    return [OracleResult(0.0, np.arange(n, dtype=np.int64), 1) if k >= n
+            else _recover(points, measure, dp, k) for k in counts]
 
+
+def _subset_dp(points, top, measure):
+    """The 2^n block costs, :func:`_subset_pairs` and the levels a walk for up
+    to ``top`` blocks reads: ``levels[j][S]``, the best cost of mask S in at
+    most j + 1 blocks, for j + 1 < ``top``."""
+    n = points.shape[0]
     member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # (2^n, n)
     means = (member @ points) / np.maximum(member.sum(axis=1), 1)[:, None]
     means[0] = points[0]  # in-domain stand-in for the empty block
@@ -93,13 +110,20 @@ def optimal_bruteforce(data, k, measure):
     cost = np.where(member == 1, divs, 0.0).sum(axis=1)
 
     block, rest, bounds = _subset_pairs(n)
-    levels = [cost]  # levels[j][S]: best cost of S in at most j + 1 blocks
-    for _ in range(2, k):
+    levels = [cost]
+    for _ in range(2, top):
         best = np.empty_like(cost)
         best[0] = 0.0
         best[1:] = np.minimum.reduceat(cost[block] + levels[-1][rest], bounds[:-1])
         levels.append(best)
+    return cost, block, rest, bounds, levels
 
+
+def _recover(points, measure, dp, k):
+    """The optimal k-clustering, k < n, from a :func:`_subset_dp` run for at
+    least k blocks, its blocks numbered by their lowest point."""
+    cost, block, rest, bounds, levels = dp
+    n = points.shape[0]
     labels = np.empty(n, dtype=np.int64)
     left, label = (1 << n) - 1, 0
     for prev in reversed(levels[:k - 1]):  # what is left fits in k - 1, ..., 1 blocks
@@ -244,7 +268,9 @@ def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None):
     """gamma = (best cost with k-1 centers) / (best cost with k) - 1.
 
     ``mode="exact"`` uses the subset-DP oracle, exact at every k on n <=
-    ``ORACLE_N_CAP`` points; ``"approximate"`` substitutes best-of-``restarts``
+    ``ORACLE_N_CAP`` points, with one DP run for k answering k - 1 too (the
+    costs of two ``optimal_bruteforce`` calls, bit for bit);
+    ``"approximate"`` substitutes best-of-``restarts``
     seeded local search and flags the report:
     the best of ``lloyd`` from ``kmeanspp_seed`` on ``rng.derive(0).derive(r)``
     for k centers and ``rng.derive(1).derive(r)`` for k - 1, r < ``restarts``,
@@ -252,18 +278,16 @@ def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None):
     :func:`_gamma` for the zero-denominator conventions.
     """
     points = as_points(data)
-    if k < 2:
-        raise ConfigError("irreducibility needs k >= 2")
+    k = _checked_count(k, "k", least=2)
     if mode == "exact":
-        delta_k = optimal_bruteforce(points, k, measure).optimal_cost
-        delta_km1 = optimal_bruteforce(points, k - 1, measure).optimal_cost
+        delta_km1, delta_k = (result.optimal_cost for result in
+                              _optimal_partitions(points, (k - 1, k), measure))
         exact = True
     elif mode == "approximate":
         if rng is None:
             raise ConfigError("approximate mode needs an rng")
-        restarts = _checked_count(restarts, "restarts", least=None)
-        if restarts < 1:
-            raise ConfigError(f"approximate mode needs at least one restart, got {restarts}")
+        restarts = _checked_count(restarts, "restarts",
+                                  refusal="approximate mode needs at least one restart")
 
         def best_of(j, stream):
             return min(_kmeanspp_lloyd(points, measure, j,
@@ -288,34 +312,6 @@ def _gamma(delta_km1, delta_k):
     if delta_k == 0.0:
         return 0.0 if delta_km1 == 0.0 else np.inf
     return max(0.0, delta_km1 / delta_k - 1.0)
-
-
-def subsample_extrapolation(data, k, measure, rng, subsample_size=12, repeats=5):
-    """Estimate the full-instance optimum from exact optima of small subsamples.
-
-    Each repeat draws ``subsample_size`` points without replacement, solves
-    them exactly, and scales the cost by ``(n - k) / (m - k)``: within-cluster
-    scatter carries one degree of freedom per point beyond the k fitted
-    centers, so this scaling keeps the estimate centered where the naive
-    ``n / m`` would bias it low.  Repeats are averaged because a single
-    small subsample is very noisy.  When the instance already fits under the
-    oracle's size cap, its exact optimum is returned directly.
-    """
-    points = as_points(data)
-    n = points.shape[0]
-    repeats = _checked_count(repeats, "repeats")
-    m = _checked_count(subsample_size, "subsample_size", least=None)
-    if n <= ORACLE_N_CAP:
-        return optimal_bruteforce(points, k, measure).optimal_cost
-    if not k < m <= ORACLE_N_CAP:
-        raise ConfigError(
-            f"subsample_size must satisfy k < m <= {ORACLE_N_CAP}, got {m}")
-    scale = (n - k) / (m - k)
-    estimates = np.empty(repeats)
-    for j in range(repeats):
-        idx = rng.derive(j).generator.choice(n, size=m, replace=False)
-        estimates[j] = optimal_bruteforce(points[idx], k, measure).optimal_cost
-    return float(estimates.mean() * scale)
 
 
 def inaba_trial(data, M, delta, trials, rng, measure=None):

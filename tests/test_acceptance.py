@@ -23,10 +23,10 @@ from d2ptas import (
     kmeanspp_seed,
     lloyd,
     optimal_bruteforce,
-    subsample_extrapolation,
 )
 from d2ptas.cli import generate_planted, run_experiment, strip_timing, write_points_csv
 from d2ptas.divergences import (
+    centroid,
     centroid_report,
     symmetry_report,
     triangle_report,
@@ -152,22 +152,23 @@ def test_criterion_5_matches_the_exact_oracle():
 def test_criterion_6_desk_preset_on_planted_mixtures():
     """20 planted 3-Gaussian instances (300 points, separation 10 sigma):
     the desk preset lands within 1.5x of the better of two independent
-    baselines (best-of-100 seeded local search, subsample extrapolation of
-    the exact optimum) on at least 18 seeds."""
+    baselines (best-of-100 seeded local search, the planted partition with
+    each block at its mean) on at least 18 seeds."""
     t0 = time.perf_counter()
     sq = SquaredEuclidean()
     wins = 0
     ratios = []
     for seed in range(20):
         rng = RngStream(1000 + seed)
-        pts, _, _ = generate_planted(3, 100, 2, 10.0, 1.0, rng.derive(0))
+        pts, labels, _ = generate_planted(3, 100, 2, 10.0, 1.0, rng.derive(0))
         res = find_k_median(pts, sq, PtasConfig(k=3, epsilon=0.5), rng.derive(1))
         seed_rng = rng.derive(2)
         best_baseline = min(
             lloyd(pts, sq, kmeanspp_seed(pts, sq, 3, seed_rng.derive(r)).centers).cost
             for r in range(100))
-        extrapolated = subsample_extrapolation(pts, 3, sq, rng.derive(3))
-        base = min(best_baseline, extrapolated)
+        planted = sum(float(sq.rowwise(pts[labels == j], centroid(pts[labels == j])[None]).sum())
+                      for j in range(3))
+        base = min(best_baseline, planted)
         ratios.append(res.cost / base)
         wins += res.cost <= 1.5 * base
     elapsed = time.perf_counter() - t0

@@ -324,18 +324,27 @@ class TestMainExitCodes:
         assert "optimal cost: 1" in out
         assert "gamma: 16" in out
 
-    def test_oracle_solves_each_center_count_once(self, four_point_file, monkeypatch):
+    @pytest.mark.parametrize("k,tables", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 0)])
+    def test_oracle_builds_one_table(self, four_point_file, monkeypatch, tmp_path, k, tables):
+        """One subset DP answers k and k - 1, with the bits of two lone runs;
+        none runs once both counts reach the 4 points."""
         calls = []
-        solve = d2ptas.oracle.optimal_bruteforce
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(d2ptas.cli, "optimal_bruteforce", counted)
-        monkeypatch.setattr(d2ptas.oracle, "optimal_bruteforce", counted)
-        assert main(["oracle", "--input", four_point_file, "--k", "2"]) == 0
-        assert sorted(calls) == [1, 2]
+        build = d2ptas.oracle._subset_pairs
+        monkeypatch.setattr(d2ptas.oracle, "_subset_pairs",
+                            lambda n: calls.append(n) or build(n))
+        out = tmp_path / "oracle.json"
+        assert main(["oracle", "--input", four_point_file, "--k", str(k),
+                     "--output", str(out)]) == 0
+        assert calls == [4] * tables
+        entry = json.loads(out.read_text())["results"]["oracle"]
+        points, sq = ingest_csv(four_point_file), SquaredEuclidean()
+        lone = d2ptas.oracle.optimal_bruteforce(points, k, sq)
+        assert entry["cost"] == lone.optimal_cost
+        assert entry["partition"] == lone.optimal_partition.tolist()
+        assert entry["assignments_examined"] == lone.assignments_examined
+        if k >= 2:
+            assert entry["delta_km1"] == d2ptas.oracle.optimal_bruteforce(
+                points, k - 1, sq).optimal_cost
 
     def test_properties_subcommand(self, capsys):
         assert main(["properties", "--measure", "sqeuclid", "--trials", "2000",

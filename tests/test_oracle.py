@@ -22,14 +22,14 @@ from d2ptas import (
     kmeanspp_seed,
     lloyd,
     optimal_bruteforce,
-    subsample_extrapolation,
     symmetry_report,
     triangle_report,
 )
-from d2ptas import ptas
+from d2ptas import oracle, ptas
 from d2ptas.cli import run_experiment, write_points_csv
 from d2ptas.divergences import assign, centroid
-from d2ptas.oracle import ORACLE_N_CAP, _gamma, _kmeanspp_lloyd, _lloyd_restarts
+from d2ptas.oracle import (ORACLE_N_CAP, _gamma, _kmeanspp_lloyd, _lloyd_restarts,
+                           _optimal_partitions)
 from d2ptas.ptas import _kmeanspp_picks, _restart_groups
 from d2ptas.sampler import CenterSet, _counter_key, _splitmix64, d2_law, d2_sample, weighted_draw
 
@@ -257,6 +257,17 @@ class TestIrreducibility:
         with pytest.raises(ConfigError):
             irreducibility(four_point_line, 2, sq, mode="psychic")
 
+    @pytest.mark.parametrize("mode", ["exact", "approximate"])
+    @pytest.mark.parametrize("k", ["3", None])
+    def test_k_that_is_no_integer_is_refused(self, sq, four_point_line, mode, k):
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            irreducibility(four_point_line, k, sq, mode=mode, rng=RngStream(1))
+
+    def test_numpy_k_reads_back_as_an_int(self, sq, four_point_line):
+        rep = irreducibility(four_point_line, np.int64(2), sq)
+        assert type(rep.k) is int and rep.k == 2
+        assert rep.gamma == 16.0
+
 
 def planted_points(n, clusters, per_cluster):
     """The first ``n`` points of a planted 2-D mixture, seeded by ``n``."""
@@ -304,6 +315,39 @@ class TestBeyondFourCenters:
         assert rep.exact is True
         assert (rep.delta_k, rep.delta_km1) == (delta_k, delta_km1)
         assert rep.gamma == _gamma(delta_km1, delta_k)
+
+
+class TestOneDPForTwoCounts:
+    """The exact ``irreducibility`` and the CLI's ``oracle`` read k and k - 1
+    from one subset DP; each answer is the bits of its own
+    ``optimal_bruteforce`` run."""
+
+    @pytest.mark.parametrize("name", ["sq", "kl"])
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_both_counts_are_lone_runs(self, name, n):
+        measure = MEASURES[name]
+        points = instance(name, RngStream(n).derive(5).generator, n)
+        lone = {j: optimal_bruteforce(points, j, measure)
+                for j in [*range(1, 9), n - 1, n, n + 1]}
+        for k in [*range(2, 9), n, n + 1]:
+            for j, shared in zip((k - 1, k), _optimal_partitions(points, (k - 1, k), measure)):
+                assert shared.optimal_cost.hex() == lone[j].optimal_cost.hex(), (k, j)
+                assert shared.optimal_partition.dtype == lone[j].optimal_partition.dtype
+                np.testing.assert_array_equal(shared.optimal_partition,
+                                              lone[j].optimal_partition)
+                assert shared.assignments_examined == lone[j].assignments_examined
+
+    @pytest.mark.parametrize("k,tables", [(2, 1), (5, 1), (12, 1), (13, 0)])
+    def test_exact_irreducibility_builds_one_table(self, sq, monkeypatch, k, tables):
+        """One block-cost table at most; none once both counts reach n."""
+        calls = []
+        build = oracle._subset_pairs
+        monkeypatch.setattr(oracle, "_subset_pairs", lambda n: calls.append(n) or build(n))
+        points = planted_points(*PLANTED_SMALL[0])
+        rep = irreducibility(points, k, sq)
+        assert calls == [12] * tables
+        assert (rep.delta_km1, rep.delta_k) == tuple(
+            optimal_bruteforce(points, j, sq).optimal_cost for j in (k - 1, k))
 
 
 def reference_seeding(points, measure, k, stream):
@@ -468,39 +512,6 @@ class TestLockStepBaseline:
                                rng=RngStream(1))
 
 
-class TestSubsampleExtrapolation:
-    def test_small_instance_returns_exact_optimum(self, sq, four_point_line):
-        est = subsample_extrapolation(four_point_line, 2, sq, RngStream(92))
-        assert est == optimal_bruteforce(four_point_line, 2, sq).optimal_cost
-
-    def test_deterministic(self, sq, planted):
-        points, _, _ = planted
-        a = subsample_extrapolation(points, 3, sq, RngStream(93))
-        b = subsample_extrapolation(points, 3, sq, RngStream(93))
-        assert a == b
-
-    def test_lands_near_the_planted_cost(self, sq, planted):
-        """Wide sanity window: the estimate should be the right order of
-        magnitude (the planted partition costs ~566 on this fixture)."""
-        points, labels, _ = planted
-        planted_cost = sum(
-            float(sq.rowwise(points[labels == j],
-                             points[labels == j].mean(axis=0)[None]).sum())
-            for j in range(3))
-        est = subsample_extrapolation(points, 3, sq, RngStream(94))
-        assert 0.3 * planted_cost <= est <= 3.0 * planted_cost
-
-    def test_validation(self, sq, planted):
-        points, _, _ = planted
-        with pytest.raises(ConfigError):
-            subsample_extrapolation(points, 3, sq, RngStream(95), repeats=0)
-        with pytest.raises(ConfigError):
-            subsample_extrapolation(points, 3, sq, RngStream(95), subsample_size=3)
-        with pytest.raises(ConfigError):
-            subsample_extrapolation(points, 3, sq, RngStream(95),
-                                    subsample_size=ORACLE_N_CAP + 1)
-
-
 @pytest.fixture(scope="module")
 def cloud():
     return RngStream(96).generator.standard_normal((200, 5))
@@ -545,17 +556,13 @@ class TestInabaTrial:
 
 
 LINE = np.array([[0.0], [1.0], [4.0], [5.0], [9.0]])
-WIDE = np.arange(16.0)[:, None]  # past the oracle's cap, so it subsamples
 
 # each count argument outside the engine, as a call that passes it the value
 COUNT_ARGUMENTS = {
     "optimal_bruteforce-k": lambda v: optimal_bruteforce(LINE, v, SquaredEuclidean()),
+    "irreducibility-k": lambda v: irreducibility(LINE, v, SquaredEuclidean()),
     "irreducibility-restarts": lambda v: irreducibility(
         LINE, 2, SquaredEuclidean(), mode="approximate", restarts=v, rng=RngStream(1)),
-    "subsample_extrapolation-repeats": lambda v: subsample_extrapolation(
-        WIDE, 2, SquaredEuclidean(), RngStream(1), repeats=v),
-    "subsample_extrapolation-subsample_size": lambda v: subsample_extrapolation(
-        WIDE, 2, SquaredEuclidean(), RngStream(1), subsample_size=v),
     "inaba_trial-M": lambda v: inaba_trial(LINE, v, 0.2, 10, RngStream(1)),
     "inaba_trial-trials": lambda v: inaba_trial(LINE, 2, 0.2, v, RngStream(1)),
     "symmetry_report-dim": lambda v: symmetry_report(SquaredEuclidean(), v, 10, RngStream(1)),
