@@ -53,6 +53,7 @@ from .ptas import (
     find_k_means,
     find_k_median,
     kmeanspp_seed,
+    lloyd,
     paper_scale_constants,
     parse_strategy,
     run_one_restart,
@@ -63,7 +64,6 @@ from .oracle import (
     OracleResult,
     inaba_trial,
     irreducibility,
-    lloyd,
     optimal_bruteforce,
 )
 from .cli import generate_planted, ingest_csv, run_experiment, write_points_csv

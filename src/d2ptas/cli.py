@@ -5,7 +5,7 @@ The report schema is stable: {spec, results: {method: {cost, ratio, seconds}},
 properties: [...], seed, version}; everything except the "seconds" fields is
 deterministic given the spec and seed.  ``cluster`` and ``seedbench`` set the
 PTAS beside the best of as many k-means++/Lloyd restarts, which run as one
-lock-step batch (``oracle._kmeanspp_lloyd``).
+lock-step batch (``ptas._kmeanspp_lloyd``).
 
 A subcommand's spec is its parsed arguments except ``--output``, with
 ``--domain LO:HI`` echoed as the pair ``[lo, hi]``, so the report alone rebuilds
@@ -36,11 +36,11 @@ from .divergences import (
     triangle_report,
 )
 from .errors import ClusteringError, ConfigError, EmptyFile, ParseError, RaggedRows
+from .oracle import ORACLE_N_CAP, _gamma, _optimal_partitions, optimal_bruteforce
 # bench/tracing.py wraps ``cli.kmeanspp_seed`` and ``cli.lloyd`` by name, so
 # both stay importable from here; the baseline runs through _kmeanspp_lloyd
-from .oracle import (ORACLE_N_CAP, _gamma, _kmeanspp_lloyd, _optimal_partitions,  # noqa: F401
-                     lloyd, optimal_bruteforce)
-from .ptas import PtasConfig, find_k_median, kmeanspp_seed, parse_strategy  # noqa: F401
+from .ptas import (PtasConfig, _kmeanspp_lloyd, find_k_median, kmeanspp_seed,  # noqa: F401
+                   lloyd, parse_strategy)
 from .sampler import RngStream
 
 __all__ = [
@@ -418,8 +418,6 @@ def _add_algo_flags(sub):
     sub.add_argument("--strategy", default=None,
                      help="subset selection: exhaustive | random:R")
     sub.add_argument("--restarts", type=int, default=None, help="independent restarts")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted and has no effect: all restarts run as one pass")
 
 
 def build_parser():

@@ -10,11 +10,10 @@ oracles for validating the samplers, not production solvers.  One run for k
 holds every level below k, so the exact ``irreducibility`` and the CLI's
 ``oracle`` answer k and k - 1 from one DP.
 
-The k-means++/Lloyd baseline is the local-search reference beside them.  Its
-restarts run in lock step (:func:`_lloyd_restarts`, :func:`_kmeanspp_lloyd`):
-one stacked ``pairwise`` table per step labels every restart still moving,
-and each restart keeps the bits of a lone :func:`lloyd` run, which is one
-restart of the same body.
+This module holds ground truth only: the subset DP, the exact and
+approximate ``irreducibility`` and ``inaba_trial``.  The k-means++/Lloyd
+baseline that the approximate ``irreducibility`` runs lives in
+:mod:`d2ptas.ptas`, beside the engine's other lock-step passes.
 """
 
 from dataclasses import dataclass
@@ -23,14 +22,13 @@ import numpy as np
 
 from .divergences import PropertyReport, SquaredEuclidean, _checked_count, as_points, centroid
 from .errors import ConfigError, TooLarge
-from .ptas import ClusteringResult, _kmeanspp_picks, _restart_groups
+from .ptas import _kmeanspp_lloyd
 
 __all__ = [
     "ORACLE_N_CAP",
     "OracleResult",
     "IrreducibilityReport",
     "optimal_bruteforce",
-    "lloyd",
     "irreducibility",
     "inaba_trial",
 ]
@@ -76,7 +74,8 @@ def optimal_bruteforce(data, k, measure):
     cluster 0, and ``optimal_cost`` is the closed-form cost of that
     partition with every block at its mean.  ``assignments_examined`` counts
     the labelings (point 0 pinned) the search is exact over: k^(n-1), or 1
-    when k >= n, which runs no DP.
+    when k >= n.  Neither k >= n nor k = 1, one block at the mean of all
+    points, runs a DP.
     """
     (result,) = _optimal_partitions(data, (k,), measure)
     return result
@@ -85,14 +84,14 @@ def optimal_bruteforce(data, k, measure):
 def _optimal_partitions(data, counts, measure):
     """``[optimal_bruteforce(data, j, measure) for j in counts]``, bit for bit,
     from one DP: the walk for each count reads the first levels of the run for
-    the largest count below n, which are the levels of its own run."""
+    the largest count in 2..n - 1, which are the levels of its own run."""
     points = as_points(data)
     measure.validate_points(points)
     counts = [_checked_count(j, "k") for j in counts]
     n, _ = points.shape
     if n > ORACLE_N_CAP:
         raise TooLarge(f"n={n} exceeds the oracle cap {ORACLE_N_CAP}")
-    top = max((j for j in counts if j < n), default=0)
+    top = max((j for j in counts if 1 < j < n), default=0)
     dp = _subset_dp(points, top, measure) if top else None
     return [OracleResult(0.0, np.arange(n, dtype=np.int64), 1) if k >= n
             else _recover(points, measure, dp, k) for k in counts]
@@ -121,20 +120,21 @@ def _subset_dp(points, top, measure):
 
 def _recover(points, measure, dp, k):
     """The optimal k-clustering, k < n, from a :func:`_subset_dp` run for at
-    least k blocks, its blocks numbered by their lowest point."""
-    cost, block, rest, bounds, levels = dp
+    least k blocks, its blocks numbered by their lowest point.  At k = 1 the
+    one block is every point, and ``dp`` is not read."""
     n = points.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    left, label = (1 << n) - 1, 0
-    for prev in reversed(levels[:k - 1]):  # what is left fits in k - 1, ..., 1 blocks
-        group = slice(bounds[left - 1], bounds[left])
-        first = block[group][np.argmin(cost[block[group]] + prev[rest[group]])]
-        labels[_bits(first, n)] = label
-        left ^= int(first)
-        label += 1
-        if left == 0:
-            break
-    if left:
+    labels = np.zeros(n, dtype=np.int64)
+    if k > 1:
+        cost, block, rest, bounds, levels = dp
+        left, label = (1 << n) - 1, 0
+        for prev in reversed(levels[:k - 1]):  # what is left fits in k - 1, ..., 1 blocks
+            group = slice(bounds[left - 1], bounds[left])
+            first = block[group][np.argmin(cost[block[group]] + prev[rest[group]])]
+            labels[_bits(first, n)] = label
+            left ^= int(first)
+            label += 1
+            if left == 0:
+                break
         labels[_bits(left, n)] = label
 
     centers = _block_means(points, labels)
@@ -174,108 +174,18 @@ def _block_means(points, labels):
     return np.array([centroid(points[labels == j]) for j in range(int(labels.max()) + 1)])
 
 
-def lloyd(data, measure, initial_centers, max_iters=100):
-    """Alternating assign/re-mean local search from the given centers.
-
-    Ties assign to the lowest center index; an emptied cluster keeps its
-    previous center, so the cost never rises by more than the rounding of the
-    ``pairwise`` table that picks the labels (costs themselves are closed
-    form; see ``assign``).  Stops at an assignment fixpoint or after
-    ``max_iters`` passes.  This is one restart of :func:`_lloyd_restarts`.
-    """
-    points = as_points(data)
-    measure.validate_points(points)
-    max_iters = _checked_count(max_iters, "max_iters", least=0)
-    centers = as_points(initial_centers).copy()
-    if points.shape[1] != centers.shape[1]:
-        raise ConfigError("initial centers have the wrong dimension")
-    labels, (cost_trace,) = _lloyd_restarts(points, measure, centers[None], max_iters)
-    return ClusteringResult(
-        centers=centers,
-        assignment=labels[0],
-        cost=cost_trace[-1],
-        meta={"iterations": len(cost_trace), "cost_trace": cost_trace, "method": "lloyd"},
-    )
-
-
-def _lloyd_restarts(points, measure, centers, max_iters):
-    """Lloyd's local search from each (k, d) block of the (A, k, d) ``centers``,
-    all restarts in lock step.  ``centers`` is updated in place.
-
-    Returns the (A, n) labels and each restart's cost trace: the cost of its
-    first labelling, then of each labelling after a re-mean.  Restart a's
-    labels are the argmin of block a of one stacked ``pairwise`` table of the
-    points (whose side is built once) against the still-active restarts'
-    centers, and its costs one closed-form ``rowwise`` of the points against
-    their labelled centers; both run over groups of restarts that fit
-    ``_CHUNK_ENTRIES`` (:func:`~d2ptas.ptas._restart_groups`), so no table
-    grows with A.  Each block is the table of that restart alone, so every
-    restart keeps the bits of a lone run.  A restart leaves the batch at its
-    own assignment fixpoint, or after ``max_iters`` re-means with one last
-    cost, and its trace ends there.
-    """
-    (count, k, d), n = centers.shape, points.shape[0]
-    point_side = measure._point_side(points)
-    labels, prev = np.empty((2, count, n), dtype=np.intp)
-    costs = np.empty((count, n))
-    traces = [[] for _ in range(count)]
-
-    def relabel(active):
-        for g in _restart_groups(len(active), n * (k + d)):
-            rows = active[g]
-            block = centers[rows]
-            nearest = np.argmin(measure.pairwise(points, block, point_side=point_side), axis=2)
-            labels[rows] = nearest
-            costs[rows] = measure.rowwise(points, block[np.arange(len(rows))[:, None], nearest])
-
-    def record(active):
-        for r, total in zip(active.tolist(), costs[active].sum(axis=1).tolist()):
-            traces[r].append(total)
-
-    active = np.arange(count)
-    relabel(active)
-    for iteration in range(max_iters):
-        record(active)
-        if iteration:
-            active = active[(labels[active] != prev[active]).any(axis=1)]
-            if not active.size:
-                break
-        prev[active] = labels[active]
-        for r in active.tolist():
-            for j in range(k):
-                members = labels[r] == j
-                if np.any(members):
-                    centers[r, j] = centroid(points[members])
-        relabel(active)
-    record(active)
-    return labels, traces
-
-
-def _kmeanspp_lloyd(data, measure, k, streams):
-    """Each stream's ``lloyd(data, measure, kmeanspp_seed(data, measure, k,
-    stream).centers).cost``, bit for bit (``lloyd``'s default of at most 100
-    passes), with every restart's seeding and local search run in lock step.
-    The seedings' own assignments are never computed: Lloyd's first labelling
-    is the same.
-    """
-    points = as_points(data)
-    measure.validate_points(points)
-    centers = points[_kmeanspp_picks(points, measure, k, streams)]
-    return [trace[-1] for trace in _lloyd_restarts(points, measure, centers, 100)[1]]
-
-
 def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None):
     """gamma = (best cost with k-1 centers) / (best cost with k) - 1.
 
     ``mode="exact"`` uses the subset-DP oracle, exact at every k on n <=
     ``ORACLE_N_CAP`` points, with one DP run for k answering k - 1 too (the
     costs of two ``optimal_bruteforce`` calls, bit for bit);
-    ``"approximate"`` substitutes best-of-``restarts``
-    seeded local search and flags the report:
-    the best of ``lloyd`` from ``kmeanspp_seed`` on ``rng.derive(0).derive(r)``
-    for k centers and ``rng.derive(1).derive(r)`` for k - 1, r < ``restarts``,
-    each side's restarts run as one batch (:func:`_kmeanspp_lloyd`).  See
-    :func:`_gamma` for the zero-denominator conventions.
+    ``"approximate"`` substitutes best-of-``restarts`` seeded local search and
+    flags the report: the best of ``lloyd`` from ``kmeanspp_seed`` on
+    ``rng.derive(0).derive(r)`` for k centers and ``rng.derive(1).derive(r)``
+    for k - 1, r < ``restarts``, each side's restarts run as one batch
+    (:func:`~d2ptas.ptas._kmeanspp_lloyd`).  See :func:`_gamma` for the
+    zero-denominator conventions.
     """
     points = as_points(data)
     k = _checked_count(k, "k", least=2)

@@ -39,10 +39,12 @@ nodes at a time.  A batch holds the children of several parents and
 restarts, and every node still gets the bits of a lone node, in the order of
 a depth-first search of its restart.
 
-The k-means++ seeding of the baseline runs its restarts the same way
-(:func:`_kmeanspp_picks`): one (A, n) potentials array, one D² law table and
-one draw call per pick for every restart, each row with the bits of a lone
-seeding; :func:`kmeanspp_seed` is one row of it.
+The k-means++/Lloyd baseline (Arthur and Vassilvitskii, SODA 2007) runs
+its restarts the same way: the seeding (:func:`_kmeanspp_picks`) with one D²
+draw call per pick and the greedy's potentials update
+(:func:`_lower_potentials`), Lloyd (:func:`_lloyd_restarts`) with one stacked
+``pairwise`` table per step.  :func:`kmeanspp_seed` and :func:`lloyd` are one
+row of these, and :func:`_kmeanspp_lloyd` runs both for the CLI and ``oracle``.
 
 Both strategies return the same shape (:func:`_run_restarts`): each
 restart's cost and counters as arrays, and the first cheapest restart's
@@ -62,7 +64,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergences import SquaredEuclidean, _checked_count, as_points, assign
+from .divergences import SquaredEuclidean, _checked_count, as_points, assign, centroid
 from .errors import ConfigError, InsufficientPoints
 # bench/tracing.py wraps ``ptas.d2_sample`` and ``ptas.CenterSet.add`` by
 # name, so both stay importable from here
@@ -81,6 +83,7 @@ __all__ = [
     "find_k_means",
     "run_one_restart",
     "kmeanspp_seed",
+    "lloyd",
     "find_best_over_k",
 ]
 
@@ -349,14 +352,6 @@ def _check_tree_size(cfg, distinct, restarts):
     )
 
 
-def _combo_by_rank(groups, rank):
-    for combos in groups:
-        if rank < len(combos):
-            return combos[rank]
-        rank -= len(combos)
-    raise IndexError("subset rank out of range")
-
-
 # A frontier of tree nodes is expanded in chunks of at most this many entries,
 # or one node.  A node counts its N uniforms and N draws, the three N-entry
 # temporaries of the draw's binary search and its law row padded for it (below
@@ -381,32 +376,37 @@ class _Batch:
     """Tree nodes of one depth expanded together by :meth:`_TreeSearch._expand`.
 
     Row j of ``samples`` is node j's draw and ``pools[j]`` its distinct sample
-    points.  Node j's candidates are entries ``starts[j]:starts[j + 1]`` of
-    ``costs``.  Candidate c belongs to node ``owner[c]`` and is the subset
-    mean ``means[which[c]]``, whose divergences are row ``which[c]`` of
-    ``table``; ``parents`` holds the nodes' own potentials as rows.
+    points.  Node j's candidates are entries ``starts[j]:starts[j + 1]``.
+    Candidate c belongs to node ``owner[c]`` and is the mean ``means[which[c]]``
+    of ``subsets[which[c]]`` (point indices plus one, zero-padded), whose
+    divergences are row ``which[c]`` of ``table``; ``parents`` holds the nodes'
+    own potentials as rows.
     """
 
-    __slots__ = ("samples", "pools", "starts", "owner", "which", "means", "table", "parents",
-                 "costs")
+    __slots__ = ("samples", "pools", "starts", "owner", "subsets", "which", "means", "table",
+                 "parents")
 
-    def __init__(self, samples, pools, starts, which, means, table, parents):
+    def __init__(self, samples, pools, starts, subsets, which, means, table, parents):
         self.samples = samples
         self.pools = pools
         self.starts = starts
         self.owner = np.repeat(np.arange(len(pools)), np.diff(starts))
+        self.subsets = subsets
         self.which = which
         self.means = means
         self.table = table
         self.parents = parents
-        # each cost is the 1-D sum of its own row, a block of rows at a time
-        # in one reused buffer
-        step = max(1, _SUM_ENTRIES // table.shape[1])
-        block = np.empty((min(step, starts[-1]), table.shape[1]))
-        self.costs = np.empty(starts[-1])
-        for lo in range(0, starts[-1], step):
-            rows = slice(lo, min(lo + step, starts[-1]))
-            self.potentials(rows, block[:rows.stop - lo]).sum(axis=1, out=self.costs[rows])
+
+    def costs(self):
+        """Each candidate's cost, the 1-D sum of its own potentials row, a block
+        of rows at a time in one reused buffer (read at leaves only)."""
+        count, n = self.starts[-1], self.table.shape[1]
+        step = max(1, _SUM_ENTRIES // n)
+        block, costs = np.empty((min(step, count), n)), np.empty(count)
+        for lo in range(0, count, step):
+            rows = slice(lo, min(lo + step, count))
+            self.potentials(rows, block[:rows.stop - lo]).sum(axis=1, out=costs[rows])
+        return costs
 
     def potentials(self, cands, out=None):
         """Potentials after adding candidates ``cands``, one row each, into
@@ -511,7 +511,7 @@ class _TreeSearch:
         # closed form, not pairwise: a pairwise column's bits depend on its
         # product's width, so a node's costs would depend on its siblings
         table = self.measure.rowwise(self.points[None, :, :], means[:, None, :])
-        return _Batch(samples, pools, starts, which, means, table, potentials)
+        return _Batch(samples, pools, starts, subsets, which, means, table, potentials)
 
     def run(self):
         """Search every restart, then replay only the first cheapest one.
@@ -556,15 +556,16 @@ class _TreeSearch:
     def _score_leaves(self, node, paths):
         """Visit leaf nodes in order: each offers its first cheapest
         candidate, and each restart keeps its first strict improvement."""
-        mins = np.minimum.reduceat(node.costs, node.starts[:-1])
+        costs = node.costs()
+        mins = np.minimum.reduceat(costs, node.starts[:-1])
         mins[np.isnan(mins)] = np.inf  # a leaf with a NaN cost offers NaN, which never wins
         for r in np.unique(paths[:, 0]).tolist():
             leaves = np.flatnonzero(paths[:, 0] == r)
             j = leaves[np.argmin(mins[leaves])]
             if mins[j] < self.best_cost[r]:
                 a = node.starts[j]
-                b = int(np.argmin(node.costs[a:node.starts[j + 1]]))
-                self.best_cost[r] = node.costs[a + b]
+                b = int(np.argmin(costs[a:node.starts[j + 1]]))
+                self.best_cost[r] = costs[a + b]
                 self.best_path[r] = tuple(paths[j].tolist()) + (b,)
 
     def replay(self, path):
@@ -575,16 +576,15 @@ class _TreeSearch:
         node_id, key = self.roots[[path[0]]], self.keys[[path[0]]]
         for depth, b in enumerate(path[1:]):
             node = self._expand(potentials, node_id, key)
-            pool_idx = node.pools[0]
-            combo = _combo_by_rank(_combo_groups(len(pool_idx), self.subset_size), b)
             potentials = node.potentials(np.array([b]))
             center = node.means[node.which[b]]
+            members = node.subsets[node.which[b]]
             trace.append({
                 "iteration": depth,
                 "sample": node.samples[0],
-                "pool": pool_idx,
+                "pool": node.pools[0],
                 "subset_rank": b,
-                "subset_points": pool_idx[combo],
+                "subset_points": members[:np.count_nonzero(members)] - 1,
                 "center": center,
                 "partial_cost": float(potentials[0].sum()),
             })
@@ -621,9 +621,9 @@ def _smallest_positions(table, m):
 
 
 # The steps with a row per point and restart run over groups of g restarts
-# (:func:`_restart_groups`): the greedy's (g, n, R) scoring stack and its
-# potentials update, the k-means++ potentials update, and Lloyd's (g, n, k)
-# labelling stack.  A group holds at most about this many table entries (1 MiB
+# (:func:`_restart_groups`): the greedy's (g, n, R) scoring stack, the
+# potentials update of the greedy and the seeding (:func:`_lower_potentials`),
+# and Lloyd's (g, n, k) labelling stack.  A group holds at most about this many table entries (1 MiB
 # of float64) or one restart's table.  Larger groups pay where a restart's
 # table is small and numpy's per-call overhead dominates (desk_small_kl's 8
 # restarts of 300 x 50 make one group); where one restart's table alone is
@@ -637,6 +637,15 @@ def _restart_groups(count, entries):
     entries, into groups that fit ``_CHUNK_ENTRIES``, at least one restart each."""
     step = max(1, _CHUNK_ENTRIES // entries)
     return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _lower_potentials(potentials, points, measure, centers):
+    """Lower row a of the (A, n) ``potentials`` in place to the closed-form
+    divergences to row a of the (A, d) ``centers``, one broadcast ``rowwise``
+    per group; each row keeps the bits of ``CenterSet.add``, whatever the group."""
+    for g in _restart_groups(len(centers), points.size):
+        np.minimum(potentials[g], measure.rowwise(points, centers[g, None, :]),
+                   out=potentials[g])
 
 
 def _greedy_restarts(points, measure, cfg, roots, keys):
@@ -677,8 +686,9 @@ def _greedy_restarts(points, measure, cfg, roots, keys):
     fit ``_CHUNK_ENTRIES`` (at least one restart), so no table grows with A:
     a (g, n, R) ``pairwise`` stack of the points against the group's
     candidates, scored in place and dropped before the next group's, and,
-    once every restart has kept its trial, one broadcast closed-form
-    ``rowwise`` that updates the group's rows of the (A, n) potentials.
+    once every restart has kept its trial, the update of the (A, n)
+    potentials by one broadcast closed-form ``rowwise`` per group
+    (:func:`_lower_potentials`).
     Every restart runs all k iterations.  Each restart keeps the bits of a
     lone pass: its draw, its law, its sample-to-anchor table, its scoring
     table and its potentials are its own row or block of these.  A center is
@@ -693,7 +703,6 @@ def _greedy_restarts(points, measure, cfg, roots, keys):
     trials, sample_size, m_ = cfg.subset_strategy.trials, cfg.sample_size_N, cfg.subset_size_M
     (n, d), count = points.shape, len(roots)
     rows = np.arange(count)
-    groups = _restart_groups(count, n * trials)
     point_side = measure._point_side(points)
     potentials = np.full((count, n), np.inf)                                     # (A, n)
     iteration_ids = _derived_ids(roots, np.arange(cfg.k))                        # (A, k)
@@ -722,7 +731,7 @@ def _greedy_restarts(points, measure, cfg, roots, keys):
         # every group.  The potentials stay the first operand, so the scores
         # keep the bits of np.minimum(potentials, table).
         scores = np.empty((count, trials))                                       # (A, R)
-        for g in groups:
+        for g in _restart_groups(count, n * trials):
             table = measure.pairwise(points, cands.reshape(count, trials, d)[g],
                                      point_side=point_side)                      # (g, n, R)
             np.minimum(potentials[g, :, None], table, out=table)
@@ -735,9 +744,7 @@ def _greedy_restarts(points, measure, cfg, roots, keys):
         history.append((samples, best, anchors[rows, best], positions[kept], centers,
                         scores[rows, best]))
         # each kept center in closed form, as the reported cost is evaluated
-        for g in groups:
-            np.minimum(potentials[g], measure.rowwise(points, centers[g, None, :]),
-                       out=potentials[g])
+        _lower_potentials(potentials, points, measure, centers)
     costs = potentials.sum(axis=1)
     win = int(np.argmin(costs))
     trace = [{
@@ -765,14 +772,14 @@ def _kmeanspp_picks(points, measure, k, streams):
     the tree; the first pick, at potentials +inf, is uniform.  The ids come as
     one uint64 table, so no ``RngStream`` or generator is built for a pick.
     All restarts keep their potentials as rows of one (A, n) array at +inf,
-    share one law table and one draw call per pick, and take their pick's
-    divergences in one broadcast closed-form ``rowwise`` per group of
-    restarts (:func:`_restart_groups`).  Each row keeps the bits of a lone
+    share one law table and one draw call per pick, and lower their
+    potentials to their pick's closed-form divergences as the greedy does
+    (:func:`_lower_potentials`).  Each row keeps the bits of a lone
     seeding: the potentials of :class:`~d2ptas.sampler.CenterSet` after
     ``CenterSet.add`` of every earlier pick.  ``points`` are already
     validated.
     """
-    (n, d), count = points.shape, len(streams)
+    n, count = points.shape[0], len(streams)
     k = _checked_count(k, "k")
     if n < k:
         raise InsufficientPoints(f"need at least k={k} points, got {n}")
@@ -784,10 +791,73 @@ def _kmeanspp_picks(points, measure, k, streams):
     for i in range(k):
         picks[:, i] = weighted_draw(d2_law(potentials), uniforms[:, i:i + 1])[:, 0]
         if i + 1 < k:  # the last pick's potentials are never drawn from
-            for g in _restart_groups(count, n * d):
-                np.minimum(potentials[g], measure.rowwise(points, points[picks[g, i], None, :]),
-                           out=potentials[g])
+            _lower_potentials(potentials, points, measure, points[picks[:, i]])
     return picks
+
+
+def _lloyd_restarts(points, measure, centers, max_iters):
+    """Lloyd's local search from each (k, d) block of the (A, k, d) ``centers``,
+    all restarts in lock step.  ``centers`` is updated in place.
+
+    Returns each restart's cost trace: the cost of its first labelling, then
+    of each labelling after a re-mean.  Restart a's labels are the argmin of
+    block a of one stacked ``pairwise`` table of the points (whose side is
+    built once) against the still-active restarts' centers, and its costs one
+    closed-form ``rowwise`` of the points against their labelled centers;
+    both run over groups of restarts that fit ``_CHUNK_ENTRIES``
+    (:func:`_restart_groups`), so no table grows with A.  Each block is the
+    table of that restart alone, so every restart keeps the bits of a lone
+    run.  A restart leaves the batch at its own assignment fixpoint, or after
+    ``max_iters`` re-means with one last cost, and its trace ends there.
+    """
+    (count, k, d), n = centers.shape, points.shape[0]
+    point_side = measure._point_side(points)
+    labels, prev = np.empty((2, count, n), dtype=np.intp)
+    costs = np.empty((count, n))
+    traces = [[] for _ in range(count)]
+
+    def relabel(active):
+        for g in _restart_groups(len(active), n * (k + d)):
+            rows = active[g]
+            block = centers[rows]
+            nearest = np.argmin(measure.pairwise(points, block, point_side=point_side), axis=2)
+            labels[rows] = nearest
+            costs[rows] = measure.rowwise(points, block[np.arange(len(rows))[:, None], nearest])
+
+    def record(active):
+        for r, total in zip(active.tolist(), costs[active].sum(axis=1).tolist()):
+            traces[r].append(total)
+
+    active = np.arange(count)
+    relabel(active)
+    for iteration in range(max_iters):
+        record(active)
+        if iteration:
+            active = active[(labels[active] != prev[active]).any(axis=1)]
+            if not active.size:
+                break
+        prev[active] = labels[active]
+        for r in active.tolist():
+            for j in range(k):
+                members = labels[r] == j
+                if np.any(members):
+                    centers[r, j] = centroid(points[members])
+        relabel(active)
+    record(active)
+    return traces
+
+
+def _kmeanspp_lloyd(data, measure, k, streams):
+    """Each stream's ``lloyd(data, measure, kmeanspp_seed(data, measure, k,
+    stream).centers).cost``, bit for bit (``lloyd``'s default of at most 100
+    passes), with every restart's seeding and local search run in lock step.
+    The seedings' own assignments are never computed: Lloyd's first labelling
+    is the same.
+    """
+    points = as_points(data)
+    measure.validate_points(points)
+    centers = points[_kmeanspp_picks(points, measure, k, streams)]
+    return [trace[-1] for trace in _lloyd_restarts(points, measure, centers, 100)]
 
 
 def _run_restarts(points, ids, measure, cfg, roots, keys):
@@ -880,14 +950,14 @@ def find_k_median(data, measure, config, rng, threads=None):
     Restart r runs on ``rng.derive(r)``; the winner is the (cost, restart)
     lexicographic minimum, so results are reproducible and adding restarts
     can only improve the returned cost.  All restarts run as one pass (see
-    the module docstring).  ``threads`` is accepted and has no effect.
+    the module docstring).  ``threads`` has no effect; it stays only for the
+    benchmark's ``threads_nproc`` spot check, which passes it.
     """
     return _solve(data, measure, config, rng)
 
 
-def find_k_means(data, config, rng, threads=None):
-    """k-means entry point: squared-Euclidean objective, same engine underneath.
-    ``threads`` is accepted and has no effect."""
+def find_k_means(data, config, rng):
+    """k-means entry point: squared-Euclidean objective, same engine underneath."""
     return find_k_median(data, SquaredEuclidean(), config, rng)
 
 
@@ -916,7 +986,28 @@ def kmeanspp_seed(data, measure, k, rng):
     return _result(points, measure, points[picked], meta)
 
 
-def find_best_over_k(data, measure, config, rng, threads=None):
+def lloyd(data, measure, initial_centers, max_iters=100):
+    """Alternating assign/re-mean local search from the given centers.
+
+    Ties assign to the lowest center index; an emptied cluster keeps its
+    previous center, so the cost never rises by more than the rounding of the
+    ``pairwise`` table that picks the labels (costs themselves are closed
+    form; see ``assign``).  Stops at an assignment fixpoint or after
+    ``max_iters`` passes.  This is one restart of :func:`_lloyd_restarts`;
+    the result is ``assign`` on the centers it ends at.
+    """
+    points = as_points(data)
+    measure.validate_points(points)
+    max_iters = _checked_count(max_iters, "max_iters", least=0)
+    centers = as_points(initial_centers).copy()
+    if points.shape[1] != centers.shape[1]:
+        raise ConfigError("initial centers have the wrong dimension")
+    (cost_trace,) = _lloyd_restarts(points, measure, centers[None], max_iters)
+    meta = {"iterations": len(cost_trace), "cost_trace": cost_trace, "method": "lloyd"}
+    return _result(points, measure, centers, meta)
+
+
+def find_best_over_k(data, measure, config, rng):
     """Run the algorithm for every center count i = 1..k and keep the best.
 
     Dropping the assumption that all k clusters matter costs accuracy, which
@@ -927,8 +1018,7 @@ def find_best_over_k(data, measure, config, rng, threads=None):
     The tightened epsilon only changes the sub-runs under
     ``scale_preset="paper"``.  The desk preset's N, M and restarts are fixed
     constants, so there every sub-run uses the same constants whatever epsilon
-    is.  Each sub-run runs its restarts as one pass; ``threads`` is accepted
-    and has no effect.
+    is.  Each sub-run runs its restarts as one pass.
     """
     points = as_points(data)
     base = config.resolved(measure)

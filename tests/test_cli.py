@@ -324,10 +324,10 @@ class TestMainExitCodes:
         assert "optimal cost: 1" in out
         assert "gamma: 16" in out
 
-    @pytest.mark.parametrize("k,tables", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 0)])
+    @pytest.mark.parametrize("k,tables", [(1, 0), (2, 1), (3, 1), (4, 1), (5, 0)])
     def test_oracle_builds_one_table(self, four_point_file, monkeypatch, tmp_path, k, tables):
         """One subset DP answers k and k - 1, with the bits of two lone runs;
-        none runs once both counts reach the 4 points."""
+        none runs at k = 1, one block, or once both counts reach the 4 points."""
         calls = []
         build = d2ptas.oracle._subset_pairs
         monkeypatch.setattr(d2ptas.oracle, "_subset_pairs",

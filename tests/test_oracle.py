@@ -28,9 +28,8 @@ from d2ptas import (
 from d2ptas import oracle, ptas
 from d2ptas.cli import run_experiment, write_points_csv
 from d2ptas.divergences import assign, centroid
-from d2ptas.oracle import (ORACLE_N_CAP, _gamma, _kmeanspp_lloyd, _lloyd_restarts,
-                           _optimal_partitions)
-from d2ptas.ptas import _kmeanspp_picks, _restart_groups
+from d2ptas.oracle import ORACLE_N_CAP, _gamma, _optimal_partitions
+from d2ptas.ptas import _kmeanspp_lloyd, _kmeanspp_picks, _lloyd_restarts, _restart_groups
 from d2ptas.sampler import CenterSet, _counter_key, _splitmix64, d2_law, d2_sample, weighted_draw
 
 MEASURES = {
@@ -337,6 +336,29 @@ class TestOneDPForTwoCounts:
                                               lone[j].optimal_partition)
                 assert shared.assignments_examined == lone[j].assignments_examined
 
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_one_block_runs_no_dp(self, name, monkeypatch):
+        """At k = 1 the answer is the walk's on a DP run, bit for bit, and no
+        DP runs: every point in block 0 at their mean, on n = 2..14 points,
+        at the cost the DP holds for the full mask."""
+        measure = MEASURES[name]
+        gen = RngStream(15).derive(len(name)).generator
+        built, build = [], oracle._subset_pairs
+        monkeypatch.setattr(oracle, "_subset_pairs", lambda n: built.append(n) or build(n))
+        for n in range(2, ORACLE_N_CAP + 1):
+            points = instance(name, gen, n)
+            lone = optimal_bruteforce(points, 1, measure)
+            assert built == []
+            dp = oracle._subset_dp(points, 2, measure)
+            walked = oracle._recover(points, measure, dp, 1)
+            built.clear()
+            assert lone.optimal_cost.hex() == walked.optimal_cost.hex()
+            assert lone.optimal_partition.dtype == walked.optimal_partition.dtype
+            np.testing.assert_array_equal(lone.optimal_partition, np.zeros(n))
+            np.testing.assert_array_equal(lone.optimal_partition, walked.optimal_partition)
+            assert lone.assignments_examined == walked.assignments_examined == 1
+            assert lone.optimal_cost == pytest.approx(dp[0][-1], rel=1e-9)
+
     @pytest.mark.parametrize("k,tables", [(2, 1), (5, 1), (12, 1), (13, 0)])
     def test_exact_irreducibility_builds_one_table(self, sq, monkeypatch, k, tables):
         """One block-cost table at most; none once both counts reach n."""
@@ -433,12 +455,12 @@ class TestLockStepBaseline:
     def test_restarts_are_lone_runs(self, name, k, max_iters):
         measure, points, starts = self.start(name, k)
         centers = starts.copy()
-        labels, traces = _lloyd_restarts(points, measure, centers, max_iters)
+        traces = _lloyd_restarts(points, measure, centers, max_iters)
         lengths = set()
         for a, start in enumerate(starts):
             ref_centers, ref_labels, ref_trace = reference_lloyd(points, measure, start, max_iters)
             assert centers[a].tobytes() == ref_centers.tobytes()
-            np.testing.assert_array_equal(labels[a], ref_labels)
+            np.testing.assert_array_equal(assign(measure, points, centers[a])[0], ref_labels)
             assert traces[a] == ref_trace
             lone = lloyd(points, measure, start, max_iters=max_iters)
             assert lone.centers.tobytes() == ref_centers.tobytes()
@@ -449,7 +471,7 @@ class TestLockStepBaseline:
             lengths.add(len(ref_trace))
         if k >= 2:
             # the far restart's last cluster is emptied and keeps its center
-            assert not np.any(labels[-1] == k - 1)
+            assert not np.any(assign(measure, points, centers[-1])[0] == k - 1)
             assert centers[-1, -1].tobytes() == starts[-1, -1].tobytes()
         if max_iters == 100 and k >= 2:
             assert len(lengths) > 1  # restarts leave the batch at different steps
@@ -460,18 +482,36 @@ class TestLockStepBaseline:
     def test_groups_do_not_change_bits(self, name, k, monkeypatch):
         measure, points, starts = self.start(name, k)
         n, d = points.shape
-        whole = _lloyd_restarts(points, measure, starts.copy(), 100)
+        whole_centers = starts.copy()
+        whole = _lloyd_restarts(points, measure, whole_centers, 100)
         picks = _kmeanspp_picks(points, measure, k, self.streams())
         assert len(_restart_groups(len(starts), n * (k + d))) == 1
         for entries in (1, 2 * n * (k + d)):
             monkeypatch.setattr(ptas, "_CHUNK_ENTRIES", entries)
             assert len(_restart_groups(len(starts), n * (k + d))) > 1
             centers = starts.copy()
-            labels, traces = _lloyd_restarts(points, measure, centers, 100)
-            np.testing.assert_array_equal(labels, whole[0])
-            assert traces == whole[1]
+            assert _lloyd_restarts(points, measure, centers, 100) == whole
+            assert centers.tobytes() == whole_centers.tobytes()
             np.testing.assert_array_equal(_kmeanspp_picks(points, measure, k, self.streams()),
                                           picks)
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 3, 100])
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_lloyd_result_is_assign_on_its_centers(self, name, max_iters):
+        """``lloyd`` builds its result with the engine's one result builder:
+        its assignment and cost are ``assign`` on its returned centers, bit for
+        bit, and its cost is the last cost of its lock-step trace."""
+        measure = MEASURES[name]
+        gen = RngStream(77).derive(len(name)).generator
+        for k in range(3, 8):
+            d = 2 if name == "mahalanobis" else int(gen.integers(2, 5))
+            points = instance(name, gen, 40, d)
+            start = points[gen.choice(len(points), k, replace=False)]
+            result = lloyd(points, measure, start, max_iters=max_iters)
+            labels, costs = assign(measure, points, result.centers)
+            np.testing.assert_array_equal(result.assignment, labels)
+            assert result.cost.hex() == float(costs.sum()).hex()
+            assert result.cost.hex() == result.meta["cost_trace"][-1].hex()
 
     @pytest.mark.parametrize("name", ["sq", "kl", "mahalanobis"])
     def test_baseline_costs_are_lone_costs(self, name):

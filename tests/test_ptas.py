@@ -35,9 +35,9 @@ from d2ptas import (
     run_one_restart,
 )
 from d2ptas.divergences import GenericBregman, Mahalanobis, assign
-from d2ptas.oracle import lloyd, optimal_bruteforce
+from d2ptas.oracle import optimal_bruteforce
 from d2ptas import ptas
-from d2ptas.ptas import _distinct_sample_points, _prepare
+from d2ptas.ptas import _distinct_sample_points, _prepare, lloyd
 from d2ptas.sampler import CenterSet, RngStream, _counter_key, _splitmix64, d2_law, weighted_draw
 
 MASK64 = 2 ** 64 - 1

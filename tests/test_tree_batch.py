@@ -29,10 +29,19 @@ from d2ptas import (
 )
 from d2ptas import ptas
 from d2ptas.divergences import Mahalanobis
-from d2ptas.ptas import _combo_by_rank, _combo_groups, _prepare
+from d2ptas.ptas import _combo_groups, _prepare
 from d2ptas.sampler import RngStream, _derived_ids, _splitmix64, weighted_draw
 
 MASK64 = 2 ** 64 - 1
+
+
+def combo_by_rank(groups, rank):
+    """Row ``rank`` of the concatenated index combinations ``groups``."""
+    for combos in groups:
+        if rank < len(combos):
+            return combos[rank]
+        rank -= len(combos)
+    raise IndexError("subset rank out of range")
 
 
 def derive_id(stream_id, index):
@@ -118,7 +127,7 @@ class ReferenceSearch:
         for depth, b in enumerate(path):
             sample, pool, groups, cands, pots = self.expand(potentials, node_id)
             trace.append({"iteration": depth, "sample": sample, "pool": pool, "subset_rank": b,
-                          "subset_points": pool[_combo_by_rank(groups, b)], "center": cands[b],
+                          "subset_points": pool[combo_by_rank(groups, b)], "center": cands[b],
                           "partial_cost": float(pots[b].sum())})
             centers.append(cands[b])
             potentials = pots[b]
@@ -216,7 +225,7 @@ class TestSearchMatchesReference:
             assert same_bits(batch.pools[b], pool)
             assert same_bits(batch.means[batch.which[cands_b]], cands)
             assert same_bits(batch.potentials(cands_b), pots)
-            assert same_bits(batch.costs[cands_b], row_sums(pots))
+            assert same_bits(batch.costs()[cands_b], row_sums(pots))
 
     @pytest.mark.parametrize("name", list(MEASURES))
     @pytest.mark.parametrize("M", [1, 2, 3])
