@@ -253,23 +253,26 @@ class ClusteringResult:
 
 def _distinct_sample_points(ids, rows):
     """Per row of a (B, N) stack of draws, the indices of its distinct point
-    values, first occurrence first.
+    values, first occurrence first: a (B, max(counts)) table whose row b holds
+    them in its first ``counts[b]`` entries, and the (B,) ``counts``.  Padding
+    entries are unspecified.
 
     ``ids`` maps each point to its distinct-value id (see :func:`_prepare`).
     The key and position temporaries take B * N entries and the
     first-occurrence table B * (distinct values), which ``_BATCH_ENTRIES``
     bounds.
     """
-    width, (count, size) = int(ids.max()) + 1, rows.shape
-    # flat position of the first occurrence of each (row, value), in draw order
-    first = np.full(count * width, rows.size)
+    width, count = int(ids.max()) + 1, len(rows)
+    # flat position of the first occurrence of each (row, value), rows.size if none
+    first = np.full((count, width), rows.size)
     keys = ids[rows]
     keys += width * np.arange(count)[:, None]
-    np.minimum.at(first, keys.reshape(-1), np.arange(rows.size))
-    first = np.sort(first[first < rows.size])
-    flat = rows.reshape(-1)[first]
-    ends = np.searchsorted(first, size * np.arange(1, count + 1)).tolist()
-    return tuple(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
+    np.minimum.at(first.reshape(-1), keys.reshape(-1), np.arange(rows.size))
+    # a row's positions in ascending order are its draw order, and absent values go last
+    first.sort(axis=1)
+    counts = np.count_nonzero(first < rows.size, axis=1)
+    # mode="clip" reads a padding slot's rows.size as the last draw
+    return np.take(rows, first[:, :counts.max()], mode="clip"), counts
 
 
 # _distinct_rows ranks a column by presence flags while their table, one
@@ -280,21 +283,24 @@ def _distinct_sample_points(ids, rows):
 _FLAGS_PER_ROW = 4
 
 
-def _distinct_rows(rows, base):
-    """The distinct rows of a matrix of ints in [0, base), and each row's index
-    among them, which is its rank in lexicographic order.
+def _distinct_rows(columns, base):
+    """The distinct rows of a matrix of ints in [0, base), given as its
+    columns, and each row's index among them, which is its rank in
+    lexicographic order.
 
-    Rows are ranked one column at a time, so no key outgrows ``len(rows) * base``:
-    each row's key is its rank so far times ``base`` plus its entry in the
-    column.  Where the keys span at most ``_FLAGS_PER_ROW * len(rows)`` values
-    they are ranked in linear time, by flagging the keys present and taking
-    the running count of the flags; otherwise ``np.unique`` sorts them.  Both
-    give the same ranks.
+    Rows are ranked one column at a time, so no key outgrows the row count
+    times ``base``: each row's key is its rank so far times ``base`` plus its
+    entry in the column.  Where the keys span at most ``_FLAGS_PER_ROW``
+    values per row they are ranked in linear time, by flagging the keys
+    present and taking the running count of the flags; otherwise ``np.unique``
+    sorts them.  Both give the same ranks.  Only the distinct rows are
+    gathered into a matrix.
     """
-    which, distinct = np.zeros(len(rows), dtype=np.intp), 1
-    for col in rows.T:
+    count = len(columns[0])
+    which, distinct = np.zeros(count, dtype=np.intp), 1
+    for col in columns:
         keys = which * base + col
-        if distinct * base <= _FLAGS_PER_ROW * len(rows):
+        if distinct * base <= _FLAGS_PER_ROW * count:
             present = np.zeros(distinct * base, dtype=bool)
             present[keys] = True
             ranks = np.cumsum(present)
@@ -303,18 +309,42 @@ def _distinct_rows(rows, base):
             values, which = np.unique(keys, return_inverse=True)
             distinct = len(values)
     first = np.empty(distinct, dtype=np.intp)
-    first[which] = np.arange(len(rows))  # any row of a rank will do: they are equal
-    return rows[first], which
+    first[which] = np.arange(count)  # any row of a rank will do: they are equal
+    return np.column_stack([col[first] for col in columns]), which
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=256)
 def _combo_groups(pool_size, max_size):
-    """Index combinations of sizes 1..max_size, lexicographic within each size."""
-    groups = []
-    for size in range(1, min(pool_size, max_size) + 1):
-        combos = np.array(list(itertools.combinations(range(pool_size), size)), dtype=np.intp)
-        groups.append(combos)
-    return tuple(groups)
+    """Index combinations of sizes 1..max_size, lexicographic within each
+    size, as read-only arrays: the cache hands the same ones to every caller."""
+    return tuple(
+        _read_only(np.array(list(itertools.combinations(range(pool_size), size)), dtype=np.intp))
+        for size in range(1, min(pool_size, max_size) + 1))
+
+
+@lru_cache(maxsize=256)
+def _combo_table(width, max_size):
+    """Every combination of :func:`_combo_groups` of ``range(width)``, in its
+    order, as a (min(width, max_size), C) table of positions plus one, one row
+    per member and zero past a combination's size, and the (C,) largest
+    position of each combination.  Both are read-only.
+
+    The combinations of ``range(p)`` for p <= width are exactly the columns
+    whose largest position is below p, in the same order, so one table serves
+    every pool of at most ``width`` points.
+    """
+    groups = _combo_groups(width, max_size)
+    table = np.zeros((len(groups), sum(map(len, groups))), dtype=np.intp)
+    lo = 0
+    for combos in groups:
+        table[:combos.shape[1], lo:lo + len(combos)] = combos.T + 1
+        lo += len(combos)
+    return _read_only(table), _read_only(table.max(axis=0) - 1)
 
 
 def _menu_size(sample_size, subset_size, distinct, cap=math.inf):
@@ -355,14 +385,18 @@ def _check_tree_size(cfg, distinct, restarts):
 # A frontier of tree nodes is expanded in chunks of at most this many entries,
 # or one node.  A node counts its N uniforms and N draws, the three N-entry
 # temporaries of the draw's binary search and its law row padded for it (below
-# 2n), and per candidate its members, ids, owner and cost, its divergences to
-# the n points with their coordinates and its child's n potentials; so the
-# budget bounds every temporary of a batch, the pool dedupe's keys, positions
-# and first-occurrence slots included.  A paper-preset node (N = 819 200) is
-# a batch of its own.  At exact_small's shape (n = 12, N = 239, M = 2, 78
-# candidates) 2^20 entries make chunks of 195-301 nodes; 2^19 and 2^21 were
-# slower.  Each node's numbers are computed on their own, so results do not
-# depend on it.
+# 2n), the pool dedupe's first-occurrence row (one slot per distinct value),
+# its pool table row and that row padded by one, and per candidate its M
+# member columns, its mask and owner entries, the column index that
+# np.nonzero returns with its owner, its which entry, the dedupe's key and
+# rank temporaries (more than a masked gather's), its cost, its divergences
+# to the n points with their coordinates and its child's n potentials; so the
+# budget bounds every temporary of a batch, the pool dedupe's N-entry keys and
+# positions included, which outlive none of the draw's.  A paper-preset node
+# (N = 819 200) is a batch of its own.  At exact_small's shape (n = 12,
+# N = 239, M = 2, 78 candidates) 2^20 entries make chunks of 183-273 nodes;
+# 2^19 was slower and 2^21 no faster.  Each node's numbers are computed on
+# their own, so results do not depend on it.
 _BATCH_ENTRIES = 1 << 20
 # Candidate costs are summed over blocks of whole rows, at most about this
 # many entries of candidates by points or one row.  Blocks of 64 KiB reuse
@@ -375,22 +409,26 @@ _SUM_ENTRIES = 1 << 13
 class _Batch:
     """Tree nodes of one depth expanded together by :meth:`_TreeSearch._expand`.
 
-    Row j of ``samples`` is node j's draw and ``pools[j]`` its distinct sample
-    points.  Node j's candidates are entries ``starts[j]:starts[j + 1]``.
+    Row j of ``samples`` is node j's draw, and its distinct sample points are
+    the first ``pool_sizes[j]`` entries of row j of the ``pools`` table (see
+    :func:`_distinct_sample_points`).  Node j's candidates are entries
+    ``starts[j]:starts[j + 1]``.
     Candidate c belongs to node ``owner[c]`` and is the mean ``means[which[c]]``
     of ``subsets[which[c]]`` (point indices plus one, zero-padded), whose
     divergences are row ``which[c]`` of ``table``; ``parents`` holds the nodes'
     own potentials as rows.
     """
 
-    __slots__ = ("samples", "pools", "starts", "owner", "subsets", "which", "means", "table",
-                 "parents")
+    __slots__ = ("samples", "pools", "pool_sizes", "starts", "owner", "subsets", "which",
+                 "means", "table", "parents")
 
-    def __init__(self, samples, pools, starts, subsets, which, means, table, parents):
+    def __init__(self, samples, pools, pool_sizes, starts, owner, subsets, which, means, table,
+                 parents):
         self.samples = samples
         self.pools = pools
+        self.pool_sizes = pool_sizes
         self.starts = starts
-        self.owner = np.repeat(np.arange(len(pools)), np.diff(starts))
+        self.owner = owner
         self.subsets = subsets
         self.which = which
         self.means = means
@@ -468,38 +506,42 @@ class _TreeSearch:
         self.nodes_expanded = np.zeros(len(roots), dtype=np.int64)
         (n, d), distinct = points.shape, int(ids.max()) + 1
         most = _menu_size(sample_size, subset_size, distinct)
-        width = min(subset_size, sample_size, distinct)
+        pool = min(sample_size, distinct)
+        width = min(subset_size, pool)
         # what one node adds to a batch, in entries (see _BATCH_ENTRIES)
-        self._node_entries = 5 * sample_size + 2 * n + most * (n * (d + 1) + width + 3)
+        self._node_entries = (5 * sample_size + 2 * n + distinct + 2 * pool + 1
+                              + most * (n * (d + 1) + width + 7))
 
     def _expand(self, potentials, node_ids, keys):
         """Draw, dedupe and score the nodes with stream ids ``node_ids`` and
         restart keys ``keys`` as one batch.
 
         ``potentials`` holds the nodes' potentials as rows, +inf at a root.
-        Each node gets the bits a lone node would get: its
-        :func:`~d2ptas.sampler.d2_law` row is a 1-D law, and its subset means
-        sum their points in pool order.
+        The nodes' draws are one stack and their pools one table
+        (:func:`_distinct_sample_points`).  Their candidates come from one
+        cached table of the combinations of the batch's widest pool
+        (:func:`_combo_table`): one mask of the combinations that fit each
+        node's pool gives every candidate's owner and each node's ``starts``,
+        and one masked gather per member position gives the candidates' point
+        indices as columns, which :func:`_distinct_rows` ranks without a
+        (candidates x M) table.  Each node gets the bits a
+        lone node would get: its :func:`~d2ptas.sampler.d2_law` row is a 1-D
+        law, and its subset means sum their points in pool order.
         """
         n, d = self.points.shape
         samples = weighted_draw(d2_law(potentials), _counter_uniforms(
             _derived_ids(node_ids, [0])[:, 0], self.sample_size, keys))
-        pools = _distinct_sample_points(self.ids, samples)
-        sizes = np.array([len(pool) for pool in pools])
-        distinct_sizes, size_index = np.unique(sizes, return_inverse=True)
-        counts = np.array([sum(map(len, _combo_groups(int(p), self.subset_size)))
-                           for p in distinct_sizes])[size_index]
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        # each candidate as its subset's point indices plus one, in pool order
-        members = np.zeros((starts[-1], min(self.subset_size, sizes.max())), dtype=np.intp)
-        for p in distinct_sizes:
-            sibs = np.flatnonzero(sizes == p)
-            pool = np.stack([pools[j] for j in sibs]) + 1
-            col = starts[sibs][:, None]
-            for combos in _combo_groups(int(p), self.subset_size):
-                rows = (col + np.arange(len(combos))).reshape(-1)
-                members[rows, :combos.shape[1]] = pool[:, combos].reshape(len(rows), -1)
-                col = col + len(combos)
+        pools, sizes = _distinct_sample_points(self.ids, samples)
+        # node j's candidates are the table's combinations of range(sizes[j])
+        positions, largest = _combo_table(pools.shape[1], self.subset_size)
+        mask = largest < sizes[:, None]
+        owner = np.nonzero(mask)[0]
+        starts = np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=1))))
+        # each candidate as its subset's point indices plus one, in pool order,
+        # one column per member: position 0 of a padded row reads 0
+        padded = np.zeros((len(pools), pools.shape[1] + 1), dtype=np.intp)
+        np.add(pools, 1, out=padded[:, 1:])
+        members = [np.take(padded, column, axis=1)[mask] for column in positions]
         # nodes share most subsets; equal members in equal order give equal
         # bits, so each distinct one is averaged and scored once
         subsets, which = _distinct_rows(members, n + 1)
@@ -511,7 +553,8 @@ class _TreeSearch:
         # closed form, not pairwise: a pairwise column's bits depend on its
         # product's width, so a node's costs would depend on its siblings
         table = self.measure.rowwise(self.points[None, :, :], means[:, None, :])
-        return _Batch(samples, pools, starts, subsets, which, means, table, potentials)
+        return _Batch(samples, pools, sizes, starts, owner, subsets, which, means, table,
+                      potentials)
 
     def run(self):
         """Search every restart, then replay only the first cheapest one.
@@ -582,7 +625,7 @@ class _TreeSearch:
             trace.append({
                 "iteration": depth,
                 "sample": node.samples[0],
-                "pool": node.pools[0],
+                "pool": node.pools[0, :node.pool_sizes[0]],
                 "subset_rank": b,
                 "subset_points": members[:np.count_nonzero(members)] - 1,
                 "center": center,

@@ -37,7 +37,8 @@ from d2ptas import (
 from d2ptas.divergences import GenericBregman, Mahalanobis, assign
 from d2ptas.oracle import optimal_bruteforce
 from d2ptas import ptas
-from d2ptas.ptas import _distinct_sample_points, _prepare, lloyd
+from d2ptas.ptas import (_combo_groups, _combo_table, _distinct_sample_points, _prepare,
+                         lloyd)
 from d2ptas.sampler import CenterSet, RngStream, _counter_key, _splitmix64, d2_law, weighted_draw
 
 MASK64 = 2 ** 64 - 1
@@ -239,18 +240,44 @@ class TestTinyExhaustive:
             np.testing.assert_array_equal(equal, np.eye(len(pool), dtype=bool))
 
     def test_pool_dedupe_matches_a_reference_loop(self, sq, gen):
-        """The pool keeps the first draw of each distinct value, in draw order."""
+        """Each row of a stack of draws keeps the first draw of each distinct
+        value, in draw order: row b of the table holds them in its first
+        counts[b] entries.  Stacks mix a row of one value, a row that holds
+        every value where the draws are long enough, and rows in between;
+        0.0 and -0.0 are one value."""
+        mixed = full = 0
         for _ in range(200):
             n = int(gen.integers(1, 20))
             signs = gen.choice([1.0, -1.0], size=(n, 1))
             pts = gen.integers(-1, 2, size=(n, 2)) * 0.5 * signs  # duplicates and -0.0
+            if n >= 3:
+                pts[:3] = [[0.0, -0.0], [-0.0, 0.0], [1.0, 1.0]]
             _, _, ids = _prepare(pts, sq, desk(1))
-            sample = gen.integers(0, n, size=int(gen.integers(1, 30)))
+            size = int(gen.integers(1, 30))
+            rows = gen.integers(0, n, size=(int(gen.integers(2, 7)), size))
+            rows[0] = gen.integers(0, n)
+            if size >= n:
+                rows[-1, :n] = gen.permutation(n)
+                full += 1
             expected = []
-            for i in sample:
-                if not any(np.array_equal(pts[i], pts[j]) for j in expected):
-                    expected.append(i)
-            assert _distinct_sample_points(ids, sample[None, :])[0].tolist() == expected
+            for row in rows:
+                expected.append([])
+                for i in row:
+                    if not any(np.array_equal(pts[i], pts[j]) for j in expected[-1]):
+                        expected[-1].append(i)
+            table, counts = _distinct_sample_points(ids, rows)
+            assert counts.tolist() == [len(pool) for pool in expected]
+            assert [table[b, :c].tolist() for b, c in enumerate(counts)] == expected
+            mixed += len(set(counts.tolist())) > 1
+        assert mixed > 100 and full > 50, (mixed, full)
+
+    def test_cached_combinations_are_read_only(self):
+        """The combination caches hand the same arrays to every search, so an
+        in-place edit by one caller must fail rather than corrupt the next."""
+        for array in (*_combo_groups(5, 3), *_combo_table(5, 3)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        assert _combo_groups(5, 3)[0][0, 0] == 0
 
 
 class TestExhaustiveBudget:

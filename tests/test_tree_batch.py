@@ -222,10 +222,51 @@ class TestSearchMatchesReference:
             cands_b = np.arange(batch.starts[b], batch.starts[b + 1])
             assert same_bits(tables[-1][b], parents[b] / parents[b].sum())
             assert same_bits(batch.samples[b], sample)
-            assert same_bits(batch.pools[b], pool)
+            assert same_bits(batch.pools[b, :batch.pool_sizes[b]], pool)
             assert same_bits(batch.means[batch.which[cands_b]], cands)
             assert same_bits(batch.potentials(cands_b), pots)
             assert same_bits(batch.costs()[cands_b], row_sums(pots))
+
+    @pytest.mark.parametrize("name", ["sqeuclid", "kl"])
+    def test_a_batch_of_mixed_pool_sizes(self, name):
+        """One batch whose nodes pool one point, two points and more, at M = 3:
+        each node's candidates are the combinations ``_combo_groups(len(pool),
+        M)`` of its pool, in order, in its own ``starts`` range and ``owner``
+        entries, with the means of the node expanded alone."""
+        measure, M = MEASURES[name], 3
+        points = instance(name, RngStream(57).generator, 12, 2)
+        _, _, ids = _prepare(points, measure, PtasConfig(k=1, epsilon=0.5))
+        root = RngStream(58)
+        search = ptas._TreeSearch(points, ids, measure, 2, 8, M, *roots_and_keys(root))
+        reference = ReferenceSearch(points, ids, measure, 2, 8, M, reference_key(root))
+        potentials = np.zeros((4, 12))
+        potentials[0, 3] = 2.5  # the only point with positive potential
+        potentials[1, [4, 9]] = [1.0, 3.0]
+        potentials[2, :6] = np.arange(1.0, 7.0)
+        potentials[3] = np.inf  # no center yet: the uniform law
+        node_ids = np.array([derive_id(root.stream_id, 1 + j) for j in range(4)],
+                            dtype=np.uint64)
+        batch = search._expand(potentials, node_ids, np.repeat(search.keys, 4))
+        menus = []
+        for j, row in enumerate(potentials):
+            sample, pool, groups, cands, pots = reference.expand(
+                None if j == 3 else row, node_ids[j].item())
+            combos = [list(combo) for group in groups for combo in group.tolist()]
+            menus.append(len(combos))
+            cands_j = np.arange(batch.starts[j], batch.starts[j + 1])
+            assert same_bits(batch.samples[j], sample)
+            assert same_bits(batch.pools[j, :batch.pool_sizes[j]], pool)
+            assert len(cands_j) == len(combos)
+            assert (batch.owner[cands_j] == j).all()
+            subsets = batch.subsets[batch.which[cands_j]]
+            assert [row[row > 0].tolist() for row in subsets] == [
+                (pool[combo] + 1).tolist() for combo in combos]
+            assert same_bits(batch.means[batch.which[cands_j]], cands)
+            assert same_bits(batch.potentials(cands_j), pots)
+        assert same_bits(batch.starts, np.concatenate(([0], np.cumsum(menus))))
+        assert same_bits(batch.owner, np.repeat(np.arange(4), menus))
+        sizes = batch.pool_sizes.tolist()
+        assert len(set(sizes)) >= 3 and min(sizes) < M, sizes
 
     @pytest.mark.parametrize("name", list(MEASURES))
     @pytest.mark.parametrize("M", [1, 2, 3])
@@ -473,7 +514,7 @@ def test_distinct_rows(monkeypatch, base, columns, count, sorts):
     half = count // 2
     rows[half:] = rows[:half][gen.permutation(half)]  # every row twice
     rows[5] = rows[5, ::-1]  # the same members in another order are another row
-    distinct, which = ptas._distinct_rows(rows, base)
+    distinct, which = ptas._distinct_rows(rows.T, base)
     assert len(sorted_columns) == sorts
     assert np.array_equal(distinct[which], rows)
     assert len(distinct) == len(unique(rows, axis=0))
