@@ -354,9 +354,7 @@ def _cmd_seedbench(spec, output):
     ``ORACLE_N_CAP`` points, solved once; its seconds count once in the
     oracle's total.
     """
-    trials = spec["trials"]
-    if trials < 1:
-        raise ConfigError(f"seedbench needs at least one trial, got {trials}")
+    trials = _checked_count(spec["trials"], "trials", refusal="seedbench needs at least one trial")
     measure, points = _measure(spec), ingest_csv(spec["input"])
     runs = []
     for s in range(trials):

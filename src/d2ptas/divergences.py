@@ -530,7 +530,7 @@ class GenericBregman(DivergenceMeasure):
     name = "bregman"
 
     def __init__(self, phi, grad_phi, mu, box=(0.1, 0.9), domain="positive",
-                 similarity=None, name=None):
+                 similarity=None):
         self._phi = phi
         self._grad_phi = grad_phi
         self.mu = _checked_mu(mu)
@@ -549,8 +549,6 @@ class GenericBregman(DivergenceMeasure):
                 raise ConfigError(f"box {box} leaves the domain: {exc}") from None
         self.box = box
         self._similarity = None if similarity is None else np.asarray(similarity, dtype=float)
-        if name is not None:
-            self.name = name
 
     def phi(self, X):
         return self._phi(np.asarray(X, dtype=float))
@@ -586,9 +584,11 @@ def assign(measure, data, centers):
     Labels are the argmin of the ``pairwise`` table, lowest index on ties as
     the table computed them; centers nearer each other than its rounding may
     tie there.  Costs are the closed form ``rowwise(P, C[labels])``, so every
-    reported cost is the exact cost of a real assignment.
+    reported cost is the exact cost of a real assignment.  The points are
+    checked against the measure; the centers only against its dimension, as a
+    subset mean may lie a rounding step outside a closed domain.
     """
-    P = as_points(data)
+    P = measure.validate_points(as_points(data))
     C = as_points(centers)
     if P.shape[1] != C.shape[1]:
         raise DimensionMismatch(f"points are {P.shape[1]}-dimensional, centers {C.shape[1]}")

@@ -7,13 +7,12 @@ sum of its blocks' costs and the best split of every subset builds on the
 best splits of smaller ones.  That is 2^n block costs and ~3^n/2 (subset,
 block) pairs per level, exact at every k but capped hard in n -- these are
 oracles for validating the samplers, not production solvers.  One run for k
-holds every level below k, so the exact ``irreducibility`` and the CLI's
+holds every level below k, so ``irreducibility`` and the CLI's
 ``oracle`` answer k and k - 1 from one DP.
 
-This module holds ground truth only: the subset DP, the exact and
-approximate ``irreducibility`` and ``inaba_trial``.  The k-means++/Lloyd
-baseline that the approximate ``irreducibility`` runs lives in
-:mod:`d2ptas.ptas`, beside the engine's other lock-step passes.
+This module holds ground truth only: the subset DP, the exact
+``irreducibility`` and ``inaba_trial``.  It reads nothing from the engine;
+the k-means++/Lloyd baseline lives in :mod:`d2ptas.ptas`.
 """
 
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ import numpy as np
 
 from .divergences import PropertyReport, SquaredEuclidean, _checked_count, as_points, centroid
 from .errors import ConfigError, TooLarge
-from .ptas import _kmeanspp_lloyd
 
 __all__ = [
     "ORACLE_N_CAP",
@@ -55,7 +53,6 @@ class IrreducibilityReport:
     delta_km1: float
     delta_k: float
     gamma: float
-    exact: bool = True
 
 
 def optimal_bruteforce(data, k, measure):
@@ -174,43 +171,20 @@ def _block_means(points, labels):
     return np.array([centroid(points[labels == j]) for j in range(int(labels.max()) + 1)])
 
 
-def irreducibility(data, k, measure, mode="exact", restarts=20, rng=None):
+def irreducibility(data, k, measure):
     """gamma = (best cost with k-1 centers) / (best cost with k) - 1.
 
-    ``mode="exact"`` uses the subset-DP oracle, exact at every k on n <=
+    Both costs come from the subset-DP oracle, exact at every k on n <=
     ``ORACLE_N_CAP`` points, with one DP run for k answering k - 1 too (the
-    costs of two ``optimal_bruteforce`` calls, bit for bit);
-    ``"approximate"`` substitutes best-of-``restarts`` seeded local search and
-    flags the report: the best of ``lloyd`` from ``kmeanspp_seed`` on
-    ``rng.derive(0).derive(r)`` for k centers and ``rng.derive(1).derive(r)``
-    for k - 1, r < ``restarts``, each side's restarts run as one batch
-    (:func:`~d2ptas.ptas._kmeanspp_lloyd`).  See :func:`_gamma` for the
-    zero-denominator conventions.
+    costs of two ``optimal_bruteforce`` calls, bit for bit).  See
+    :func:`_gamma` for the zero-denominator conventions.
     """
     points = as_points(data)
     k = _checked_count(k, "k", least=2)
-    if mode == "exact":
-        delta_km1, delta_k = (result.optimal_cost for result in
-                              _optimal_partitions(points, (k - 1, k), measure))
-        exact = True
-    elif mode == "approximate":
-        if rng is None:
-            raise ConfigError("approximate mode needs an rng")
-        restarts = _checked_count(restarts, "restarts",
-                                  refusal="approximate mode needs at least one restart")
-
-        def best_of(j, stream):
-            return min(_kmeanspp_lloyd(points, measure, j,
-                                       [stream.derive(r) for r in range(restarts)]))
-
-        delta_k = best_of(k, rng.derive(0))
-        delta_km1 = best_of(k - 1, rng.derive(1))
-        exact = False
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-
+    delta_km1, delta_k = (result.optimal_cost for result in
+                          _optimal_partitions(points, (k - 1, k), measure))
     return IrreducibilityReport(k=k, delta_km1=delta_km1, delta_k=delta_k,
-                                gamma=_gamma(delta_km1, delta_k), exact=exact)
+                                gamma=_gamma(delta_km1, delta_k))
 
 
 def _gamma(delta_km1, delta_k):

@@ -44,7 +44,7 @@ its restarts the same way: the seeding (:func:`_kmeanspp_picks`) with one D²
 draw call per pick and the greedy's potentials update
 (:func:`_lower_potentials`), Lloyd (:func:`_lloyd_restarts`) with one stacked
 ``pairwise`` table per step.  :func:`kmeanspp_seed` and :func:`lloyd` are one
-row of these, and :func:`_kmeanspp_lloyd` runs both for the CLI and ``oracle``.
+row of these, and :func:`_kmeanspp_lloyd` runs both for the CLI.
 
 Both strategies return the same shape (:func:`_run_restarts`): each
 restart's cost and counters as arrays, and the first cheapest restart's
@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from .divergences import SquaredEuclidean, _checked_count, as_points, assign, centroid
-from .errors import ConfigError, InsufficientPoints
+from .errors import ConfigError, DimensionMismatch, InsufficientPoints
 # bench/tracing.py wraps ``ptas.d2_sample`` and ``ptas.CenterSet.add`` by
 # name, so both stay importable from here
 from .sampler import (CenterSet, _counter_uniforms, _derived_ids, _stream_keys,  # noqa: F401
@@ -1044,7 +1044,7 @@ def lloyd(data, measure, initial_centers, max_iters=100):
     max_iters = _checked_count(max_iters, "max_iters", least=0)
     centers = as_points(initial_centers).copy()
     if points.shape[1] != centers.shape[1]:
-        raise ConfigError("initial centers have the wrong dimension")
+        raise DimensionMismatch("initial centers have the wrong dimension")
     (cost_trace,) = _lloyd_restarts(points, measure, centers[None], max_iters)
     meta = {"iterations": len(cost_trace), "cost_trace": cost_trace, "method": "lloyd"}
     return _result(points, measure, centers, meta)

@@ -153,8 +153,8 @@ class RngStream:
     (:func:`_derived_ids`) under that key, each a pure function of (key, id,
     counter), so no state is built per iteration, pick or node.
     ``generator``, the PCG64 itself, serves the keys and the draws outside
-    the engine: :func:`d2_sample`, the randomized property trials, the
-    planted-data generator and the oracle's estimators.
+    the engine: :func:`d2_sample`, the randomized property trials (the
+    oracle's ``inaba_trial`` among them) and the planted-data generator.
     """
 
     def __init__(self, seed, stream_id=0):

@@ -456,6 +456,14 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert "error:" in captured.err and "PASS" not in captured.out
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_seedbench_without_trials_is_usage_error(self, trials, four_point_file, capsys):
+        assert main(["seedbench", "--input", four_point_file, "--k", "2",
+                     "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "seedbench needs at least one trial" in captured.err
+        assert "wins or ties" not in captured.out
+
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_generate_without_dimensions_is_usage_error(self, dim, tmp_path, capsys):
         out = tmp_path / "g.csv"

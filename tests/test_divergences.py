@@ -314,6 +314,17 @@ class TestGenericBregman:
         g2 = GenericBregman(phi=lambda X: X.sum(-1) ** 2, grad_phi=lambda X: X,
                             mu=0.5, similarity=np.eye(2))
         np.testing.assert_array_equal(g2.similarity_matrix(2), np.eye(2))
+        with pytest.raises(DimensionMismatch, match="wrong dimension"):
+            g2.similarity_matrix(3)
+        with pytest.raises(UnsupportedMeasure, match="divergence declares no"):
+            divergences.DivergenceMeasure().similarity_matrix(2)
+
+    def test_name_is_the_class_name(self):
+        """The name keyword is gone: a generic measure is always "bregman"."""
+        square = dict(phi=lambda X: (X * X).sum(-1), grad_phi=lambda X: 2 * X, mu=1.0)
+        assert GenericBregman(**square).name == "bregman"
+        with pytest.raises(TypeError):
+            GenericBregman(**square, name="square")
 
 
 def kernel_points(measure, gen, n, offset=0.0):
@@ -481,6 +492,21 @@ class TestCentroidAndAssignment:
         with pytest.raises(DimensionMismatch):
             assign(sq, [[1.0, 2.0]], [[1.0]])
 
+    def test_assign_checks_its_points_against_the_measure(self):
+        """Points outside the domain raise rather than cost nan, and points of
+        the wrong dimension for a fixed-dimension measure raise the package's
+        own error, not numpy's."""
+        pts = np.array([[0.2, 0.8], [0.5, 0.5], [0.6, 0.4]])
+        for call in (assign, cluster_cost):
+            with pytest.raises(DomainError):
+                call(KullbackLeibler(), -pts, pts[:2])
+            with pytest.raises(DimensionMismatch):
+                call(Mahalanobis(np.eye(3)), pts, pts[:2])
+
+    def test_scalar_evaluation_takes_single_points(self, sq):
+        with pytest.raises(DimensionMismatch, match="single points"):
+            sq([[1.0, 2.0]] * 2, [1.0, 2.0])
+
     def test_mean_minimizes_second_slot(self, sq, gen):
         P = gen.standard_normal((30, 3))
         m = centroid(P)
@@ -637,6 +663,12 @@ class TestMuSimilarity:
         assert rep.trials == 2
         assert rep.worst_ratio == pytest.approx(min(ratios), rel=1e-12)
 
+    def test_all_degenerate_pairs_read_mu_hat_one(self):
+        kl = KullbackLeibler(box=(0.1, 0.9))
+        P = np.array([[0.2, 0.3], [0.8, 0.8]])
+        rep = check_mu_similarity(kl, kl.similarity_matrix(2), P, P.copy())
+        assert rep.details["mu_hat"] == 1.0 and rep.violations == 0
+
 
 class TestPropertyReport:
     def test_passed_defaults_to_no_violations(self):
@@ -661,3 +693,7 @@ class TestPropertyReport:
         d = rep.to_dict()
         assert d["details"]["v"] == 1.5
         assert d["details"]["a"] == [0, 1, 2]
+        listed = PropertyReport("x", 1, 0, 0.0, 1e-9,
+                                details={"l": [np.int64(2), np.float64(0.5)]})
+        assert listed.to_dict()["details"]["l"] == [2, 0.5]
+        assert [type(v) for v in listed.to_dict()["details"]["l"]] == [int, float]

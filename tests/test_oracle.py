@@ -1,10 +1,14 @@
 """Tests for the exact small-instance solvers and estimators."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
 from d2ptas import (
     ConfigError,
+    DimensionMismatch,
     DomainError,
     Exhaustive,
     ItakuraSaito,
@@ -202,7 +206,7 @@ class TestLloyd:
         np.testing.assert_array_equal(np.asarray(again.centers), np.asarray(res.centers))
 
     def test_dimension_mismatch(self, sq, four_point_line):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DimensionMismatch):
             lloyd(four_point_line, sq, np.zeros((2, 3)))
 
     def test_max_iters_is_a_count(self, sq, four_point_line):
@@ -229,7 +233,7 @@ class TestIrreducibility:
         assert rep.delta_km1 == 17.0
         assert rep.delta_k == 1.0
         assert rep.gamma == 16.0
-        assert rep.exact is True
+        assert list(vars(rep)) == ["k", "delta_km1", "delta_k", "gamma"]
 
     def test_both_costs_zero_gives_zero(self, sq):
         rep = irreducibility(np.zeros((5, 2)), 2, sq)
@@ -240,27 +244,28 @@ class TestIrreducibility:
         rep = irreducibility(pts, 2, sq)
         assert rep.delta_k == 0.0 and rep.gamma == np.inf
 
-    def test_approximate_mode_close_to_exact(self, sq, four_point_line):
-        rep = irreducibility(four_point_line, 2, sq, mode="approximate",
-                             rng=RngStream(91))
-        assert rep.exact is False
-        assert rep.gamma == pytest.approx(16.0, rel=1e-9)
-
-    def test_approximate_mode_needs_rng(self, sq, four_point_line):
-        with pytest.raises(ConfigError):
-            irreducibility(four_point_line, 2, sq, mode="approximate")
-
     def test_validation(self, sq, four_point_line):
         with pytest.raises(ConfigError):
             irreducibility(four_point_line, 1, sq)
-        with pytest.raises(ConfigError):
-            irreducibility(four_point_line, 2, sq, mode="psychic")
 
-    @pytest.mark.parametrize("mode", ["exact", "approximate"])
     @pytest.mark.parametrize("k", ["3", None])
-    def test_k_that_is_no_integer_is_refused(self, sq, four_point_line, mode, k):
+    def test_k_that_is_no_integer_is_refused(self, sq, four_point_line, k):
         with pytest.raises(ConfigError, match="k must be an integer"):
-            irreducibility(four_point_line, k, sq, mode=mode, rng=RngStream(1))
+            irreducibility(four_point_line, k, sq)
+
+    @pytest.mark.parametrize("keyword,value", [("mode", "exact"), ("mode", "approximate"),
+                                               ("restarts", 20), ("rng", None)])
+    def test_only_the_exact_oracle_is_left(self, sq, four_point_line, keyword, value):
+        """The approximate mode and its options are gone: passing one is a
+        TypeError."""
+        with pytest.raises(TypeError):
+            irreducibility(four_point_line, 2, sq, **{keyword: value})
+
+    def test_the_oracle_reads_nothing_from_the_engine(self):
+        tree = ast.parse(inspect.getsource(oracle))
+        sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert sources == {"dataclasses", "divergences", "errors"}
+        assert list(inspect.signature(irreducibility).parameters) == ["data", "k", "measure"]
 
     def test_numpy_k_reads_back_as_an_int(self, sq, four_point_line):
         rep = irreducibility(four_point_line, np.int64(2), sq)
@@ -311,7 +316,6 @@ class TestBeyondFourCenters:
         rep = irreducibility(points, 5, sq)
         delta_k = optimal_bruteforce(points, 5, sq).optimal_cost
         delta_km1 = optimal_bruteforce(points, 4, sq).optimal_cost
-        assert rep.exact is True
         assert (rep.delta_k, rep.delta_km1) == (delta_k, delta_km1)
         assert rep.gamma == _gamma(delta_km1, delta_k)
 
@@ -531,26 +535,6 @@ class TestLockStepBaseline:
             reference_lloyd(points, sq, points[reference_seeding(points, sq, 3, s)])[2][-1]
             for s in streams)
 
-    @pytest.mark.parametrize("name", ["sq", "kl"])
-    def test_approximate_irreducibility_at_a_fixed_seed(self, name):
-        measure, points = baseline_points(name)
-        rng = RngStream(91)
-        rep = irreducibility(points, 3, measure, mode="approximate", restarts=5, rng=rng)
-
-        def best_of(j, stream):
-            return min(reference_lloyd(points, measure, points[reference_seeding(
-                points, measure, j, stream.derive(r))])[2][-1] for r in range(5))
-
-        delta_k, delta_km1 = best_of(3, rng.derive(0)), best_of(2, rng.derive(1))
-        assert (rep.k, rep.delta_k, rep.delta_km1, rep.exact) == (3, delta_k, delta_km1, False)
-        assert rep.gamma == _gamma(delta_km1, delta_k)
-
-    def test_approximate_irreducibility_needs_a_restart(self, sq, four_point_line):
-        for restarts in (0, -1):
-            with pytest.raises(ConfigError, match="at least one restart"):
-                irreducibility(four_point_line, 2, sq, mode="approximate", restarts=restarts,
-                               rng=RngStream(1))
-
 
 @pytest.fixture(scope="module")
 def cloud():
@@ -601,8 +585,6 @@ LINE = np.array([[0.0], [1.0], [4.0], [5.0], [9.0]])
 COUNT_ARGUMENTS = {
     "optimal_bruteforce-k": lambda v: optimal_bruteforce(LINE, v, SquaredEuclidean()),
     "irreducibility-k": lambda v: irreducibility(LINE, v, SquaredEuclidean()),
-    "irreducibility-restarts": lambda v: irreducibility(
-        LINE, 2, SquaredEuclidean(), mode="approximate", restarts=v, rng=RngStream(1)),
     "inaba_trial-M": lambda v: inaba_trial(LINE, v, 0.2, 10, RngStream(1)),
     "inaba_trial-trials": lambda v: inaba_trial(LINE, 2, 0.2, v, RngStream(1)),
     "symmetry_report-dim": lambda v: symmetry_report(SquaredEuclidean(), v, 10, RngStream(1)),

@@ -91,6 +91,8 @@ class TestStrategies:
             parse_strategy("clever")
         with pytest.raises(ConfigError):
             parse_strategy("random:0")
+        with pytest.raises(ConfigError, match="bad trial count"):
+            parse_strategy("random:x")
 
     def test_random_trials_validated(self):
         for trials in (0, -1, 2.5, 2.0, True, "3"):
@@ -317,6 +319,12 @@ class TestExhaustiveBudget:
                              subset_size_M=2, restarts=2 ** k, subset_strategy=Exhaustive())
             _, cfg, ids = _prepare(gen.standard_normal((n, d)), sq, cfg)
             ptas._check_tree_size(cfg, int(ids.max()) + 1, cfg.restarts)
+
+    def test_a_menu_past_10_18_is_refused_without_a_count(self, sq):
+        # C(1000, 8) alone is ~2.4e19, so the menu sum stops there
+        cfg = desk(2, sample_size_N=1000, subset_size_M=20, subset_strategy=Exhaustive())
+        with pytest.raises(ConfigError, match=r"search of more than 10\^18 subsets"):
+            find_k_median(np.arange(1000.0), sq, cfg, RngStream(1))
 
     def test_at_most_k_distinct_values_need_no_search(self, sq):
         # 64 restarts of menu 2^6 - 1 would count ~4e12 subsets, but no search runs

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from d2ptas import ConfigError, DomainError, KullbackLeibler, Mahalanobis, SquaredEuclidean
+from d2ptas import (ConfigError, DimensionMismatch, DomainError, KullbackLeibler, Mahalanobis,
+                    SquaredEuclidean)
 from d2ptas import sampler
 from d2ptas.sampler import (
     CenterSet,
@@ -205,6 +206,8 @@ class TestCenterSet:
             CenterSet.empty(0.5 + 0.1 * gen.random((5, 2)), KullbackLeibler()).add([0.5, -0.1])
         with pytest.raises(DomainError):
             cs.add([np.nan, 0.0])
+        with pytest.raises(DimensionMismatch, match=r"center has shape \(3,\)"):
+            cs.add([0.0, 0.0, 0.0])
 
     def test_points_outside_the_domain_are_refused(self):
         """Points are checked when the set is built: one with a negative
