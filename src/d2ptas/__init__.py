@@ -48,8 +48,6 @@ from .ptas import (
     Exhaustive,
     PtasConfig,
     RandomTrials,
-    default_eta,
-    find_best_over_k,
     find_k_means,
     find_k_median,
     kmeanspp_seed,

@@ -115,7 +115,11 @@ def write_points_csv(path, points, header=None):
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
-def generate_planted(k, per_cluster, dim, separation, sigma, rng, max_attempts=1000):
+# generate_planted draws this many candidate center sets before it refuses
+_PLACEMENT_ATTEMPTS = 1000
+
+
+def generate_planted(k, per_cluster, dim, separation, sigma, rng):
     """k Gaussian blobs with centers at mutual distance >= separation * sigma.
 
     Returns (points, labels, centers); labels are the generating component of
@@ -132,7 +136,7 @@ def generate_planted(k, per_cluster, dim, separation, sigma, rng, max_attempts=1
                           "and the span separation * sigma * max(2, k) finite")
     gen = rng.generator
     centers = None
-    for _ in range(max_attempts):
+    for _ in range(_PLACEMENT_ATTEMPTS):
         cand = gen.uniform(0.0, span, size=(k, dim))
         # in units of min_dist, so no square overflows: each gap is at most max(2, k)
         diffs = (cand[:, None, :] - cand[None, :, :]) / min_dist
@@ -140,7 +144,8 @@ def generate_planted(k, per_cluster, dim, separation, sigma, rng, max_attempts=1
             centers = cand
             break
     if centers is None:
-        raise ConfigError(f"could not place {k} centers {min_dist:g} apart in {max_attempts} attempts")
+        raise ConfigError(f"could not place {k} centers {min_dist:g} apart in "
+                          f"{_PLACEMENT_ATTEMPTS} attempts")
     labels = np.repeat(np.arange(k), per_cluster)
     with np.errstate(over="ignore"):  # an overflow is refused just below
         points = centers[labels] + sigma * gen.standard_normal(size=(k * per_cluster, dim))

@@ -646,7 +646,13 @@ def check_centroid_property(measure, points, c, tolerance=1e-9):
                   lhs=lhs, rhs=rhs, spread=spread)
 
 
-def check_mu_similarity(measure, U, P, Q, tolerance=1e-12):
+# relative slack of the symmetry, triangle and mu-similarity checks: a trial
+# violates a bound only by more than this share of max(1, its divergence),
+# so float noise alone is no violation
+_BOUND_TOLERANCE = 1e-12
+
+
+def check_mu_similarity(measure, U, P, Q):
     """Sandwich check mu * D_U <= D <= D_U against the quadratic form U.
 
     ``P`` and ``Q`` are (m, d) arrays; row i of each makes pair i.  Reports
@@ -667,7 +673,7 @@ def check_mu_similarity(measure, U, P, Q, tolerance=1e-12):
     diff = P - Q
     d_u = np.einsum("ni,ij,nj->n", diff, U, diff)
 
-    slack = tolerance * np.maximum(1.0, d_u)
+    slack = _BOUND_TOLERANCE * np.maximum(1.0, d_u)
     upper_bad = int(np.count_nonzero(d_phi > d_u + slack))
     mask = d_u > 0.0
     if np.any(mask):
@@ -675,7 +681,7 @@ def check_mu_similarity(measure, U, P, Q, tolerance=1e-12):
     else:
         mu_hat = 1.0  # every sampled pair was degenerate; sandwich is vacuous
 
-    declared_bad = int(measure.mu > mu_hat + tolerance)
+    declared_bad = int(measure.mu > mu_hat + _BOUND_TOLERANCE)
     other = np.asarray(measure.bregman_form(P, Q), dtype=float)
     scale = np.maximum(1.0, np.abs(d_phi))
     details = {
@@ -691,7 +697,7 @@ def check_mu_similarity(measure, U, P, Q, tolerance=1e-12):
         trials=P.shape[0],
         violations=upper_bad + declared_bad,
         worst_ratio=mu_hat,
-        tolerance=tolerance,
+        tolerance=_BOUND_TOLERANCE,
         details=details,
     )
 
@@ -710,29 +716,29 @@ def random_pairs(measure, dim, count, rng):
     return P, Q
 
 
-def symmetry_report(measure, dim, trials, rng, tolerance=1e-12):
+def symmetry_report(measure, dim, trials, rng):
     """Count violations of the two-sided symmetry bound over random pairs."""
     P, Q = random_pairs(measure, dim, trials, rng)
     f = np.asarray(measure.rowwise(P, Q), dtype=float)
     b = np.asarray(measure.rowwise(Q, P), dtype=float)
     beta = measure.beta
-    slack = tolerance * np.maximum(1.0, np.maximum(f, b))
+    slack = _BOUND_TOLERANCE * np.maximum(1.0, np.maximum(f, b))
     bad = (beta * b > f + slack) | (f > b / beta + slack)
     # worst case over both directions of the normalized ratio; 1.0 means tight
-    return _tally("symmetry", bad, (_ratio(beta * b, f), _ratio(beta * f, b)), tolerance,
+    return _tally("symmetry", bad, (_ratio(beta * b, f), _ratio(beta * f, b)), _BOUND_TOLERANCE,
                   beta=beta)
 
 
-def triangle_report(measure, dim, trials, rng, tolerance=1e-12):
+def triangle_report(measure, dim, trials, rng):
     """Count violations of the relaxed triangle inequality over random triples."""
     P, Q = random_pairs(measure, dim, trials, rng)
     R = measure.sample_domain(rng.generator, (trials, dim))
     direct = np.asarray(measure.rowwise(P, Q), dtype=float)
     detour = np.asarray(measure.rowwise(P, R), dtype=float) + np.asarray(measure.rowwise(R, Q), dtype=float)
     alpha = measure.alpha
-    slack = tolerance * np.maximum(1.0, direct)
+    slack = _BOUND_TOLERANCE * np.maximum(1.0, direct)
     bad = direct > alpha * detour + slack
-    return _tally("triangle", bad, _ratio(direct, alpha * detour), tolerance, alpha=alpha)
+    return _tally("triangle", bad, _ratio(direct, alpha * detour), _BOUND_TOLERANCE, alpha=alpha)
 
 
 # point counts and dimensions of centroid_report's random instances, inclusive
@@ -755,8 +761,7 @@ def centroid_report(measure, rng, instances=100, tolerance=1e-9):
     return _tally("centroid", residuals > tolerance, residuals, tolerance)
 
 
-def mu_similarity_report(measure, dim, trials, rng, tolerance=1e-12):
+def mu_similarity_report(measure, dim, trials, rng):
     """check_mu_similarity against the measure's own reference quadratic form."""
     P, Q = random_pairs(measure, dim, trials, rng)
-    return check_mu_similarity(measure, measure.similarity_matrix(dim), P, Q,
-                               tolerance=tolerance)
+    return check_mu_similarity(measure, measure.similarity_matrix(dim), P, Q)

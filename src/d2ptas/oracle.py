@@ -190,8 +190,10 @@ def irreducibility(data, k, measure):
 def _gamma(delta_km1, delta_k):
     """cost(k-1)/cost(k) - 1, floored at 0.
 
-    A zero denominator gives 0 when both costs are zero and infinity when
-    only the k-cost is.
+    The floor is a guard: both costs are closed-form recomputations of the
+    DP's partitions, so where the DP's two levels tie they can invert by a
+    rounding step.  A zero denominator gives 0 when both costs are zero and
+    infinity when only the k-cost is.
     """
     if delta_k == 0.0:
         return 0.0 if delta_km1 == 0.0 else np.inf

@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from .divergences import SquaredEuclidean, _checked_count, as_points, assign, centroid
-from .errors import ConfigError, DimensionMismatch, InsufficientPoints
+from .errors import ConfigError, DimensionMismatch, DomainError, InsufficientPoints
 # bench/tracing.py wraps ``ptas.d2_sample`` and ``ptas.CenterSet.add`` by
 # name, so both stay importable from here
 from .sampler import (CenterSet, _counter_uniforms, _derived_ids, _stream_keys,  # noqa: F401
@@ -77,14 +77,12 @@ __all__ = [
     "parse_strategy",
     "PtasConfig",
     "ClusteringResult",
-    "default_eta",
     "paper_scale_constants",
     "find_k_median",
     "find_k_means",
     "run_one_restart",
     "kmeanspp_seed",
     "lloyd",
-    "find_best_over_k",
 ]
 
 log = logging.getLogger("d2ptas.ptas")
@@ -144,18 +142,16 @@ def parse_strategy(text):
 # configuration
 # ----------------------------------------------------------------------
 
-def default_eta(measure):
-    """Triangle/symmetry aggregate used by the generic sample-size formula:
-    2 * alpha^2 / beta^2 * (1 + 1/beta) of the measure's declared constants."""
-    a, b = measure.alpha, measure.beta
-    return 2.0 * a * a / (b * b) * (1.0 + 1.0 / b)
-
-
 def paper_scale_constants(measure, k, epsilon):
-    """(N, M) at full analysis scale -- far beyond what enumeration can run."""
+    """(N, M) at full analysis scale -- far beyond what enumeration can run.
+
+    Beyond squared Euclidean, the sample-size formula reads the measure's
+    declared constants through eta = 2 * alpha^2 / beta^2 * (1 + 1/beta).
+    """
     if isinstance(measure, SquaredEuclidean):
         return math.ceil(51200.0 * k / epsilon ** 3), math.ceil(100.0 / epsilon)
-    eta = default_eta(measure)
+    a, b = measure.alpha, measure.beta
+    eta = 2.0 * a * a / (b * b) * (1.0 + 1.0 / b)
     delta = 0.2
     gamma = epsilon / eta
     f = 1.0 / (measure.mu * gamma * delta)
@@ -560,15 +556,18 @@ class _TreeSearch:
         """Search every restart, then replay only the first cheapest one.
 
         Returns what :func:`_run_restarts` does: the per-restart costs and
-        counters, and the winner's index, centers and trace.
+        counters, and the winner's index, centers and trace.  A restart keeps
+        a path only for a leaf of finite cost; when none has one, the winner's
+        cost is +inf, there is nothing to replay, and its centers are None.
         """
         # the roots' potentials are +inf, the cost to no center; each path
         # holds just its restart index
         self._search(np.full((len(self.roots), self.points.shape[0]), np.inf), self.roots,
                      np.arange(len(self.roots))[:, None])
         win = int(np.argmin(self.best_cost))
-        return (self.best_cost, self.subsets_examined, self.nodes_expanded, win,
-                *self.replay(self.best_path[win]))
+        path = self.best_path[win]
+        centers, trace = (None, []) if path is None else self.replay(path)
+        return self.best_cost, self.subsets_examined, self.nodes_expanded, win, centers, trace
 
     def _search(self, potentials, node_ids, paths):
         """Visit a frontier of same-depth nodes in (restart, path) order, in
@@ -949,7 +948,9 @@ def _solve(data, measure, config, rng, lone=False):
     the leading points again until there are k, with an empty trace, no
     restarts and zero counters.  A search first turns the restart streams
     into their ids and keys (:func:`~d2ptas.sampler._stream_keys`), which
-    both strategies draw under.
+    both strategies draw under.  A search whose winning cost is not finite,
+    as where the measure's generator overflows on the points, raises
+    ``DomainError``.
     """
     points, cfg, ids = _prepare(data, measure, config)
     streams = [rng] if lone else [rng.derive(r) for r in range(cfg.restarts)]
@@ -965,6 +966,9 @@ def _solve(data, measure, config, rng, lone=False):
     else:
         costs, subsets, nodes, win, centers, trace = _run_restarts(points, ids, measure, cfg,
                                                                    *_stream_keys(streams))
+        if not np.isfinite(costs[win]):
+            raise DomainError(f"the search's winning cost is {costs[win]}: the measure's "
+                              f"divergences do not stay finite on these points")
     for r, (cost, examined, expanded) in enumerate(zip(costs, subsets, nodes)):
         log.info("restart %d: strategy %s, cost %.10g, subsets %d, nodes %d", r,
                  cfg.subset_strategy.describe(), cost, examined, expanded)
@@ -1049,31 +1053,3 @@ def lloyd(data, measure, initial_centers, max_iters=100):
     meta = {"iterations": len(cost_trace), "cost_trace": cost_trace, "method": "lloyd"}
     return _result(points, measure, centers, meta)
 
-
-def find_best_over_k(data, measure, config, rng):
-    """Run the algorithm for every center count i = 1..k and keep the best.
-
-    Dropping the assumption that all k clusters matter costs accuracy, which
-    the analysis repays by tightening epsilon to eps/((1+eps/2)*k) in the
-    sub-runs; the i-center results are all scored on the same objective, so
-    the returned minimum is well-defined (ties go to the smaller i).
-
-    The tightened epsilon only changes the sub-runs under
-    ``scale_preset="paper"``.  The desk preset's N, M and restarts are fixed
-    constants, so there every sub-run uses the same constants whatever epsilon
-    is.  Each sub-run runs its restarts as one pass.
-    """
-    points = as_points(data)
-    base = config.resolved(measure)
-    scaled_eps = base.epsilon / ((1.0 + base.epsilon / 2.0) * base.k)
-    best, runs = None, []
-    for i in range(1, base.k + 1):
-        sub = replace(config, k=i, epsilon=scaled_eps)
-        result = find_k_median(points, measure, sub, rng.derive(i))
-        runs.append({"k": i, "cost": result.cost})
-        if best is None or result.cost < best.cost:
-            best = result
-    best.meta["k_requested"] = base.k
-    best.meta["epsilon_scaled"] = scaled_eps
-    best.meta["runs"] = runs
-    return best

@@ -197,10 +197,6 @@ class CenterSet:
         self.potentials = np.asarray(potentials, dtype=float)
         self.total_potential = float(self.potentials.sum())
 
-    @classmethod
-    def empty(cls, points, measure):
-        return cls(points, measure)
-
     @property
     def size(self):
         return len(self.centers)
@@ -344,20 +340,19 @@ def d2_sample(center_set, rng, count):
     return weighted_draw(probs, rng.generator.random(count))
 
 
-def empirical_distribution_check(center_set, rng, trials, tolerance=None):
+def empirical_distribution_check(center_set, rng, trials):
     """Compare empirical draw frequencies against the exact distribution.
 
     ``trials`` is an integer of at least 1000, fewer being too few for a
-    meaningful frequency check.  The default tolerance follows the
-    Monte-Carlo scale: 0.01 in L-infinity at 1e5 trials, 0.05 below that.
+    meaningful frequency check.  The tolerance follows the Monte-Carlo
+    scale: 0.01 in L-infinity at 1e5 trials or more, 0.05 below that.
     """
     trials = _checked_count(trials, "trials", least=1000)
     probs, flag = center_set.distribution()
     draws = d2_sample(center_set, rng, trials)
     freq = np.bincount(draws, minlength=probs.shape[0]) / trials
     linf = float(np.abs(freq - probs).max())
-    if tolerance is None:
-        tolerance = 0.01 if trials >= 100_000 else 0.05
+    tolerance = 0.01 if trials >= 100_000 else 0.05
     return PropertyReport(
         property="sampling",
         trials=trials,

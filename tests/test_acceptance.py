@@ -45,7 +45,7 @@ def test_criterion_1_sampling_distribution():
     t0 = time.perf_counter()
     sq = SquaredEuclidean()
     points = np.array([[0.0], [1.0], [3.0]])
-    center_set = CenterSet.empty(points, sq).add(np.array([0.0]))
+    center_set = CenterSet(points, sq).add(np.array([0.0]))
     probs, _ = center_set.distribution()
     exact_ok = probs.tolist() == [0.0, 0.1, 0.9]
     empirical = empirical_distribution_check(center_set, RngStream(101), trials=100_000)

@@ -133,7 +133,10 @@ class TestGeneratePlanted:
             generate_planted(0, 10, 2, 10.0, 1.0, RngStream(8))
         with pytest.raises(ConfigError):
             generate_planted(3, 10, 2, 10.0, -1.0, RngStream(8))
-        with pytest.raises(ConfigError):
+        # 50 centers 10 apart in [0, 500]: a random draw never fits them
+        with pytest.raises(ConfigError, match="could not place 50 centers"):
+            generate_planted(50, 10, 1, 10.0, 1.0, RngStream(8))
+        with pytest.raises(TypeError):  # the attempt count is no keyword
             generate_planted(3, 10, 2, 10.0, 1.0, RngStream(8), max_attempts=0)
         for dim in (0, -1):
             with pytest.raises(ConfigError, match="dim >= 1"):

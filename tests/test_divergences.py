@@ -620,6 +620,12 @@ class TestRandomPairs:
         with pytest.raises(ConfigError, match="at least one trial of at least one dimension"):
             report(SquaredEuclidean(), dim, trials, RngStream(1))
 
+    @pytest.mark.parametrize("report", [symmetry_report, triangle_report, mu_similarity_report])
+    def test_the_tolerance_is_fixed(self, report):
+        assert report(SquaredEuclidean(), 2, 10, RngStream(1)).tolerance == 1e-12
+        with pytest.raises(TypeError):
+            report(SquaredEuclidean(), 2, 10, RngStream(1), tolerance=1e-12)
+
 
 class TestMuSimilarity:
     @pytest.mark.parametrize("measure", [
@@ -646,6 +652,9 @@ class TestMuSimilarity:
         assert rep.trials == 2
         assert "generator_residual" in rep.details
         assert rep.details["generator_residual"] <= 1e-12
+        assert rep.tolerance == 1e-12
+        with pytest.raises(TypeError):
+            check_mu_similarity(kl, kl.similarity_matrix(2), P, Q, tolerance=1e-12)
 
     def test_dimension_validation(self):
         kl = KullbackLeibler()

@@ -177,6 +177,14 @@ class TestSubsetDP:
 
 
 class TestLloyd:
+    def test_a_center_off_the_data_moves_onto_its_one_member(self, sq):
+        """A cell of one member is not empty: its center moves onto the member."""
+        points = np.array([[0.0], [1.0], [10.0]])
+        res = lloyd(points, sq, np.array([[0.5], [9.0]]))
+        np.testing.assert_array_equal(np.asarray(res.centers), [[0.5], [10.0]])
+        assert res.meta["cost_trace"] == [1.5, 0.5]
+        assert res.cost == 0.5
+
     def test_frozen_two_step_descent(self, sq, four_point_line):
         res = lloyd(four_point_line, sq, np.array([[1.0], [4.0]]))
         assert res.meta["cost_trace"] == [2.0, 1.0]
@@ -234,6 +242,11 @@ class TestIrreducibility:
         assert rep.delta_k == 1.0
         assert rep.gamma == 16.0
         assert list(vars(rep)) == ["k", "delta_km1", "delta_k", "gamma"]
+
+    def test_a_rounding_inversion_reads_zero(self):
+        """The closed-form costs of two tied DP levels can invert by a
+        rounding step; gamma reads 0 there, not a negative number."""
+        assert _gamma(1.0, 1.0 + 2 ** -52) == 0.0
 
     def test_both_costs_zero_gives_zero(self, sq):
         rep = irreducibility(np.zeros((5, 2)), 2, sq)
@@ -381,7 +394,7 @@ def reference_seeding(points, measure, k, stream):
     the first counter uniform of ``stream.derive(i)``'s id s under the key K
     of ``stream``, the top 53 bits of splitmix64(splitmix64(s ^ K)) times
     2^-53, in plain Python integers; then CenterSet.add."""
-    center_set, picked, key = CenterSet.empty(points, measure), [], _counter_key(stream)
+    center_set, picked, key = CenterSet(points, measure), [], _counter_key(stream)
     for i in range(k):
         u = (_splitmix64(_splitmix64(stream.derive(i).stream_id ^ key)) >> 11) * 2.0 ** -53
         picked.append(int(weighted_draw(d2_law(center_set.potentials), [u])[0]))
@@ -596,7 +609,7 @@ COUNT_ARGUMENTS = {
     "generate_planted-per_cluster": lambda v: generate_planted(2, v, 2, 10.0, 1.0, RngStream(1)),
     "generate_planted-dim": lambda v: generate_planted(2, 5, v, 10.0, 1.0, RngStream(1)),
     "d2_sample-count": lambda v: d2_sample(
-        CenterSet.empty(LINE, SquaredEuclidean()), RngStream(1), v),
+        CenterSet(LINE, SquaredEuclidean()), RngStream(1), v),
 }
 
 

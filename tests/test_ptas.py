@@ -18,6 +18,7 @@ import pytest
 import d2ptas
 from d2ptas import (
     ConfigError,
+    DomainError,
     Exhaustive,
     InsufficientPoints,
     KullbackLeibler,
@@ -25,8 +26,6 @@ from d2ptas import (
     RandomTrials,
     SquaredEuclidean,
     cluster_cost,
-    default_eta,
-    find_best_over_k,
     find_k_means,
     find_k_median,
     kmeanspp_seed,
@@ -120,14 +119,21 @@ class TestConfigResolution:
 
     def test_paper_constants_generic_quadratic(self):
         mah = Mahalanobis(np.eye(2))
-        assert default_eta(mah) == 16.0
         assert paper_scale_constants(mah, 1, 0.5) == (491520, 160)
 
     def test_paper_constants_bregman_half_mu(self):
         breg = GenericBregman(phi=lambda X: (X * X).sum(-1),
                               grad_phi=lambda X: 2 * X, mu=0.5)
-        assert default_eta(breg) == 384.0
         assert paper_scale_constants(breg, 1, 0.5) == (566231040, 7680)
+
+    @pytest.mark.parametrize("name", ["default_eta", "find_best_over_k"])
+    def test_removed_entry_points_are_gone(self, name):
+        """eta lives inside paper_scale_constants, and the reduction over
+        i = 1..k centers is no entry point."""
+        assert name not in ptas.__all__
+        for module in (d2ptas, ptas):
+            with pytest.raises(AttributeError):
+                getattr(module, name)
 
     def test_epsilon_clamped_with_warning(self, sq):
         with pytest.warns(UserWarning, match="clamped"):
@@ -304,6 +310,8 @@ class TestExhaustiveBudget:
         # menu 12 + C(12, 2) = 78; 2 * (78 + 78^2 + 78^3) = 961428
         points = gen.standard_normal((12, 2))
         find_k_median(points, sq, desk(3, **self.EXACT_SMALL), RngStream(1))
+        monkeypatch.setattr(ptas, "ENUMERATION_BUDGET", 961_428)  # the budget itself runs
+        find_k_median(points, sq, desk(3, **self.EXACT_SMALL), RngStream(1))
         monkeypatch.setattr(ptas, "ENUMERATION_BUDGET", 961_427)
         with pytest.raises(ConfigError, match="search of 961428 subsets"):
             find_k_median(points, sq, desk(3, **self.EXACT_SMALL), RngStream(1))
@@ -336,6 +344,19 @@ class TestFindKMedianContracts:
     def test_insufficient_points(self, sq):
         with pytest.raises(InsufficientPoints):
             find_k_median([[1.0], [2.0]], sq, desk(3), RngStream(1))
+
+    @pytest.mark.parametrize("strategy", [Exhaustive(), RandomTrials(5)],
+                             ids=["exhaustive", "random"])
+    def test_a_search_without_a_finite_cost_is_refused(self, strategy):
+        """exp overflows past 709.78, so no center gives the point 710 a
+        finite divergence: no leaf and no restart has a finite cost."""
+        measure = GenericBregman(phi=lambda X: np.exp(X).sum(-1), grad_phi=np.exp, mu=0.5,
+                                 domain="unrestricted", box=None)
+        points = np.array([[0.0], [1.0], [2.0], [709.0], [709.5], [710.0]])
+        cfg = desk(2, sample_size_N=6, subset_size_M=2, restarts=2, subset_strategy=strategy)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DomainError, match="winning cost is inf"):
+            find_k_median(points, measure, cfg, RngStream(1))
 
     def test_n_equals_k_cost_zero_any_strategy(self, sq, four_point_line):
         for strategy in (RandomTrials(50), Exhaustive()):
@@ -548,7 +569,7 @@ class TestAnchoredTrialsDiscipline:
 
     @staticmethod
     def mirror_restart(points, measure, cfg, stream, trials):
-        center_set = CenterSet.empty(points, measure)
+        center_set = CenterSet(points, measure)
         menus, centers, key = [], [], _counter_key(stream)
         for i in range(cfg.k):
             it = stream.derive(i)
@@ -664,7 +685,7 @@ class TestGreedyScoring:
                                                                         stream, trials)
             assert np.asarray(engine.centers).tobytes() == mirror.tobytes()
             # the kept trial's score, from a fresh np.minimum over the same menu
-            center_set = CenterSet.empty(points, measure)
+            center_set = CenterSet(points, measure)
             for entry, cands, center in zip(engine.meta["trace"], menus, mirror):
                 scores = np.minimum(center_set.potentials[:, None],
                                     measure.pairwise(points, cands)).sum(axis=0)
@@ -874,7 +895,7 @@ class TestLockStepRestarts:
         rng = RngStream(63)
         res = find_k_median(points, sq, cfg, rng)
         stream = rng.derive(res.meta["winning_restart"])
-        center_set, key = CenterSet.empty(points, sq), _counter_key(stream)
+        center_set, key = CenterSet(points, sq), _counter_key(stream)
         for i, entry in enumerate(res.meta["trace"]):
             sample = entry["sample"]
             assert sample.base is None and sample.flags.owndata
@@ -942,7 +963,7 @@ class TestAnchoredPatches:
         its sample, its anchors, its (R, M) patch positions and its (N, R)
         sample-to-anchor table, built as ``mirror_restart`` builds them."""
         trials, size, m_ = cfg.subset_strategy.trials, cfg.sample_size_N, cfg.subset_size_M
-        center_set, key = CenterSet.empty(points, measure), _counter_key(stream)
+        center_set, key = CenterSet(points, measure), _counter_key(stream)
         patches = []
         for i, center in enumerate(centers):
             it = stream.derive(i)
@@ -1107,35 +1128,6 @@ class TestKmeansppSeed:
         assert len(kmeanspp_seed(four_point_line, sq, np.int64(2), RngStream(1)).centers) == 2
         with pytest.raises(InsufficientPoints):
             kmeanspp_seed(four_point_line, sq, 9, RngStream(1))
-
-
-class TestFindBestOverK:
-    def test_identical_points_solved_at_k_one(self, sq):
-        pts = np.full((6, 2), 3.5)
-        res = find_best_over_k(pts, sq, desk(4), RngStream(51))
-        assert res.cost == 0.0
-        assert res.meta["runs"][0]["k"] == 1
-
-    def test_planted_fixture_needs_all_three(self, sq, planted):
-        points, _, _ = planted
-        res = find_best_over_k(points, sq, desk(3), RngStream(52))
-        winning = min(res.meta["runs"], key=lambda r: (r["cost"], r["k"]))
-        assert winning["k"] == 3
-        assert res.cost == winning["cost"]
-
-    def test_scaled_epsilon_recorded(self, sq, planted):
-        points, _, _ = planted
-        res = find_best_over_k(points, sq, desk(3), RngStream(53))
-        expected = 0.5 / ((1 + 0.25) * 3)
-        assert res.meta["epsilon_scaled"] == pytest.approx(expected)
-        assert res.meta["k_requested"] == 3
-
-    def test_never_worse_than_full_k_run(self, sq, planted):
-        points, _, _ = planted
-        res = find_best_over_k(points, sq, desk(3), RngStream(54))
-        full_k = [r for r in res.meta["runs"] if r["k"] == 3]
-        assert len(full_k) == 1
-        assert res.cost <= full_k[0]["cost"]
 
 
 class TestGenericPathEquivalence:

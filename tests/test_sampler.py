@@ -148,18 +148,19 @@ class TestCounterDraws:
 
 class TestCenterSet:
     def test_empty_has_infinite_potentials(self, sq, four_point_line):
-        cs = CenterSet.empty(four_point_line, sq)
+        cs = CenterSet(four_point_line, sq)
         assert cs.size == 0
+        assert not hasattr(CenterSet, "empty")  # the constructor is the empty set
         np.testing.assert_array_equal(cs.potentials, np.full(4, np.inf))
         assert cs.total_potential == np.inf
 
     def test_first_add_installs_real_costs(self, sq, four_point_line):
-        cs = CenterSet.empty(four_point_line, sq).add([0.0])
+        cs = CenterSet(four_point_line, sq).add([0.0])
         np.testing.assert_array_equal(cs.potentials, [0.0, 1.0, 16.0, 25.0])
 
     def test_incremental_cache_matches_recompute_bitwise(self, sq, gen):
         pts = gen.standard_normal((40, 3))
-        cs = CenterSet.empty(pts, sq)
+        cs = CenterSet(pts, sq)
         for _ in range(5):
             cs = cs.add(gen.standard_normal(3))
             np.testing.assert_array_equal(cs.potentials, cs.recomputed_potentials())
@@ -171,7 +172,7 @@ class TestCenterSet:
         """Far from the origin too, built and grown caches agree, and a point
         that is a center has potential 0 and is never drawn."""
         pts = gen.standard_normal((30, 3)) + 1e6
-        grown = CenterSet.empty(pts, measure).add(pts[4]).add(pts[17])
+        grown = CenterSet(pts, measure).add(pts[4]).add(pts[17])
         built = CenterSet(pts, measure, [pts[4], pts[17]])
         np.testing.assert_array_equal(grown.potentials, built.potentials)
         for cs in (grown, built):
@@ -183,7 +184,7 @@ class TestCenterSet:
 
     def test_total_potential_monotone_after_first_center(self, sq, gen):
         pts = gen.standard_normal((30, 2))
-        cs = CenterSet.empty(pts, sq).add(gen.standard_normal(2))
+        cs = CenterSet(pts, sq).add(gen.standard_normal(2))
         prev = cs.total_potential
         for _ in range(6):
             cs = cs.add(gen.standard_normal(2))
@@ -203,7 +204,7 @@ class TestCenterSet:
         assert grown.total_potential == float(grown.potentials.sum())
         monkeypatch.undo()
         with pytest.raises(DomainError):
-            CenterSet.empty(0.5 + 0.1 * gen.random((5, 2)), KullbackLeibler()).add([0.5, -0.1])
+            CenterSet(0.5 + 0.1 * gen.random((5, 2)), KullbackLeibler()).add([0.5, -0.1])
         with pytest.raises(DomainError):
             cs.add([np.nan, 0.0])
         with pytest.raises(DimensionMismatch, match=r"center has shape \(3,\)"):
@@ -214,22 +215,22 @@ class TestCenterSet:
         coordinate would leave a NaN potential, on which a D² draw fails."""
         bad = np.array([[0.5, 0.5], [0.2, -0.1], [0.7, 0.3]])
         with pytest.raises(DomainError):
-            CenterSet.empty(bad, KullbackLeibler())
+            CenterSet(bad, KullbackLeibler())
         with pytest.raises(DomainError):
             CenterSet(bad, KullbackLeibler(), [np.array([0.5, 0.5])])
 
     def test_add_is_functional_not_in_place(self, sq, four_point_line):
-        base = CenterSet.empty(four_point_line, sq)
+        base = CenterSet(four_point_line, sq)
         grown = base.add([0.0])
         assert base.size == 0 and grown.size == 1
 
     def test_potentials_infinite_before_any_center(self, sq, four_point_line):
-        cs = CenterSet.empty(four_point_line, sq)
+        cs = CenterSet(four_point_line, sq)
         assert np.all(np.isinf(cs.potentials))
         assert np.all(np.isfinite(cs.add([2.0]).potentials))
 
     def test_center_array_shape(self, sq, four_point_line):
-        cs = CenterSet.empty(four_point_line, sq)
+        cs = CenterSet(four_point_line, sq)
         assert cs.center_array().shape == (0, 1)
         assert cs.add([1.0]).add([4.0]).center_array().shape == (2, 1)
 
@@ -237,18 +238,18 @@ class TestCenterSet:
 class TestD2Distribution:
     def test_reference_distribution(self, sq):
         """P = {0, 1, 3} with one center at 0: potentials (0, 1, 9)."""
-        cs = CenterSet.empty(np.array([[0.0], [1.0], [3.0]]), sq).add([0.0])
+        cs = CenterSet(np.array([[0.0], [1.0], [3.0]]), sq).add([0.0])
         probs, zero_potential = cs.distribution()
         np.testing.assert_allclose(probs, [0.0, 0.1, 0.9], rtol=0, atol=0)
         assert not zero_potential
 
     def test_empty_center_set_is_uniform(self, sq, four_point_line):
-        probs, zero_potential = CenterSet.empty(four_point_line, sq).distribution()
+        probs, zero_potential = CenterSet(four_point_line, sq).distribution()
         np.testing.assert_array_equal(probs, np.full(4, 0.25))
         assert not zero_potential
 
     def test_fully_covered_set_flags_zero_potential(self, sq, four_point_line):
-        cs = CenterSet.empty(four_point_line, sq)
+        cs = CenterSet(four_point_line, sq)
         for row in four_point_line:
             cs = cs.add(row)
         probs, zero_potential = cs.distribution()
@@ -292,7 +293,7 @@ class TestD2Law:
 
     def test_empty_center_set_keeps_the_uniform_first_draw(self, sq, gen):
         pts = gen.standard_normal((9, 2))
-        cs = CenterSet.empty(pts, sq)
+        cs = CenterSet(pts, sq)
         assert cs.total_potential == np.inf
         probs, zero_potential = cs.distribution()
         assert np.all(probs == 1.0 / 9) and zero_potential is False
@@ -401,7 +402,7 @@ class TestWeightedDraw:
 
 class TestD2Sample:
     def test_matches_reference_distribution(self, sq):
-        cs = CenterSet.empty(np.array([[0.0], [1.0], [3.0]]), sq).add([0.0])
+        cs = CenterSet(np.array([[0.0], [1.0], [3.0]]), sq).add([0.0])
         draws = d2_sample(cs, RngStream(11), 50000)
         freq = np.bincount(draws, minlength=3) / 50000
         assert freq[0] == 0.0
@@ -409,12 +410,12 @@ class TestD2Sample:
         assert abs(freq[2] - 0.9) < 0.01
 
     def test_count_validated(self, sq, four_point_line):
-        cs = CenterSet.empty(four_point_line, sq)
+        cs = CenterSet(four_point_line, sq)
         with pytest.raises(ConfigError):
             d2_sample(cs, RngStream(1), 0)
 
     def test_uniform_when_everything_covered(self, sq, four_point_line):
-        cs = CenterSet.empty(four_point_line, sq)
+        cs = CenterSet(four_point_line, sq)
         for row in four_point_line:
             cs = cs.add(row)
         draws = d2_sample(cs, RngStream(12), 8000)
@@ -424,31 +425,33 @@ class TestD2Sample:
 
 class TestEmpiricalDistributionCheck:
     def test_passes_at_default_tolerance(self, sq):
-        cs = CenterSet.empty(np.array([[0.0], [1.0], [3.0]]), sq).add([0.0])
+        cs = CenterSet(np.array([[0.0], [1.0], [3.0]]), sq).add([0.0])
         rep = empirical_distribution_check(cs, RngStream(13), 20000)
         assert rep.passed and rep.tolerance == 0.05
         assert rep.property == "sampling"
+        with pytest.raises(TypeError):  # the tolerance follows the trial count only
+            empirical_distribution_check(cs, RngStream(13), 20000, tolerance=0.05)
 
     def test_tight_tolerance_at_large_trials(self, sq):
-        cs = CenterSet.empty(np.array([[0.0], [1.0], [3.0]]), sq).add([0.0])
+        cs = CenterSet(np.array([[0.0], [1.0], [3.0]]), sq).add([0.0])
         rep = empirical_distribution_check(cs, RngStream(14), 100_000)
         assert rep.tolerance == 0.01
         assert rep.passed, rep.worst_ratio
 
     def test_too_few_trials_rejected(self, sq, four_point_line):
-        cs = CenterSet.empty(four_point_line, sq)
+        cs = CenterSet(four_point_line, sq)
         with pytest.raises(ConfigError):
             empirical_distribution_check(cs, RngStream(15), 500)
 
     def test_trials_are_whole_numbers(self, sq, four_point_line):
         """A float is refused rather than truncated, a whole one included."""
-        cs = CenterSet.empty(four_point_line, sq)
+        cs = CenterSet(four_point_line, sq)
         for bad in (1000.5, np.float64(5000)):
             with pytest.raises(ConfigError, match="trials must be an integer"):
                 empirical_distribution_check(cs, RngStream(15), bad)
 
     def test_zero_potential_recorded_in_details(self, sq, four_point_line):
-        cs = CenterSet.empty(four_point_line, sq)
+        cs = CenterSet(four_point_line, sq)
         for row in four_point_line:
             cs = cs.add(row)
         rep = empirical_distribution_check(cs, RngStream(16), 2000)
