@@ -239,7 +239,9 @@ class DivergenceMeasure:
         (see the module docstring) and entries at or below ``_REPAIR_TAU``
         times a bound on the terms' magnitudes are recomputed by ``rowwise``
         on just those pairs, or on the whole column where most of it needs
-        that.  ``point_side`` is ``_point_side(P)``, computed here when not
+        that.  A table with no such entry, as most scoring tables of the
+        engine, is returned as the product gave it, without a search for
+        pairs.  ``point_side`` is ``_point_side(P)``, computed here when not
         given.
 
         ``C`` may also be an (A, m, d) stack of center blocks, which gives the
@@ -283,9 +285,11 @@ class DivergenceMeasure:
         shape = table.shape
         # a 2-D table is a stack of one block
         table, centers = table.reshape(-1, n, m), C.reshape(-1, C.shape[-1])
+        repair = ~(table > _REPAIR_TAU * scale.reshape(-1, 1, m))  # NaN too
+        if not repair.any():
+            return table.reshape(shape)
         # flat indices: a 2-D np.nonzero costs ten times more on these masks
-        blocks, rows, cols = np.unravel_index(
-            np.flatnonzero(~(table > _REPAIR_TAU * scale.reshape(-1, 1, m))), table.shape)  # NaN too
+        blocks, rows, cols = np.unravel_index(np.flatnonzero(repair), table.shape)
         cols += blocks * m  # each entry's center, a row of ``centers``
         whole = np.bincount(cols, minlength=len(centers)) > _WHOLE_COLUMN_SHARE * n
         # block b's points: block b of a stack, or P itself for every block

@@ -65,7 +65,8 @@ def optimal_bruteforce(data, k, measure):
     the block that holds S's lowest point first.  That visits the
     (3^n - 1)/2 (mask, block) pairs of :func:`_subset_pairs` once per level,
     two int32 indices each (19 MB at n=14), and the last level only the full
-    mask's 2^(n-1).  Empty clusters are allowed and contribute nothing.
+    mask's 2^(n-1), which at k = 2 are the only pairs built.  Empty clusters
+    are allowed and contribute nothing.
 
     Blocks are numbered by their lowest point index, so point 0 is in
     cluster 0, and ``optimal_cost`` is the closed-form cost of that
@@ -95,9 +96,13 @@ def _optimal_partitions(data, counts, measure):
 
 
 def _subset_dp(points, top, measure):
-    """The 2^n block costs, :func:`_subset_pairs` and the levels a walk for up
-    to ``top`` blocks reads: ``levels[j][S]``, the best cost of mask S in at
-    most j + 1 blocks, for j + 1 < ``top``."""
+    """The 2^n block costs, the (mask, block) pairs and the levels a walk for
+    up to ``top`` blocks reads: ``levels[j][S]``, the best cost of mask S in
+    at most j + 1 blocks, for j + 1 < ``top``.
+
+    The pairs are :func:`_subset_pairs`, or at ``top`` = 2, where the walk
+    reads only the full mask's group, that group alone
+    (:func:`_full_mask_blocks`), with ``bounds`` a dict of its two ends."""
     n = points.shape[0]
     member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # (2^n, n)
     means = (member @ points) / np.maximum(member.sum(axis=1), 1)[:, None]
@@ -105,6 +110,10 @@ def _subset_dp(points, top, measure):
     divs = measure.rowwise(points[None, :, :], means[:, None, :])
     cost = np.where(member == 1, divs, 0.0).sum(axis=1)
 
+    if top == 2:
+        full = (1 << n) - 1
+        block = _full_mask_blocks(n)
+        return cost, block, full ^ block, {full - 1: 0, full: len(block)}, [cost]
     block, rest, bounds = _subset_pairs(n)
     levels = [cost]
     for _ in range(2, top):
@@ -159,6 +168,15 @@ def _subset_pairs(n):
                               dtype=np.int32)
         sizes = np.concatenate((sizes, [1], 2 * sizes))
     return block, rest, np.concatenate(([0], np.cumsum(sizes)))
+
+
+def _full_mask_blocks(n):
+    """The blocks of the full mask's group of :func:`_subset_pairs`, in its
+    order: the 2^(n-1) masks that hold point 0, built by the same doubling."""
+    block = np.ones(1, dtype=np.int32)
+    for i in range(1, n):
+        block = np.stack((block, block + (1 << i)), axis=1).reshape(-1)
+    return block
 
 
 def _bits(mask, n):

@@ -33,7 +33,9 @@ as one pass.  ``RandomTrials`` restarts run in lock step: each iteration
 draws, builds its anchored patches and picks its kept trials for all of them
 at once, and only the steps with a row per point and restart (scoring and
 the potentials update) run over groups of restarts that fit
-``_CHUNK_ENTRIES`` table entries, at least one.  ``Exhaustive`` restarts are
+``_CHUNK_ENTRIES`` table entries, at least one.  A restart whose table fills
+a group by itself scores each of its distinct patches once (see
+:func:`_greedy_restarts`).  ``Exhaustive`` restarts are
 one tree whose roots are the restarts, searched a frontier of same-depth
 nodes at a time.  A batch holds the children of several parents and
 restarts, and every node still gets the bits of a lone node, in the order of
@@ -253,7 +255,7 @@ def _distinct_sample_points(ids, rows):
     them in its first ``counts[b]`` entries, and the (B,) ``counts``.  Padding
     entries are unspecified.
 
-    ``ids`` maps each point to its distinct-value id (see :func:`_prepare`).
+    ``ids`` maps each point to its distinct-value id (see :func:`_value_ids`).
     The key and position temporaries take B * N entries and the
     first-occurrence table B * (distinct values), which ``_BATCH_ENTRIES``
     bounds.
@@ -670,7 +672,7 @@ def _smallest_positions(table, m):
 # table is small and numpy's per-call overhead dominates (desk_small_kl's 8
 # restarts of 300 x 50 make one group); where one restart's table alone is
 # larger (desk_large's 4000 x 50, 1.6 MB), groups of one restart keep the
-# memory of one table.
+# memory of one table, and such a restart scores only its distinct patches.
 _CHUNK_ENTRIES = 1 << 17
 
 
@@ -678,7 +680,26 @@ def _restart_groups(count, entries):
     """Slices that split ``count`` restarts, each with tables of ``entries``
     entries, into groups that fit ``_CHUNK_ENTRIES``, at least one restart each."""
     step = max(1, _CHUNK_ENTRIES // entries)
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _first_patches(positions, trials):
+    """The first trial of each distinct patch, ascending, and each trial's
+    index among them.
+
+    ``positions`` holds the (A * R, M) patches of A restarts of ``trials``
+    trials each, restart by restart.  Two trials share a patch when they are
+    of the same restart and their rows are equal, so their means are equal
+    bit for bit.  One sort of the rows, each keyed by its restart, finds
+    every restart's patches.
+    """
+    keyed = np.column_stack((np.arange(len(positions)) // trials, positions))
+    rows = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1]))).reshape(-1)
+    _, first, which = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    return first[order], slot[which]
 
 
 def _lower_potentials(potentials, points, measure, centers):
@@ -730,12 +751,31 @@ def _greedy_restarts(points, measure, cfg, roots, keys):
     candidates, scored in place and dropped before the next group's, and,
     once every restart has kept its trial, the update of the (A, n)
     potentials by one broadcast closed-form ``rowwise`` per group
-    (:func:`_lower_potentials`).
+    (:func:`_lower_potentials`).  Iteration 0's potentials are +inf, so its
+    scores are the tables' sums.
+
+    Where one restart's table fills a group by itself (n R > 2^16, half of
+    ``_CHUNK_ENTRIES``, as at desk_large's 4000 x 50), each restart is scored
+    alone on its distinct patches.  Anchors are drawn with replacement, so
+    trials repeat patches (22% of desk_large's trials), and equal rows of
+    positions in one restart have bitwise-equal means.  One sort of every
+    restart's rows, each keyed by its restart (:func:`_first_patches`), gives
+    each distinct patch's first trial; those means are the columns, in trial
+    order, of a (1, n, U) table, U <= R, and every trial reads its patch's
+    score.  A patch alone is scored twice, so that its sum runs row by row as
+    a wider table's does.  At n >= 1000 no column's bits changed with the
+    table's width (0 of 1512 checks of column subsets, d <= 64, three
+    measures), so the winner, ties and trace are those of scoring every trial.
+    Restarts that share a group keep their R-wide blocks: padding ragged
+    widths would tie a restart's width to its group, and at n <= 300 and d >=
+    33 a column's bits can change with the width.
+
     Every restart runs all k iterations.  Each restart keeps the bits of a
     lone pass: its draw, its law, its sample-to-anchor table, its scoring
-    table and its potentials are its own row or block of these.  A center is
-    a subset mean, which may lie a rounding step outside a closed-box domain,
-    so no center is checked against the domain.  The points' side of every
+    table and its potentials are its own row or block of these, and the
+    scoring path depends on n and R alone.  A center is a subset mean, which
+    may lie a rounding step outside a closed-box domain, so no center is
+    checked against the domain.  The points' side of every
     scoring table (their lifted copy and maxima, see
     :meth:`~d2ptas.divergences.DivergenceMeasure.pairwise`) is computed once
     per pass.  Each iteration keeps every restart's draw, kept trial, anchor,
@@ -749,6 +789,8 @@ def _greedy_restarts(points, measure, cfg, roots, keys):
     potentials = np.full((count, n), np.inf)                                     # (A, n)
     iteration_ids = _derived_ids(roots, np.arange(cfg.k))                        # (A, k)
     trial_keys = np.repeat(keys, trials)
+    # one restart's scoring table fills a group by itself: it scores alone
+    alone = _CHUNK_ENTRIES // (n * trials) <= 1
     # per iteration, every restart's draw, kept trial, anchor, patch, center and score
     history = []
     for i in range(cfg.k):
@@ -765,24 +807,40 @@ def _greedy_restarts(points, measure, cfg, roots, keys):
                                      points[np.take_along_axis(samples, anchors, axis=1)])
         positions = _smallest_positions(np.swapaxes(to_anchor, 1, 2), m_).reshape(-1, m_)
         del to_anchor                                                            # (A * R, M)
+        # restart a's patches are first[bounds[a]:bounds[a + 1]]: its distinct
+        # ones where it scores alone, else every trial, as one block of a stack
+        if alone:
+            first, slot = _first_patches(positions, trials)
+        else:
+            first = slot = np.arange(count * trials)
+        bounds = np.searchsorted(first, trials * np.arange(count + 1))
         # the patches' point indices are not kept: the kept trials' are
         # gathered again for the trace, so fewer temporaries live meanwhile
-        cands = points[samples[np.repeat(rows, trials)[:, None], positions]].mean(axis=1)
+        means = points[samples[(first // trials)[:, None], positions[first]]].mean(axis=1)
         # Score in place and drop each table before the next one: with a
         # second live table the allocator releases and re-faults its pages on
         # every group.  The potentials stay the first operand, so the scores
-        # keep the bits of np.minimum(potentials, table).
-        scores = np.empty((count, trials))                                       # (A, R)
+        # keep the bits of np.minimum(potentials, table); at iteration 0 they
+        # are +inf, which changes no entry.
+        patch_scores = np.empty(len(first))
         for g in _restart_groups(count, n * trials):
-            table = measure.pairwise(points, cands.reshape(count, trials, d)[g],
-                                     point_side=point_side)                      # (g, n, R)
-            np.minimum(potentials[g, :, None], table, out=table)
-            scores[g] = table.sum(axis=1)
+            lo, hi = bounds[g.start], bounds[g.stop]
+            menu = means[lo:hi]
+            if hi - lo == 1 < trials:
+                # a one-column table sums down its column, which rounds unlike
+                # the row-by-row sum of a wider one: score the lone patch twice
+                menu = np.repeat(menu, 2, axis=0)
+            table = measure.pairwise(points, menu.reshape(g.stop - g.start, -1, d),
+                                     point_side=point_side)             # (g, n, R) or (1, n, U)
+            if i:
+                np.minimum(potentials[g, :, None], table, out=table)
+            patch_scores[lo:hi] = table.sum(axis=1).reshape(-1)[:hi - lo]
             del table
+        scores = patch_scores[slot].reshape(count, trials)                      # (A, R)
         # the kept trials' rows, copied out so that a trace does not hold a whole menu
         best = np.argmin(scores, axis=1)
         kept = rows * trials + best
-        centers = cands[kept]                                                    # (A, d)
+        centers = means[slot[kept]]                                              # (A, d)
         history.append((samples, best, anchors[rows, best], positions[kept], centers,
                         scores[rows, best]))
         # each kept center in closed form, as the reported cost is evaluated
@@ -917,18 +975,23 @@ def _run_restarts(points, ids, measure, cfg, roots, keys):
 
 
 def _prepare(data, measure, config):
-    """Validated points, the resolved config, and each point's distinct-value id.
-
-    Two points share an id exactly when their coordinates compare equal, so
-    ``0.0`` and ``-0.0`` count as one value.
-    """
+    """Validated points and the resolved config."""
     points = as_points(data)
     measure.validate_points(points)
     cfg = config.resolved(measure)
     if points.shape[0] < cfg.k:
         raise InsufficientPoints(f"need at least k={cfg.k} points, got {points.shape[0]}")
+    return points, cfg
+
+
+def _value_ids(points):
+    """Each point's distinct-value id, from one sort of the rows.
+
+    Two points share an id exactly when their coordinates compare equal, so
+    ``0.0`` and ``-0.0`` count as one value.
+    """
     _, ids = np.unique(points, axis=0, return_inverse=True)
-    return points, cfg, ids.reshape(-1)
+    return ids.reshape(-1)
 
 
 def _result(points, measure, centers, meta):
@@ -952,13 +1015,20 @@ def _solve(data, measure, config, rng, lone=False):
     as where the measure's generator overflows on the points, raises
     ``DomainError``.
     """
-    points, cfg, ids = _prepare(data, measure, config)
+    points, cfg = _prepare(data, measure, config)
     streams = [rng] if lone else [rng.derive(r) for r in range(cfg.restarts)]
-    distinct = int(ids.max()) + 1
-    if distinct > cfg.k and isinstance(cfg.subset_strategy, Exhaustive):
-        _check_tree_size(cfg, distinct, len(streams))
+    exhaustive = isinstance(cfg.subset_strategy, Exhaustive)
+    # Only the tree and the exit below read value ids.  Points with more than
+    # k distinct first coordinates (compared as floats, as the rows are) have
+    # more than k distinct values, so the greedy needs no row sort for them.
+    ids = None
+    if exhaustive or np.unique(points[:, 0]).size <= cfg.k:
+        ids = _value_ids(points)
+    few = ids is not None and ids.max() < cfg.k
+    if exhaustive and not few:
+        _check_tree_size(cfg, int(ids.max()) + 1, len(streams))
     t0 = time.perf_counter()
-    if distinct <= cfg.k:
+    if few:
         first = np.sort(np.unique(ids, return_index=True)[1])
         centers = points[np.concatenate((first, np.arange(cfg.k - len(first))))]
         costs = subsets = nodes = np.zeros(0, dtype=np.int64)
@@ -1041,7 +1111,8 @@ def lloyd(data, measure, initial_centers, max_iters=100):
     ``pairwise`` table that picks the labels (costs themselves are closed
     form; see ``assign``).  Stops at an assignment fixpoint or after
     ``max_iters`` passes.  This is one restart of :func:`_lloyd_restarts`;
-    the result is ``assign`` on the centers it ends at.
+    the result is ``assign`` on the centers it ends at.  Initial centers
+    outside the measure's domain raise ``DomainError``.
     """
     points = as_points(data)
     measure.validate_points(points)
@@ -1049,6 +1120,7 @@ def lloyd(data, measure, initial_centers, max_iters=100):
     centers = as_points(initial_centers).copy()
     if points.shape[1] != centers.shape[1]:
         raise DimensionMismatch("initial centers have the wrong dimension")
+    measure.validate_points(centers)
     (cost_trace,) = _lloyd_restarts(points, measure, centers[None], max_iters)
     meta = {"iterations": len(cost_trace), "cost_trace": cost_trace, "method": "lloyd"}
     return _result(points, measure, centers, meta)

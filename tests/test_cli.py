@@ -332,9 +332,10 @@ class TestMainExitCodes:
         """One subset DP answers k and k - 1, with the bits of two lone runs;
         none runs at k = 1, one block, or once both counts reach the 4 points."""
         calls = []
-        build = d2ptas.oracle._subset_pairs
-        monkeypatch.setattr(d2ptas.oracle, "_subset_pairs",
-                            lambda n: calls.append(n) or build(n))
+        build = d2ptas.oracle._subset_dp
+        monkeypatch.setattr(d2ptas.oracle, "_subset_dp",
+                            lambda points, top, measure: calls.append(len(points))
+                            or build(points, top, measure))
         out = tmp_path / "oracle.json"
         assert main(["oracle", "--input", four_point_file, "--k", str(k),
                      "--output", str(out)]) == 0

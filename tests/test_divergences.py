@@ -389,6 +389,23 @@ class TestPairwiseKernel:
             np.testing.assert_array_equal(sq.pairwise(P, C[:m]), table[:, :m])
 
 
+    @pytest.mark.parametrize("measure", KERNEL_MEASURES, ids=KERNEL_IDS)
+    def test_no_repair_and_one_repaired_entry(self, measure, gen, monkeypatch):
+        """Centers off the points leave no entry to repair: ``rowwise`` never
+        runs.  A center moved onto point 7 leaves one: that pair alone is
+        recomputed, to exactly 0, and every other column keeps its bits."""
+        P, C = kernel_points(measure, gen, 40), kernel_points(measure, gen, 5)
+        pairs, rowwise = [], type(measure).rowwise
+        monkeypatch.setattr(type(measure), "rowwise", lambda self, A, B: pairs.append(
+            np.broadcast_shapes(np.shape(A), np.shape(B))) or rowwise(self, A, B))
+        free = measure.pairwise(P, C)
+        assert pairs == [] and np.all(free > 0.0)
+        C[2] = P[7]
+        one = measure.pairwise(P, C)
+        assert pairs == [(1, 3)]
+        assert one[7, 2] == 0.0 and np.count_nonzero(one == 0.0) == 1
+        np.testing.assert_array_equal(one[:, [0, 1, 3, 4]], free[:, [0, 1, 3, 4]])
+
     @pytest.mark.parametrize("measure,offset", OFFSET_CASES, ids=OFFSET_IDS)
     def test_wide_tables_are_their_column_slices(self, measure, offset, gen):
         """Past 128 centers a table is its slices of 128 columns, each its own

@@ -122,6 +122,15 @@ def instance(name, gen, n, d=2):
     return np.exp(pts) if name in ("kl", "is") else pts
 
 
+def mirrored(name, gen, n):
+    """n points closed under a symmetry of the measure: negation, or for the
+    positive measures a swap of the two coordinates; an odd one out is fixed."""
+    half = instance(name, gen, n // 2)
+    if name in ("kl", "is"):
+        return np.concatenate([half, half[:, ::-1], np.ones((n % 2, 2))])
+    return np.concatenate([half, -half, np.zeros((n % 2, 2))])
+
+
 class TestSubsetDP:
     @pytest.mark.parametrize("name", sorted(MEASURES))
     def test_matches_unpruned_enumeration(self, name, gen):
@@ -216,6 +225,14 @@ class TestLloyd:
     def test_dimension_mismatch(self, sq, four_point_line):
         with pytest.raises(DimensionMismatch):
             lloyd(four_point_line, sq, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("max_iters", [0, 1])
+    def test_initial_centers_off_the_domain_are_refused(self, max_iters):
+        """Negative centers on KL data would cost nan; they are refused
+        before any labelling."""
+        points = 0.1 + 0.8 * RngStream(17).generator.random((30, 2))
+        with pytest.raises(DomainError):
+            lloyd(points, KullbackLeibler(), -points[:3], max_iters=max_iters)
 
     def test_max_iters_is_a_count(self, sq, four_point_line):
         """A negative or fractional pass count is refused, not run as 0 or
@@ -360,8 +377,9 @@ class TestOneDPForTwoCounts:
         at the cost the DP holds for the full mask."""
         measure = MEASURES[name]
         gen = RngStream(15).derive(len(name)).generator
-        built, build = [], oracle._subset_pairs
-        monkeypatch.setattr(oracle, "_subset_pairs", lambda n: built.append(n) or build(n))
+        built, build = [], oracle._subset_dp
+        monkeypatch.setattr(oracle, "_subset_dp", lambda points, top, measure:
+                            built.append(len(points)) or build(points, top, measure))
         for n in range(2, ORACLE_N_CAP + 1):
             points = instance(name, gen, n)
             lone = optimal_bruteforce(points, 1, measure)
@@ -376,12 +394,41 @@ class TestOneDPForTwoCounts:
             assert lone.assignments_examined == walked.assignments_examined == 1
             assert lone.optimal_cost == pytest.approx(dp[0][-1], rel=1e-9)
 
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_two_blocks_build_only_the_full_mask_pairs(self, name, monkeypatch):
+        """At k = 2 the walk reads only the full mask's 2^(n-1) pairs, and
+        only they are built, in the whole table's order: the result is the
+        walk over the whole table bit for bit, on n = 3..14 points (k = n = 2
+        runs no DP), general and mirror-symmetric, whose mirrored splits tie."""
+        measure = MEASURES[name]
+        gen = RngStream(16).derive(len(name)).generator
+        built, build = [], oracle._subset_pairs
+        monkeypatch.setattr(oracle, "_subset_pairs", lambda n: built.append(n) or build(n))
+        for n in range(3, ORACLE_N_CAP + 1):
+            block, rest, bounds = build(n)
+            full = (1 << n) - 1
+            assert bounds[full] == len(block) and bounds[full] - bounds[full - 1] == 1 << (n - 1)
+            np.testing.assert_array_equal(oracle._full_mask_blocks(n), block[bounds[full - 1]:])
+            np.testing.assert_array_equal(full ^ oracle._full_mask_blocks(n),
+                                          rest[bounds[full - 1]:])
+            for points in (instance(name, gen, n), mirrored(name, gen, n)):
+                two = optimal_bruteforce(points, 2, measure)
+                assert built == []
+                whole = oracle._recover(points, measure, oracle._subset_dp(points, 3, measure), 2)
+                assert built == [n]
+                built.clear()
+                assert two.optimal_cost.hex() == whole.optimal_cost.hex()
+                assert two.optimal_partition.dtype == whole.optimal_partition.dtype
+                np.testing.assert_array_equal(two.optimal_partition, whole.optimal_partition)
+                assert two.assignments_examined == whole.assignments_examined
+
     @pytest.mark.parametrize("k,tables", [(2, 1), (5, 1), (12, 1), (13, 0)])
     def test_exact_irreducibility_builds_one_table(self, sq, monkeypatch, k, tables):
         """One block-cost table at most; none once both counts reach n."""
         calls = []
-        build = oracle._subset_pairs
-        monkeypatch.setattr(oracle, "_subset_pairs", lambda n: calls.append(n) or build(n))
+        build = oracle._subset_dp
+        monkeypatch.setattr(oracle, "_subset_dp", lambda points, top, measure:
+                            calls.append(len(points)) or build(points, top, measure))
         points = planted_points(*PLANTED_SMALL[0])
         rep = irreducibility(points, k, sq)
         assert calls == [12] * tables

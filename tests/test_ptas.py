@@ -37,7 +37,7 @@ from d2ptas.divergences import GenericBregman, Mahalanobis, assign
 from d2ptas.oracle import optimal_bruteforce
 from d2ptas import ptas
 from d2ptas.ptas import (_combo_groups, _combo_table, _distinct_sample_points, _prepare,
-                         lloyd)
+                         _value_ids, lloyd)
 from d2ptas.sampler import CenterSet, RngStream, _counter_key, _splitmix64, d2_law, weighted_draw
 
 MASK64 = 2 ** 64 - 1
@@ -260,7 +260,7 @@ class TestTinyExhaustive:
             pts = gen.integers(-1, 2, size=(n, 2)) * 0.5 * signs  # duplicates and -0.0
             if n >= 3:
                 pts[:3] = [[0.0, -0.0], [-0.0, 0.0], [1.0, 1.0]]
-            _, _, ids = _prepare(pts, sq, desk(1))
+            ids = _value_ids(_prepare(pts, sq, desk(1))[0])
             size = int(gen.integers(1, 30))
             rows = gen.integers(0, n, size=(int(gen.integers(2, 7)), size))
             rows[0] = gen.integers(0, n)
@@ -325,7 +325,8 @@ class TestExhaustiveBudget:
             n, k, d = int(gen.integers(5, 11)), int(gen.integers(2, 4)), int(gen.integers(1, 4))
             cfg = PtasConfig(k=k, epsilon=0.5, sample_size_N=int(np.ceil(8.0 * n * np.log(n))),
                              subset_size_M=2, restarts=2 ** k, subset_strategy=Exhaustive())
-            _, cfg, ids = _prepare(gen.standard_normal((n, d)), sq, cfg)
+            points, cfg = _prepare(gen.standard_normal((n, d)), sq, cfg)
+            ids = _value_ids(points)
             ptas._check_tree_size(cfg, int(ids.max()) + 1, cfg.restarts)
 
     def test_a_menu_past_10_18_is_refused_without_a_count(self, sq):
@@ -800,7 +801,8 @@ class TestLockStepRestarts:
         ``rng.derive(r)`` and the counters of ``run_one_restart`` there, and
         the winner, the first cheapest, is ``run_one_restart`` on its stream,
         centers and trace included."""
-        points, cfg, ids = _prepare(points, measure, config)
+        points, cfg = _prepare(points, measure, config)
+        ids = _value_ids(points)
         streams = [rng.derive(r) for r in range(restarts)]
         batch = ptas._run_restarts(points, ids, measure, cfg, *roots_and_keys(streams))
         costs, subsets, nodes, win, centers, trace = batch
@@ -950,6 +952,82 @@ class TestLockStepRestarts:
         assert batch[3] == best.meta["winning_restart"]
         assert best.centers.tobytes() == np.asarray(batch[4]).tobytes()
         self.assert_same_trace(best.meta["trace"], batch[5])
+
+
+class TestDistinctPatches:
+    """Where one restart's scoring table fills a group by itself (n R > 2^16),
+    each restart scores only the first trial of each of its distinct patches,
+    and every trial takes its patch's score: equal patches have equal means,
+    so the bits are those of scoring all R trials."""
+
+    @staticmethod
+    def record_patches(monkeypatch):
+        """A list that gets (distinct patches, trials) of every iteration
+        that scores its restarts alone."""
+        shares, first_patches = [], ptas._first_patches
+
+        def spy(positions, trials):
+            first, slot = first_patches(positions, trials)
+            shares.append((len(first), len(positions)))
+            return first, slot
+
+        monkeypatch.setattr(ptas, "_first_patches", spy)
+        return shares
+
+    def test_first_patches(self):
+        """First trials come out ascending, each trial's slot holds an equal
+        patch of its own restart, and equal patches of two restarts stay two."""
+        positions = np.array([[3, 1], [0, 2], [3, 1], [0, 2],   # restart 0: two patches
+                              [3, 1], [3, 1], [3, 1], [3, 1],   # restart 1: one, also restart 0's
+                              [2, 0], [0, 2], [1, 3], [2, 0]])  # restart 2: [2, 0] is not [0, 2]
+        first, slot = ptas._first_patches(positions, 4)
+        assert first.tolist() == [0, 1, 4, 8, 9, 10]
+        assert slot.tolist() == [0, 1, 0, 1, 2, 2, 2, 2, 3, 4, 5, 3]
+        positions = np.random.default_rng(3).integers(0, 3, size=(5 * 20, 2))
+        first, slot = ptas._first_patches(positions, 20)
+        trials = np.arange(100)
+        assert np.all(np.diff(first) > 0)
+        np.testing.assert_array_equal(positions[first[slot]], positions)
+        np.testing.assert_array_equal(first[slot] // 20, trials // 20)
+        assert np.all(first[slot] <= trials)
+        assert len(first) == len({(t // 20, *row) for t, row in zip(trials, positions.tolist())})
+
+    @pytest.mark.parametrize("name", ["sqeuclid-rounded", "kl"])
+    def test_distinct_patches_score_as_every_trial(self, name, monkeypatch):
+        """n = 1401, R = 50, k = 3: each restart is the mirror, which scores
+        all 50 trials in one table, bit for bit, kept scores included, and
+        each restart of the lock-step pass is ``run_one_restart`` on its
+        stream.  Rounded to one decimal, sq-Euclid points tie at the M-th
+        nearest position.  Some iteration scores fewer patches than trials."""
+        n, trials = 1401, 50
+        measure, points = TestGreedyScoring.blobs(name.split("-")[0], n, 2, 3, 17)
+        if name == "sqeuclid-rounded":
+            points = np.round(points, 1)
+        assert ptas._CHUNK_ENTRIES // (n * trials) == 1
+        shares = self.record_patches(monkeypatch)
+        cfg = desk(3)
+        TestGreedyScoring.assert_engine_is_the_mirror(points, measure, cfg.resolved(measure),
+                                                      (71, 72, 73))
+        TestLockStepRestarts.assert_lone_restarts(points, measure, cfg, RngStream(74), 8)
+        assert shares and any(distinct < total for distinct, total in shares)
+
+    def test_a_lone_patch_sums_as_a_wide_table(self, monkeypatch):
+        """60 points from (0, 0) to (5.9e-9, 0) and 30 copies of (10, 0),
+        k = 2, scored alone: the first center lands among the 60, and the
+        second draw then takes only copies of (10, 0), so all 50 trials hold
+        one patch.  Its score sums the 60 tiny potentials row by row, as a
+        50-column table does, not down one column.  (At d = 1 the mirror's
+        gathered patches are laid out otherwise than the engine's, and their
+        means round otherwise.)"""
+        points = np.zeros((90, 2))
+        points[:, 0] = np.concatenate([1e-10 * np.arange(60), np.full(30, 10.0)])
+        trials = 50
+        monkeypatch.setattr(ptas, "_CHUNK_ENTRIES", len(points) * trials)
+        shares = self.record_patches(monkeypatch)
+        cfg = desk(2).resolved(SquaredEuclidean())
+        TestGreedyScoring.assert_engine_is_the_mirror(points, SquaredEuclidean(), cfg,
+                                                      (81, 82, 83))
+        assert shares[1::2] == [(1, trials)] * 3
 
 
 class TestAnchoredPatches:

@@ -29,7 +29,7 @@ from d2ptas import (
 )
 from d2ptas import ptas
 from d2ptas.divergences import Mahalanobis
-from d2ptas.ptas import _combo_groups, _prepare
+from d2ptas.ptas import _combo_groups, _prepare, _value_ids
 from d2ptas.sampler import RngStream, _derived_ids, _splitmix64, weighted_draw
 
 MASK64 = 2 ** 64 - 1
@@ -137,7 +137,8 @@ class ReferenceSearch:
 
 def reference_find_k_median(data, measure, cfg, rng):
     """find_k_median with Exhaustive, on the reference search."""
-    points, cfg, ids = _prepare(data, measure, cfg)
+    points, cfg = _prepare(data, measure, cfg)
+    ids = _value_ids(points)
     outcomes = []
     for r in range(cfg.restarts):
         stream = rng.derive(r)
@@ -159,7 +160,7 @@ def same_bits(a, b):
 
 def run_both(points, measure, k, N, M, stream):
     points = np.asarray(points, dtype=float)
-    _, _, ids = _prepare(points, measure, PtasConfig(k=1, epsilon=0.5))
+    ids = _value_ids(_prepare(points, measure, PtasConfig(k=1, epsilon=0.5))[0])
     batched = ptas._TreeSearch(points, ids, measure, k, N, M, *roots_and_keys(stream))
     reference = ReferenceSearch(points, ids, measure, k, N, M, reference_key(stream))
     batched.run()
@@ -207,7 +208,7 @@ class TestSearchMatchesReference:
         measure = MEASURES[name]
         points = instance(name, RngStream(40, d).generator, 12, d)
         points[5] = points[2]
-        _, _, ids = _prepare(points, measure, PtasConfig(k=1, epsilon=0.5))
+        ids = _value_ids(_prepare(points, measure, PtasConfig(k=1, epsilon=0.5))[0])
         root = RngStream(49, d)
         search = ptas._TreeSearch(points, ids, measure, 2, 6, 3, *roots_and_keys(root))
         reference = ReferenceSearch(points, ids, measure, 2, 6, 3, reference_key(root))
@@ -235,7 +236,7 @@ class TestSearchMatchesReference:
         entries, with the means of the node expanded alone."""
         measure, M = MEASURES[name], 3
         points = instance(name, RngStream(57).generator, 12, 2)
-        _, _, ids = _prepare(points, measure, PtasConfig(k=1, epsilon=0.5))
+        ids = _value_ids(_prepare(points, measure, PtasConfig(k=1, epsilon=0.5))[0])
         root = RngStream(58)
         search = ptas._TreeSearch(points, ids, measure, 2, 8, M, *roots_and_keys(root))
         reference = ReferenceSearch(points, ids, measure, 2, 8, M, reference_key(root))
@@ -331,8 +332,9 @@ class TestSearchMatchesReference:
     def test_a_paper_preset_node_is_a_batch_of_its_own(self, sq):
         """A paper-preset node draws N = 819 200 points, over half the batch
         budget, so it is expanded, and its draws deduplicated, alone."""
-        points, cfg, ids = _prepare([[0.0], [1.0], [4.0], [5.0]], sq,
-                                    PtasConfig(k=2, epsilon=0.5, scale_preset="paper"))
+        points, cfg = _prepare([[0.0], [1.0], [4.0], [5.0]], sq,
+                               PtasConfig(k=2, epsilon=0.5, scale_preset="paper"))
+        ids = _value_ids(points)
         assert cfg.sample_size_N == 819_200
         search = ptas._TreeSearch(points, ids, sq, cfg.k, cfg.sample_size_N,
                                   cfg.subset_size_M, *roots_and_keys(RngStream(7)))
@@ -341,7 +343,7 @@ class TestSearchMatchesReference:
     def test_extreme_stream_ids_and_keys(self, sq):
         """A root stream id and a key of 2^64 - 1, where every sum wraps."""
         points = RngStream(52).generator.standard_normal((9, 2))
-        _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
+        ids = _value_ids(_prepare(points, sq, PtasConfig(k=1, epsilon=0.5))[0])
         for key in (0, 2 ** 64 - 1):
             for root in (RngStream(53, 2 ** 64 - 1), RngStream(2 ** 64 - 1, 0)):
                 batched = ptas._TreeSearch(points, ids, sq, 3, 5, 2,
@@ -433,7 +435,7 @@ class TestFrontierBatches:
         one batch, at the interior level below the root's children and at the
         leaves."""
         points = RngStream(54).generator.standard_normal((10, 2))
-        _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
+        ids = _value_ids(_prepare(points, sq, PtasConfig(k=1, epsilon=0.5))[0])
         batches = record_batches(monkeypatch)
         for seed in range(2):
             stream = RngStream(905, seed)
@@ -457,7 +459,7 @@ class TestFrontierBatches:
         """At exact_small's shape (n = 12, k = 3, N = 239, M = 2) a leaf batch
         holds the children of more than one parent."""
         points = RngStream(55).generator.standard_normal((12, 2))
-        _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
+        ids = _value_ids(_prepare(points, sq, PtasConfig(k=1, epsilon=0.5))[0])
         batches = record_batches(monkeypatch)
         ptas._TreeSearch(points, ids, sq, 3, 239, 2, *roots_and_keys(RngStream(906))).run()
         assert max(len(parents(b)) for b in batches if len(b[0]) == 3) > 1
@@ -471,7 +473,7 @@ class TestFrontierBatches:
         leaves out the nodes' draws, makes chunks of 1120 nodes at d = 1, which
         peak at 11.9 MB."""
         points = RngStream(56, d).generator.standard_normal((12, d))
-        _, _, ids = _prepare(points, sq, PtasConfig(k=1, epsilon=0.5))
+        ids = _value_ids(_prepare(points, sq, PtasConfig(k=1, epsilon=0.5))[0])
         stream, peaks = RngStream(907, d), []
         # fill the combination caches before tracing
         PerParentSearch(points, ids, sq, 3, 239, 2, *roots_and_keys(stream)).run()
@@ -577,7 +579,7 @@ class TestFindKMedianMatchesReference:
         cfg = PtasConfig(k=3, epsilon=0.5, sample_size_N=5, subset_size_M=2, restarts=1,
                          subset_strategy=Exhaustive())
         got = run_one_restart(points, sq, cfg, RngStream(48))
-        _, _, ids = _prepare(points, sq, cfg)
+        ids = _value_ids(_prepare(points, sq, cfg)[0])
         reference = ReferenceSearch(points, ids, sq, 3, 5, 2, reference_key(RngStream(48)))
         reference.visit(None, RngStream(48).stream_id, ())
         assert got.meta["nodes_expanded"] == reference.nodes_expanded
